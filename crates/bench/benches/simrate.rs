@@ -9,17 +9,13 @@
 //! with a deep 2048-entry window, the "ROB full of parked loads" regime
 //! the event calendar was built for. `seed/*` drives the line-for-line
 //! port of the pre-rewrite run loop ([`padlock_bench::seed_core`]);
-//! `fastforward/*` drives today's core; `speculative/*` drives it
-//! again with speculative singleton-window miss issue
-//! (`HierarchyConfig::speculative_completions`). All three sit on the
-//! same hierarchy/backend — the `fastforward_vs_seed` and
-//! `speculative_vs_parked` differentials prove them bit-exact, so the
-//! gaps between the ids in `baseline.json` are purely run-loop and
-//! drain-window mechanics: the O(|ROB|) issue/advance rescans and
-//! batched stall-on-use drains the calendar + incremental ready sets
-//! replace, and the per-window batch scheduling the speculation fast
-//! path skips on singleton (pointer-chase) drain windows. The seed loop already event-skips (its `forced_steps` stays
-//! 0), so the matched-backend gap is structural but bounded; the
+//! `fastforward/*` drives today's core. Both sit on the same
+//! hierarchy/backend — the `fastforward_vs_seed` differential proves
+//! them bit-exact, so the gap between the ids in `baseline.json` is
+//! purely run-loop mechanics: the O(|ROB|) issue/advance rescans the
+//! calendar + incremental ready sets replace. The seed loop already
+//! event-skips (its `forced_steps` stays 0), so the matched-backend gap
+//! is structural but bounded; the
 //! end-to-end win of this PR additionally includes the fixed-slot
 //! counter and drain-window work visible against the *previous*
 //! `baseline.json` capture of `channel_sweep/e2e/*` and `mlp_sweep/*`.
@@ -44,18 +40,6 @@ fn simrate_config() -> MachineConfig {
     cfg
 }
 
-/// The same machine with speculative singleton-window miss issue: each
-/// parked miss is issued eagerly as a rollback-able window, and coupled
-/// windows replay as parked batches — bit-exact in cycles with
-/// `fastforward/*`, so the id gap is pure drain-window mechanics. On
-/// the serial pointer-chase `rstride` trace almost every drain window
-/// is a singleton, the regime the speculation fast-path targets.
-fn speculative_config() -> MachineConfig {
-    let mut cfg = simrate_config();
-    cfg.hierarchy.speculative_completions = true;
-    cfg
-}
-
 /// A pre-aged seed machine, built outside the timed region.
 fn seed_machine(trace: &E2eTrace) -> SeedMachine {
     let mut m = SeedMachine::new(simrate_config());
@@ -76,16 +60,6 @@ fn fastforward_machine(trace: &E2eTrace) -> Machine {
     m
 }
 
-/// A pre-aged fast-forward machine with speculative miss issue on.
-fn speculative_machine(trace: &E2eTrace) -> Machine {
-    let mut m = Machine::new(speculative_config());
-    m.core_mut().hierarchy_mut().backend_mut().pre_age(
-        trace.ancient_lines().iter().copied(),
-        trace.active_lines().iter().copied(),
-    );
-    m
-}
-
 fn simrate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simrate");
     g.sample_size(10);
@@ -97,13 +71,10 @@ fn simrate(c: &mut Criterion) {
         {
             let mut seed = seed_machine(&trace);
             let mut ff = fastforward_machine(&trace);
-            let mut spec = speculative_machine(&trace);
             let mut p1 = trace.clone_player();
             let mut p2 = trace.clone_player();
-            let mut p3 = trace.clone_player();
             let seed_cycles = seed.run(&mut p1, WARMUP, MEASURE).stats.cycles;
             assert_eq!(seed_cycles, ff.run(&mut p2, WARMUP, MEASURE).stats.cycles);
-            assert_eq!(seed_cycles, spec.run(&mut p3, WARMUP, MEASURE).stats.cycles);
         }
         // Construction and pre-aging happen in the setup half of each
         // batch; only the warm-up + measured simulation is timed.
@@ -117,13 +88,6 @@ fn simrate(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("fastforward", name), &trace, |b, t| {
             b.iter_batched(
                 || (fastforward_machine(t), t.clone_player()),
-                |(mut m, mut p)| m.run(&mut p, WARMUP, MEASURE).stats.cycles,
-                BatchSize::PerIteration,
-            )
-        });
-        g.bench_with_input(BenchmarkId::new("speculative", name), &trace, |b, t| {
-            b.iter_batched(
-                || (speculative_machine(t), t.clone_player()),
                 |(mut m, mut p)| m.run(&mut p, WARMUP, MEASURE).stats.cycles,
                 BatchSize::PerIteration,
             )

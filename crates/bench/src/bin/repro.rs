@@ -19,7 +19,9 @@
 use padlock_bench::{E2eTrace, Lab, MachineKind, RunScale};
 use padlock_exec::SweepPool;
 use padlock_mem::{DrainOrder, PagePolicy, ROW_LINES};
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Streams a simulated-throughput line to stderr after each sweep:
@@ -70,7 +72,6 @@ struct Args {
     trace: String,
     jobs: Option<usize>,
     idle_drain: bool,
-    speculative: bool,
     jsonl: Option<PathBuf>,
     seed_core: bool,
 }
@@ -139,6 +140,13 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Reports an output path that cannot be written and exits with the
+/// usage-error code.
+fn cannot_write(path: &Path, err: &std::io::Error) -> ! {
+    eprintln!("cannot write {}: {err}", path.display());
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         figure: None,
@@ -158,7 +166,6 @@ fn parse_args() -> Args {
         trace: "bfs".to_string(),
         jobs: None,
         idle_drain: false,
-        speculative: false,
         jsonl: None,
         seed_core: false,
     };
@@ -184,7 +191,7 @@ fn parse_args() -> Args {
                      \x20      [--calibrate [--snc]]\n\
                      \x20      [--mlp [--channels A,B,..] [--mshrs A,B,..] [--banks A,B,..]\n\
                      \x20       [--order fifo|row-first] [--page open|closed] [--idle-drain]\n\
-                     \x20       [--speculative] [--trace BENCH] [--jsonl FILE] [--seed-core]]\n\
+                     \x20       [--trace BENCH] [--jsonl FILE] [--seed-core]]\n\
                      \x20      [--server [--cores A,B,..] [--switch A,B,..]\n\
                      \x20       [--channels A,B,..] [--trace BENCH|mix]]\n\
                      Regenerates the figures of 'Fast Secure Processor for\n\
@@ -211,10 +218,6 @@ fn parse_args() -> Args {
                      misses); --page picks the bank page policy (open rows vs\n\
                      closed-page auto-precharge); --idle-drain enables the\n\
                      idle-keyed MSHR drain trigger on every sweep cell;\n\
-                     --speculative issues each parked miss speculatively as a\n\
-                     rollback-able singleton window, replaying coupled windows\n\
-                     — bit-exact in cycles and counters with parked drains, so\n\
-                     every table is byte-identical with or without the flag;\n\
                      --server sweeps the N-compartment secure server instead:\n\
                      cores x channels x context-switch quanta over one shared\n\
                      fabric (small LRU SNC), printing mean CPI, the slowdown vs\n\
@@ -267,7 +270,6 @@ fn parse_args() -> Args {
                 args.jobs = Some(jobs);
             }
             "--idle-drain" => args.idle_drain = true,
-            "--speculative" => args.speculative = true,
             "--seed-core" => args.seed_core = true,
             "--jsonl" => {
                 let v = iter.next().unwrap_or_else(|| usage_error("--jsonl needs a file path"));
@@ -331,9 +333,6 @@ fn parse_args() -> Args {
     if args.seed_core && (!args.mlp || args.banks.is_some()) {
         usage_error("--seed-core applies to the --mlp end-to-end sweep (without --banks)");
     }
-    if args.speculative && !args.mlp {
-        usage_error("--speculative applies to the --mlp sweeps");
-    }
     args
 }
 
@@ -377,7 +376,9 @@ fn snc_diag(lab: &mut Lab, kind: MachineKind) {
     }
 }
 
-fn mlp(args: &Args, pool: &SweepPool) {
+/// Runs the `--mlp` sweeps; `jsonl` is the already-opened `--jsonl`
+/// output, written once the bank grid is simulated.
+fn mlp(args: &Args, pool: &SweepPool, jsonl: Option<(&Path, File)>) {
     let mut rate = SweepRate::start();
     let lines = match args.scale {
         RunScale::Smoke => 1_024,
@@ -421,7 +422,6 @@ fn mlp(args: &Args, pool: &SweepPool) {
         args.order,
         args.page,
         args.idle_drain,
-        args.speculative,
         args.seed_core,
     );
     println!("{}", table.render_text());
@@ -466,15 +466,14 @@ fn mlp(args: &Args, pool: &SweepPool) {
             args.order,
             args.page,
             args.idle_drain,
-            args.speculative,
         );
         let table = padlock_bench::bank_table_from(&traces, bank_axis, &selected);
         println!("{}", table.render_text());
         rate.lap("bank sweep");
 
-        if let Some(path) = &args.jsonl {
-            std::fs::write(path, padlock_bench::grid_jsonl(&traces, &selected))
-                .expect("write jsonl");
+        if let Some((path, mut file)) = jsonl {
+            file.write_all(padlock_bench::grid_jsonl(&traces, &selected).as_bytes())
+                .unwrap_or_else(|e| cannot_write(path, &e));
             println!("(jsonl written to {})", path.display());
         }
 
@@ -498,7 +497,6 @@ fn mlp(args: &Args, pool: &SweepPool) {
             other_order,
             args.page,
             args.idle_drain,
-            args.speculative,
         );
         let (fifo, rowf) = match args.order {
             DrainOrder::Fifo => (&selected, &other),
@@ -524,7 +522,6 @@ fn mlp(args: &Args, pool: &SweepPool) {
             args.order,
             args.page,
             !args.idle_drain,
-            args.speculative,
         );
         let (off_grid, on_grid) = if args.idle_drain {
             (&flipped, &selected)
@@ -578,6 +575,12 @@ fn server(args: &Args, pool: &SweepPool) {
 
 fn main() {
     let args = parse_args();
+    // Open the JSON-lines output before anything simulates, so a bad
+    // path fails fast instead of after the sweep it was meant to record.
+    let jsonl = args.jsonl.as_deref().map(|path| {
+        let file = File::create(path).unwrap_or_else(|e| cannot_write(path, &e));
+        (path, file)
+    });
     let pool = args.pool();
     let started = Instant::now();
     if args.server {
@@ -590,7 +593,7 @@ fn main() {
         return;
     }
     if args.mlp {
-        mlp(&args, &pool);
+        mlp(&args, &pool, jsonl);
         eprintln!(
             "(mlp sweep wall-clock: {:.2}s at {} jobs)",
             started.elapsed().as_secs_f64(),
@@ -626,7 +629,7 @@ fn main() {
         None => vec![3, 5, 6, 7, 8, 9, 10],
     };
     if let Some(dir) = &args.csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, &e));
     }
     // Fan every (benchmark, machine) simulation the wanted figures need
     // across the pool up front; rendering below is pure cache recall,
@@ -659,7 +662,8 @@ fn main() {
         println!("{}", fig.table().render_text());
         if let Some(dir) = &args.csv_dir {
             let path = dir.join(format!("figure{n}.csv"));
-            std::fs::write(&path, fig.table().render_csv()).expect("write csv");
+            std::fs::write(&path, fig.table().render_csv())
+                .unwrap_or_else(|e| cannot_write(&path, &e));
             println!("(csv written to {})", path.display());
         }
     }

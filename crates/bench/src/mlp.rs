@@ -304,12 +304,8 @@ pub struct E2eParams {
     pub order: DrainOrder,
     /// Bank page policy (open vs closed).
     pub page: PagePolicy,
-    /// Idle-keyed MSHR drain trigger (PR 6's scheduler follow-on (a)).
+    /// Idle-keyed MSHR drain trigger.
     pub drain_on_idle: bool,
-    /// Speculative singleton-window miss issue with replay-on-coupling
-    /// (`HierarchyConfig::speculative_completions`); bit-exact in
-    /// cycles and shared counters with the parked drains it replaces.
-    pub speculative: bool,
 }
 
 impl E2eParams {
@@ -328,7 +324,6 @@ impl E2eParams {
             order: DrainOrder::Fifo,
             page: PagePolicy::Open,
             drain_on_idle: false,
-            speculative: false,
         }
     }
 
@@ -347,12 +342,6 @@ impl E2eParams {
     /// Sets the idle-keyed drain trigger.
     pub fn with_drain_on_idle(mut self, on: bool) -> Self {
         self.drain_on_idle = on;
-        self
-    }
-
-    /// Sets speculative singleton-window miss issue.
-    pub fn with_speculative(mut self, on: bool) -> Self {
-        self.speculative = on;
         self
     }
 }
@@ -379,12 +368,6 @@ pub struct E2ePoint {
     /// Idle-keyed MSHR drains in the measured window (0 unless the run
     /// enabled `drain_on_idle`).
     pub idle_drains: u64,
-    /// Misses issued speculatively as singleton windows in the measured
-    /// window (0 unless the run enabled `speculative`).
-    pub speculative_issues: u64,
-    /// Speculated windows that coupled and replayed as parked batches
-    /// in the measured window.
-    pub window_replays: u64,
 }
 
 impl E2ePoint {
@@ -400,8 +383,7 @@ impl E2ePoint {
         format!(
             "{{\"kind\":\"e2e\",\"trace\":\"{}\",\"mshrs\":{},\"channels\":{},\
              \"banks\":{},\"inflight\":{},\"cycles\":{},\"instructions\":{},\
-             \"row_hits\":{},\"row_conflicts\":{},\"idle_drains\":{},\
-             \"speculative_issues\":{},\"window_replays\":{}}}",
+             \"row_hits\":{},\"row_conflicts\":{},\"idle_drains\":{}}}",
             trace,
             self.l2_mshrs,
             self.mem_channels,
@@ -411,9 +393,7 @@ impl E2ePoint {
             self.instructions,
             self.row_hits,
             self.row_conflicts,
-            self.idle_drains,
-            self.speculative_issues,
-            self.window_replays
+            self.idle_drains
         )
     }
 }
@@ -431,7 +411,6 @@ pub fn e2e_machine_config(params: E2eParams) -> MachineConfig {
     cfg.pipeline.rob_size = 128;
     cfg.hierarchy.l2_mshrs = params.l2_mshrs;
     cfg.hierarchy.drain_on_idle = params.drain_on_idle;
-    cfg.hierarchy.speculative_completions = params.speculative;
     cfg.security = cfg
         .security
         .with_max_inflight(params.max_inflight)
@@ -486,8 +465,6 @@ fn point_from(params: E2eParams, m: &padlock_core::Measurement) -> E2ePoint {
         row_hits: m.traffic.get("row_hits"),
         row_conflicts: m.traffic.get("row_conflicts"),
         idle_drains: m.mshr.get("idle_drains"),
-        speculative_issues: m.mshr.get("speculative_issues"),
-        window_replays: m.mshr.get("window_replays"),
     }
 }
 
@@ -503,15 +480,12 @@ pub fn inflight_for(l2_mshrs: usize) -> usize {
 /// The full end-to-end sweep as a rendered table: one row per MSHR
 /// depth, one column per channel count, each cell
 /// `CPI (speedup vs the 1-MSHR 1-channel paper machine)`. The drain
-/// order, page policy, idle-drain trigger, and speculative-issue knob
-/// apply to every cell (on this flat `mem_banks = 1` grid the bank
-/// knobs are inert — the knob is exercised, the numbers match
-/// Fifo/Open exactly). All cells fan across `pool`. `seed_core` swaps
-/// every cell onto the seed run loop ([`run_e2e_point_seed`]); the
-/// `fastforward_vs_seed` differential makes the two tables
-/// byte-identical, and the `speculative_vs_parked` differential makes
-/// the speculative table byte-identical to both — CI checks each end
-/// to end.
+/// order, page policy, and idle-drain trigger apply to every cell (on
+/// this flat `mem_banks = 1` grid the bank knobs are inert — the knob
+/// is exercised, the numbers match Fifo/Open exactly). All cells fan
+/// across `pool`. `seed_core` swaps every cell onto the seed run loop
+/// ([`run_e2e_point_seed`]); the `fastforward_vs_seed` differential
+/// makes the two tables byte-identical, and CI checks it end to end.
 #[allow(clippy::too_many_arguments)]
 pub fn e2e_table(
     pool: &SweepPool,
@@ -521,14 +495,12 @@ pub fn e2e_table(
     order: DrainOrder,
     page: PagePolicy,
     drain_on_idle: bool,
-    speculative: bool,
     seed_core: bool,
 ) -> Table {
     let knobs = |p: E2eParams| {
         p.with_order(order)
             .with_page(page)
             .with_drain_on_idle(drain_on_idle)
-            .with_speculative(speculative)
     };
     let mut cells = vec![knobs(E2eParams::new(1, 1, 1, 1))];
     for &mshrs in mshr_counts {
@@ -590,7 +562,6 @@ pub fn e2e_table(
 /// across `pool`. Both bank-sweep tables render from one of these, so
 /// a caller printing several tables of the same machines simulates
 /// each cell exactly once.
-#[allow(clippy::too_many_arguments)]
 pub fn banked_grid(
     pool: &SweepPool,
     traces: &[&E2eTrace],
@@ -599,7 +570,6 @@ pub fn banked_grid(
     order: DrainOrder,
     page: PagePolicy,
     drain_on_idle: bool,
-    speculative: bool,
 ) -> Vec<Vec<E2ePoint>> {
     assert!(!bank_counts.is_empty(), "bank axis cannot be empty");
     let cells: Vec<(usize, usize)> = bank_counts
@@ -611,8 +581,7 @@ pub fn banked_grid(
         let params = E2eParams::new(8, channels, bank_counts[bank_index], 32)
             .with_order(order)
             .with_page(page)
-            .with_drain_on_idle(drain_on_idle)
-            .with_speculative(speculative);
+            .with_drain_on_idle(drain_on_idle);
         run_e2e_point(traces[trace_index], params)
     });
     let mut rows = flat.into_iter();
@@ -675,7 +644,7 @@ pub fn bank_table(
     order: DrainOrder,
     page: PagePolicy,
 ) -> Table {
-    let grid = banked_grid(pool, traces, bank_counts, channels, order, page, false, false);
+    let grid = banked_grid(pool, traces, bank_counts, channels, order, page, false);
     bank_table_from(traces, bank_counts, &grid)
 }
 
@@ -735,19 +704,13 @@ pub fn order_delta_table(
     channels: usize,
     page: PagePolicy,
 ) -> Table {
-    let fifo =
-        banked_grid(pool, traces, bank_counts, channels, DrainOrder::Fifo, page, false, false);
-    let rowf = banked_grid(
-        pool,
+    let grid = |order| banked_grid(pool, traces, bank_counts, channels, order, page, false);
+    order_delta_table_from(
         traces,
         bank_counts,
-        channels,
-        DrainOrder::RowFirst,
-        page,
-        false,
-        false,
-    );
-    order_delta_table_from(traces, bank_counts, &fifo, &rowf)
+        &grid(DrainOrder::Fifo),
+        &grid(DrainOrder::RowFirst),
+    )
 }
 
 /// The idle-drain-delta table: the same machines with the idle-keyed
@@ -794,8 +757,8 @@ pub fn idle_delta_table(
     order: DrainOrder,
     page: PagePolicy,
 ) -> Table {
-    let off = banked_grid(pool, traces, bank_counts, channels, order, page, false, false);
-    let on = banked_grid(pool, traces, bank_counts, channels, order, page, true, false);
+    let off = banked_grid(pool, traces, bank_counts, channels, order, page, false);
+    let on = banked_grid(pool, traces, bank_counts, channels, order, page, true);
     idle_delta_table_from(traces, bank_counts, &off, &on)
 }
 
@@ -943,7 +906,6 @@ mod tests {
             PagePolicy::Open,
             false,
             false,
-            false,
         );
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.col_count(), 3);
@@ -959,24 +921,9 @@ mod tests {
             DrainOrder::Fifo,
             PagePolicy::Open,
             false,
-            false,
             true,
         );
         assert_eq!(text, seed.render_text(), "seed-core table diverged");
-        // And with speculative issue on: bit-exact cycles mean the
-        // rendered CPI table cannot move a byte either.
-        let spec = e2e_table(
-            &SweepPool::new(2),
-            &trace,
-            &[1, 8],
-            &[1, 4],
-            DrainOrder::Fifo,
-            PagePolicy::Open,
-            false,
-            true,
-            false,
-        );
-        assert_eq!(text, spec.render_text(), "speculative table diverged");
     }
 
     #[test]
@@ -1179,27 +1126,6 @@ mod tests {
         assert!(text.contains("idle-drain off -> on"), "{text}");
         assert!(text.contains("idle drains"), "{text}");
         assert!(text.contains("CPI"), "{text}");
-    }
-
-    #[test]
-    fn speculative_runs_are_cycle_exact_and_actually_speculate() {
-        // The deep FR-FCFS banked point: plenty of multi-miss windows
-        // (replays) and singleton windows (confirmed speculations).
-        let trace = E2eTrace::record("bfs", 5_000, 20_000);
-        let deep = E2eParams::new(8, 4, 2, 32).with_order(DrainOrder::RowFirst);
-        let parked = run_e2e_point(&trace, deep);
-        let spec = run_e2e_point(&trace, deep.with_speculative(true));
-        assert_eq!(parked.cycles, spec.cycles, "speculation moved a cycle");
-        assert_eq!(parked.instructions, spec.instructions);
-        assert_eq!(parked.row_hits, spec.row_hits);
-        assert_eq!(parked.row_conflicts, spec.row_conflicts);
-        assert_eq!(parked.speculative_issues, 0, "knob is off by default");
-        assert_eq!(parked.window_replays, 0);
-        assert!(spec.speculative_issues > 0, "speculation never engaged");
-        assert!(spec.window_replays > 0, "no window ever coupled");
-        let line = spec.jsonl(trace.name());
-        assert!(line.contains("\"speculative_issues\":"), "{line}");
-        assert!(line.contains("\"window_replays\":"), "{line}");
     }
 
     #[test]

@@ -88,7 +88,9 @@ fn recorded_traces_match_over_the_structural_grid() {
 fn scheduling_knobs_match_at_the_deep_point() {
     // The structural grid above runs paper-default scheduling; this
     // re-runs the deepest cell under every scheduler variant the sweep
-    // exposes (FR-FCFS, closed page, idle-keyed drains).
+    // exposes (FR-FCFS, closed page, idle-keyed drains), plus the
+    // benchmark's `mlp-traces` machine (8 MSHRs, 4 channels, 2 banks,
+    // 32 in flight, 2048-entry ROB) under both drain orders.
     let trace = E2eTrace::record("bfs", WARMUP, MEASURE);
     let deep = E2eParams::new(4, 2, 2, inflight_for(4));
     let variants: [(&str, E2eParams); 3] = [
@@ -98,6 +100,15 @@ fn scheduling_knobs_match_at_the_deep_point() {
     ];
     for (name, params) in variants {
         let (seed, ff) = run_both(&trace, e2e_machine_config(params));
+        assert_bit_exact(name, &seed, &ff);
+    }
+    for (name, order) in [
+        ("simrate fifo", DrainOrder::Fifo),
+        ("simrate row-first", DrainOrder::RowFirst),
+    ] {
+        let mut config = e2e_machine_config(E2eParams::new(8, 4, 2, 32).with_order(order));
+        config.pipeline.rob_size = 2048;
+        let (seed, ff) = run_both(&trace, config);
         assert_bit_exact(name, &seed, &ff);
     }
 }

@@ -30,7 +30,7 @@ fn mlp_table_is_byte_identical_across_jobs() {
 #[test]
 fn e2e_table_is_byte_identical_across_jobs() {
     let trace = E2eTrace::record("bfs", WARMUP, MEASURE);
-    for (idle, speculative) in [(false, false), (true, false), (false, true)] {
+    for idle in [false, true] {
         let serial = e2e_table(
             &SweepPool::serial(),
             &trace,
@@ -39,7 +39,6 @@ fn e2e_table_is_byte_identical_across_jobs() {
             DrainOrder::Fifo,
             PagePolicy::Open,
             idle,
-            speculative,
             false,
         )
         .render_text();
@@ -51,14 +50,10 @@ fn e2e_table_is_byte_identical_across_jobs() {
             DrainOrder::Fifo,
             PagePolicy::Open,
             idle,
-            speculative,
             false,
         )
         .render_text();
-        assert_eq!(
-            serial, pooled,
-            "e2e table diverged (idle drain {idle}, speculative {speculative})"
-        );
+        assert_eq!(serial, pooled, "e2e table diverged (idle drain {idle})");
     }
 }
 
@@ -86,7 +81,7 @@ fn bank_and_delta_tables_and_jsonl_are_byte_identical_across_jobs() {
             .render_text(),
     );
 
-    // Speculative on: the spec counters in the JSON lines must be as
+    // Idle drain on: the idle-drain counts in the JSON lines must be as
     // deterministic across jobs as the cycles.
     let grid_serial = banked_grid(
         &serial,
@@ -96,7 +91,6 @@ fn bank_and_delta_tables_and_jsonl_are_byte_identical_across_jobs() {
         DrainOrder::Fifo,
         PagePolicy::Open,
         true,
-        true,
     );
     let grid_pooled = banked_grid(
         &pooled,
@@ -105,7 +99,6 @@ fn bank_and_delta_tables_and_jsonl_are_byte_identical_across_jobs() {
         2,
         DrainOrder::Fifo,
         PagePolicy::Open,
-        true,
         true,
     );
     assert_eq!(

@@ -69,15 +69,6 @@ fn jobs_must_be_a_positive_worker_count() {
 }
 
 #[test]
-fn speculative_requires_the_mlp_sweeps() {
-    let out = repro(&["--speculative"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--mlp"), "unexpected message {stderr:?}");
-    assert!(out.stdout.is_empty(), "--speculative alone printed output");
-}
-
-#[test]
 fn server_axes_require_the_server_sweep() {
     // --cores / --switch configure the contention grid; outside
     // --server they would be silently ignored, so the CLI rejects them.
@@ -117,6 +108,33 @@ fn jsonl_requires_the_bank_sweep() {
     assert!(stderr.contains("--banks"), "unexpected message {stderr:?}");
 }
 
+/// Asserts `args` fail with an I/O usage error naming the bad path,
+/// before printing any table.
+fn assert_unwritable(args: &[&str], path: &str) {
+    let out = repro(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("cannot write {path}")),
+        "{args:?}: unexpected message {stderr:?}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} printed output");
+}
+
+#[test]
+fn unwritable_jsonl_path_fails_before_the_sweep() {
+    let bank_sweep = "--mlp --smoke --mshrs 1 --channels 1 --banks 1 --trace rstride --jobs 1";
+    let mut args: Vec<&str> = bank_sweep.split(' ').collect();
+    args.extend(["--jsonl", "/proc/nope/x.jsonl"]);
+    assert_unwritable(&args, "/proc/nope/x.jsonl");
+}
+
+#[test]
+fn unwritable_csv_dir_fails_before_the_figures() {
+    let args = ["--figure", "3", "--smoke", "--csv", "/proc/nope"];
+    assert_unwritable(&args, "/proc/nope");
+}
+
 #[test]
 fn help_documents_the_scheduling_flags() {
     let out = repro(&["--help"]);
@@ -132,7 +150,6 @@ fn help_documents_the_scheduling_flags() {
         "byte-identical",
         "--idle-drain",
         "--jsonl",
-        "--speculative",
         "--server",
         "--cores",
         "--switch",

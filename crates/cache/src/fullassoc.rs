@@ -32,17 +32,6 @@ pub struct FullAssocEvicted<T> {
     pub payload: T,
 }
 
-/// Opaque undo state for one [`FullAssocCache::get_undoable`]: the
-/// pre-lookup statistics and, when the hit moved a node, where it sat.
-#[derive(Debug, Clone, Copy)]
-pub struct TouchUndo {
-    stats: CacheStats,
-    /// `(node, prev)` when the hit detached the node from behind `prev`;
-    /// `None` when the lookup missed or the node was already the head
-    /// (moving the head to the front is a positional no-op).
-    moved: Option<(usize, usize)>,
-}
-
 /// A key-addressed, fixed-capacity, fully associative LRU cache.
 ///
 /// Keys are line addresses (any `u64`); the caller performs line
@@ -188,45 +177,6 @@ impl<T> FullAssocCache<T> {
             None => {
                 self.stats.misses += 1;
                 None
-            }
-        }
-    }
-
-    /// Like [`FullAssocCache::get`], but also returns the opaque state
-    /// [`FullAssocCache::undo_touch`] needs to reverse the lookup's
-    /// recency and statistics effects exactly — the speculative-issue
-    /// path of the memory controller uses this to roll back an SNC
-    /// query when its drain window turns out to be coupled.
-    pub fn get_undoable(&mut self, key: u64) -> (Option<&mut T>, TouchUndo) {
-        let stats = self.stats;
-        let moved = self.map.get(&key).copied().and_then(|idx| {
-            let prev = self.node(idx).prev;
-            (prev != NIL).then_some((idx, prev))
-        });
-        (self.get(key), TouchUndo { stats, moved })
-    }
-
-    /// Reverses the matching [`FullAssocCache::get_undoable`], restoring
-    /// the statistics and the recency order. Must be applied before any
-    /// other mutating call — the undo records list positions, which a
-    /// later insert or removal would invalidate.
-    pub fn undo_touch(&mut self, undo: TouchUndo) {
-        self.stats = undo.stats;
-        if let Some((idx, prev)) = undo.moved {
-            // The hit moved `idx` to the head; splice it back in behind
-            // its old predecessor (still live: a get never evicts).
-            self.detach(idx);
-            let next = self.node(prev).next;
-            {
-                let n = self.node_mut(idx);
-                n.prev = prev;
-                n.next = next;
-            }
-            self.node_mut(prev).next = idx;
-            if next != NIL {
-                self.node_mut(next).prev = idx;
-            } else {
-                self.tail = idx;
             }
         }
     }
@@ -467,39 +417,6 @@ mod tests {
         c.peek(1);
         let v = c.insert(3, (), false).expect("eviction");
         assert_eq!(v.addr, 1, "peek must not refresh recency");
-    }
-
-    #[test]
-    fn undo_touch_restores_recency_and_stats() {
-        let mut c = FullAssocCache::new("snc", 4);
-        for k in 1..=4u64 {
-            c.insert(k, k, false);
-        }
-        // Order (MRU) 4,3,2,1 (LRU). Touch the LRU entry, then undo.
-        let (got, undo) = c.get_undoable(1);
-        assert_eq!(got, Some(&mut 1));
-        c.undo_touch(undo);
-        assert_eq!(c.stats().get("hits"), 0, "stats rolled back");
-        let keys: Vec<u64> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![4, 3, 2, 1], "recency order rolled back");
-        // Undoing a touch of a middle node splices it back in place.
-        let (_, undo) = c.get_undoable(3);
-        c.undo_touch(undo);
-        let keys: Vec<u64> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![4, 3, 2, 1]);
-        // Touching the head is a positional no-op either way.
-        let (_, undo) = c.get_undoable(4);
-        c.undo_touch(undo);
-        let keys: Vec<u64> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![4, 3, 2, 1]);
-        // A miss only needs its stats rolled back.
-        let (got, undo) = c.get_undoable(9);
-        assert!(got.is_none());
-        c.undo_touch(undo);
-        assert_eq!(c.stats().get("misses"), 0);
-        // The next real insert still evicts the true LRU entry.
-        let v = c.insert(5, 5, false).expect("full cache evicts");
-        assert_eq!(v.addr, 1);
     }
 
     #[test]

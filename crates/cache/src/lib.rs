@@ -29,7 +29,7 @@ mod stats;
 mod write_buffer;
 
 pub use config::{CacheConfig, ReplacementPolicy};
-pub use fullassoc::{FullAssocCache, TouchUndo};
-pub use setassoc::{AccessKind, AccessOutcome, Evicted, ProbeUndo, SetAssocCache};
+pub use fullassoc::FullAssocCache;
+pub use setassoc::{AccessKind, AccessOutcome, Evicted, SetAssocCache};
 pub use stats::CacheStats;
 pub use write_buffer::{WriteBuffer, WriteBufferEntry};

@@ -46,17 +46,6 @@ struct Line<T> {
     payload: T,
 }
 
-/// Opaque undo state for one [`SetAssocCache::probe_mut_undoable`]: the
-/// pre-probe recency clock and, on an LRU hit, the line's old stamp.
-///
-/// `probe_mut` ticks the clock unconditionally (hit or miss), so even a
-/// missing probe needs its undo applied to restore the exact state.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeUndo {
-    clock: u64,
-    stamped: Option<(usize, usize, u64)>,
-}
-
 /// A set-associative, write-back, write-allocate cache with a per-line
 /// payload.
 ///
@@ -239,37 +228,6 @@ impl<T> SetAssocCache<T> {
                 }
                 &mut l.payload
             })
-    }
-
-    /// Like [`SetAssocCache::probe_mut`], but also returns the opaque
-    /// state [`SetAssocCache::undo_probe`] needs to reverse the probe's
-    /// clock tick and recency refresh exactly — the speculative-issue
-    /// path of the memory controller uses this to roll back an SNC
-    /// query when its drain window turns out to be coupled.
-    pub fn probe_mut_undoable(&mut self, addr: u64) -> (Option<&mut T>, ProbeUndo) {
-        let clock = self.clock;
-        let line_addr = self.config.line_addr(addr);
-        let set_idx = self.config.set_index(addr);
-        let stamped = if self.config.policy() == ReplacementPolicy::Lru {
-            self.sets[set_idx]
-                .iter()
-                .position(|l| l.valid && l.addr == line_addr)
-                .map(|way| (set_idx, way, self.sets[set_idx][way].stamp))
-        } else {
-            None
-        };
-        (self.probe_mut(addr), ProbeUndo { clock, stamped })
-    }
-
-    /// Reverses the matching [`SetAssocCache::probe_mut_undoable`],
-    /// restoring the recency clock and any refreshed line stamp. Must
-    /// be applied before any other mutating call — the undo records a
-    /// way position, which a later install would invalidate.
-    pub fn undo_probe(&mut self, undo: ProbeUndo) {
-        self.clock = undo.clock;
-        if let Some((set, way, stamp)) = undo.stamped {
-            self.sets[set][way].stamp = stamp;
-        }
     }
 
     /// Whether `addr`'s line is present.
@@ -482,31 +440,6 @@ mod tests {
         assert_eq!(victims.len(), 2);
         assert_eq!(victims.iter().filter(|v| v.dirty).count(), 1);
         assert_eq!(c.occupancy(), 0);
-    }
-
-    #[test]
-    fn undo_probe_restores_clock_and_stamps() {
-        // Two identical caches: one takes a probe+undo detour, then both
-        // see the same access stream; eviction choices must agree.
-        let mut probed = small();
-        let mut clean = small();
-        for c in [&mut probed, &mut clean] {
-            c.access(0x000, AccessKind::Read);
-            c.access(0x100, AccessKind::Read);
-        }
-        // Refresh the LRU line 0x000 speculatively, then roll it back.
-        let (got, undo) = probed.probe_mut_undoable(0x000);
-        assert!(got.is_some());
-        probed.undo_probe(undo);
-        // A probe miss still ticks the clock and must also roll back.
-        let (got, undo) = probed.probe_mut_undoable(0x300);
-        assert!(got.is_none());
-        probed.undo_probe(undo);
-        // Same next access: same victim (0x000 stayed LRU).
-        let vp = probed.access(0x200, AccessKind::Read).victim.unwrap();
-        let vc = clean.access(0x200, AccessKind::Read).victim.unwrap();
-        assert_eq!(vp.addr, vc.addr);
-        assert_eq!(vp.addr, 0x000);
     }
 
     #[test]

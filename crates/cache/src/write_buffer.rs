@@ -24,9 +24,8 @@ pub struct WriteBufferEntry {
 }
 
 /// Fixed-slot buffer event counters, bumped as plain fields on the
-/// push/pop hot paths and rendered as a [`CounterSet`] on demand —
-/// so cloning a buffer (the per-issue channel snapshot under
-/// speculative window issue) never touches the heap for statistics.
+/// push/pop hot paths and rendered as a [`CounterSet`] on demand, so
+/// the hot paths never touch the heap for statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct WriteBufferStats {
     pushes: u64,
@@ -47,30 +46,11 @@ struct WriteBufferStats {
 /// assert!(wb.pop_ready(100).is_none());
 /// assert_eq!(wb.pop_ready(150).unwrap().addr, 0x1000);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WriteBuffer {
     capacity: usize,
     entries: VecDeque<WriteBufferEntry>,
     stats: WriteBufferStats,
-}
-
-impl Clone for WriteBuffer {
-    fn clone(&self) -> Self {
-        Self {
-            capacity: self.capacity,
-            entries: self.entries.clone(),
-            stats: self.stats,
-        }
-    }
-
-    // Hand-written so the per-issue channel snapshot under speculative
-    // window issue reuses the destination's entry deque instead of
-    // reallocating it (`derive` would fall back to clone-and-drop).
-    fn clone_from(&mut self, source: &Self) {
-        self.capacity = source.capacity;
-        self.entries.clone_from(&source.entries);
-        self.stats = source.stats;
-    }
 }
 
 impl WriteBuffer {

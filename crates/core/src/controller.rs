@@ -61,14 +61,15 @@
 //! (`mem_banks = 1`) fabric `RowFirst` collapses to `Fifo` exactly.
 //!
 //! Blocking callers (`line_read`, `line_writeback`) enqueue one
-//! transaction and drain immediately; `line_read_batch` keeps up to
-//! `max_inflight` misses outstanding so their sequence-number fetches
-//! and pad generations overlap. With `max_inflight = 1` and
-//! `snc_shards = 1` a window never holds more than one transaction, no
-//! resource is ever contended, and the engine's arithmetic is
-//! bit-identical to the paper's single-miss model (the
-//! `engine_vs_seed` differential test drives both against random
-//! traces and compares every latency and traffic counter).
+//! transaction and drain immediately; `line_read_batch` and
+//! `line_read_batch_at` (the hierarchy's MSHR drain, each miss at its
+//! own arrival cycle) keep up to `max_inflight` misses outstanding so
+//! their sequence-number fetches and pad generations overlap. With
+//! `max_inflight = 1` and `snc_shards = 1` a window never holds more
+//! than one transaction, no resource is ever contended, and the
+//! engine's arithmetic is bit-identical to the paper's single-miss
+//! model (the `engine_vs_seed` differential test drives both against
+//! random traces and compares every latency and traffic counter).
 //!
 //! Writebacks are enqueued in the write buffer with their ciphertext
 //! ready-time and drain on idle channel slots; sequence-number fetches
@@ -76,33 +77,13 @@
 //! the traffic counters. Residual spill entries that never filled a
 //! packed line can be flushed with [`SecureBackend::flush_spills`]
 //! (called by `Machine` at measurement wrap-up).
-//!
-//! # Speculative singleton windows
-//!
-//! Because window-scoped resources (crypto slots, SNC ports, FR-FCFS
-//! order) couple overlapping transactions, the controller is not
-//! `eager_issue_safe` beyond the single-miss configuration — but most
-//! deep-machine windows still end up holding exactly one read. The
-//! `speculative_issue_at`/`speculative_confirm` pair exploits that: a
-//! lone eligible miss issues immediately as a window of one (same
-//! fresh-per-window crypto timeline and ports, so the arithmetic is
-//! bit-identical to the parked singleton drain), with a checkpoint
-//! ([`SpecWindow`]) capturing the touched channel, the controller
-//! counters, and any SNC recency bump. If a second request arrives
-//! before the drain, the window aborts — state rolls back to
-//! parked-equal and the caller replays the whole batch. The LRU
-//! SeqFetch path mutates beyond the checkpoint's cheap reach (SNC
-//! occupancy, a victim spill), so its install is *deferred* to the
-//! confirm ([`SeqInstall`]): nothing can interleave between the issue
-//! and its confirm because every mutating entry point aborts first,
-//! and an aborted window simply never runs the deferred tail.
 
 use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy};
-use crate::engine::{CryptoTimeline, MemTxn, SncPorts, SpecWindow, TxnOp};
-use crate::snc::{SncLookup, SncQueryUndo};
+use crate::engine::{CryptoTimeline, MemTxn, SncPorts, TxnOp};
+use crate::snc::SncLookup;
 use crate::snc_shards::SncShards;
 use padlock_cpu::{LineKind, MemoryBackend};
-use padlock_mem::{ChannelSet, ChannelSnapshot, DrainOrder, TrafficClass};
+use padlock_mem::{ChannelSet, DrainOrder, TrafficClass};
 use padlock_stats::CounterSet;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -181,17 +162,9 @@ pub struct SecureBackend {
     queue: VecDeque<MemTxn>,
     stats: ControllerStats,
     /// Window-scoped scratch buffers, recycled across [`Self::drain_window`]
-    /// calls so eager singleton windows do not allocate per miss. Always
-    /// left empty/idle between windows; carries no cross-window state.
+    /// calls so a drain does not allocate per window. Always left
+    /// empty/idle between windows; carries no cross-window state.
     scratch: WindowScratch,
-    /// The speculative singleton window, when one is in flight (see
-    /// [`SpecWindow`]); every mutating public entry point aborts it
-    /// first so a coupled window is rolled back before the coupling
-    /// request touches any state.
-    spec: SpecWindow<SpecCheckpoint>,
-    /// Channel snapshot backing the open window's rollback; reused
-    /// across windows so steady-state speculation does not allocate.
-    spec_snapshot: ChannelSnapshot,
     /// The compartment whose traffic is currently entering the shared
     /// fabric; every enqueued [`MemTxn`] is tagged with it. Single-core
     /// machines never move it off 0.
@@ -202,38 +175,6 @@ pub struct SecureBackend {
     /// requestor differs from the victim's owner. The fairness signal
     /// of the shared SNC.
     snc_evicted_by_others: Vec<u64>,
-}
-
-/// Everything one speculated singleton read mutates, captured before
-/// the issue so [`SecureBackend::spec_abort`] can unwind it exactly:
-/// the speculated line's channel (restored from
-/// [`SecureBackend::spec_snapshot`]), the fixed-slot controller
-/// counters, and — when the path probed the SNC — the shard's recency
-/// and stats. `written` and the queue are never touched at issue on
-/// any eligible path, and the SeqFetch mutations the checkpoint could
-/// not cheaply unwind (SNC occupancy, `pending_spills`, a victim's
-/// spill write) are deferred behind [`SeqInstall`] until the confirm.
-#[derive(Debug, Clone, Copy)]
-struct SpecCheckpoint {
-    line_addr: u64,
-    stats: ControllerStats,
-    snc_undo: Option<SncQueryUndo>,
-    seq_install: Option<SeqInstall>,
-}
-
-/// The deferred tail of a speculated SeqFetch read: the fetched
-/// sequence number's SNC install (and, on capacity eviction, the
-/// victim's spill stamped with these times) runs at
-/// [`MemoryBackend::speculative_confirm`], not at issue. Deferral is
-/// sound because every mutating entry point aborts the open window
-/// first, so nothing can observe the SNC — or the channels the spill
-/// would touch — between the issue and its confirm; an aborted window
-/// never runs the tail, leaving the replayed parked drain to do its
-/// own install.
-#[derive(Debug, Clone, Copy)]
-struct SeqInstall {
-    arrival: u64,
-    spill_ready: u64,
 }
 
 /// Reusable drain-window buffers (see [`SecureBackend::scratch`]).
@@ -267,12 +208,11 @@ enum Path {
     ///
     /// Unreachable from the public [`MemoryBackend`] entry points:
     /// `line_writeback` posts and drains its window synchronously
-    /// (asserted there), so a read can never trail a writeback in one
-    /// window — and speculative windows keep that shape, since a
-    /// writeback landing in an open window aborts it and replays go
-    /// through read-only batches. The arm stays live for direct queue
-    /// injection (the write-buffer forwarding test below) and any
-    /// future caller that batches writebacks with reads.
+    /// (asserted there), and the hierarchy's drains are read-only
+    /// batches, so a read can never trail a writeback in one window.
+    /// The arm stays live for direct queue injection (the write-buffer
+    /// forwarding test below) and any future caller that batches
+    /// writebacks with reads.
     WbForward,
     /// A writeback, fully processed (posted) in phase one.
     Posted,
@@ -346,8 +286,6 @@ impl SecureBackend {
             queue: VecDeque::new(),
             stats: ControllerStats::default(),
             scratch: WindowScratch::default(),
-            spec: SpecWindow::Closed,
-            spec_snapshot: ChannelSnapshot::new(),
             active_requestor: 0,
             snc_evicted_by_others: Vec::new(),
         }
@@ -388,25 +326,6 @@ impl SecureBackend {
         }
     }
 
-    /// Rolls back an open speculative window: restores the speculated
-    /// line's channel, the controller counters, and any SNC recency
-    /// touch, leaving state exactly as if the speculation never
-    /// issued. The window stays poisoned until the next drain's
-    /// confirm. No-op when no window is open.
-    fn spec_abort(&mut self) {
-        if let Some(cp) = self.spec.abort() {
-            self.channels
-                .restore_channel(cp.line_addr, &self.spec_snapshot);
-            if let Some(undo) = cp.snc_undo {
-                self.snc
-                    .as_mut()
-                    .expect("a speculated SNC probe implies an SNC")
-                    .undo_query(cp.line_addr, undo);
-            }
-            self.stats = cp.stats;
-        }
-    }
-
     /// Models the paper's 10-billion-instruction fast-forward for a
     /// long-running process: marks lines as previously written back and
     /// installs sequence numbers into the SNC (capacity permitting)
@@ -426,7 +345,6 @@ impl SecureBackend {
         A: IntoIterator<Item = u64>,
         B: IntoIterator<Item = u64>,
     {
-        self.spec_abort();
         match self.config.mode {
             SecurityMode::Otp { snc: snc_cfg } => {
                 let snc = self.snc.as_mut().expect("OTP mode has an SNC");
@@ -488,7 +406,6 @@ impl SecureBackend {
     /// `SeqWrite` traffic is not undercounted at measurement end.
     /// Returns the number of entries flushed.
     pub fn flush_spills(&mut self, now: u64) -> u32 {
-        self.spec_abort();
         let entries = self.pending_spills;
         if entries > 0 {
             self.pending_spills = 0;
@@ -554,7 +471,6 @@ impl SecureBackend {
     /// and packed-transaction counts stay exact regardless of fabric
     /// width. Returns the number of entries flushed.
     pub fn context_switch_flush(&mut self, now: u64) -> usize {
-        self.spec_abort();
         let Some(snc) = self.snc.as_mut() else {
             return 0;
         };
@@ -935,7 +851,6 @@ impl SecureBackend {
 
 impl MemoryBackend for SecureBackend {
     fn line_read(&mut self, now: u64, line_addr: u64, kind: LineKind) -> u64 {
-        self.spec_abort();
         self.queue
             .push_back(MemTxn::read(now, line_addr, kind).with_requestor(self.active_requestor));
         let mut out = Vec::with_capacity(1);
@@ -944,7 +859,6 @@ impl MemoryBackend for SecureBackend {
     }
 
     fn line_read_batch(&mut self, now: u64, reqs: &[(u64, LineKind)]) -> Vec<u64> {
-        self.spec_abort();
         let mut out = Vec::with_capacity(reqs.len());
         for &(line_addr, kind) in reqs {
             if self.queue.len() >= self.config.max_inflight {
@@ -959,7 +873,6 @@ impl MemoryBackend for SecureBackend {
     }
 
     fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64> {
-        self.spec_abort();
         let mut out = Vec::with_capacity(reqs.len());
         for &(at, line_addr, kind) in reqs {
             if self.queue.len() >= self.config.max_inflight {
@@ -974,7 +887,6 @@ impl MemoryBackend for SecureBackend {
     }
 
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
-        self.spec_abort();
         self.queue
             .push_back(MemTxn::writeback(now, line_addr).with_requestor(self.active_requestor));
         let mut out = Vec::new();
@@ -987,197 +899,6 @@ impl MemoryBackend for SecureBackend {
         debug_assert!(self.queue.is_empty(), "writeback windows drain fully");
     }
 
-    fn speculative_issue_at(&mut self, arrival: u64, line_addr: u64, kind: LineKind) -> Option<u64> {
-        if !self.spec.is_closed() {
-            // A second request in the window couples it (shared crypto
-            // slots, port contention, FR-FCFS reordering): roll the
-            // speculated read back so state is parked-equal for the
-            // caller's fallback, and decline.
-            self.spec_abort();
-            return None;
-        }
-        if !self.queue.is_empty() {
-            // A parked window is already forming; a singleton issued
-            // now would jump it. (Unreachable through the hierarchy,
-            // which only speculates into an empty backend — defensive.)
-            return None;
-        }
-        // "Would this batch decompose?" for a batch of one: only if the
-        // path is idempotent under rollback. Decide side-effect-free
-        // *before* touching any state, so a decline mutates nothing.
-        enum Shape {
-            Plain,
-            Direct,
-            FastNoProbe,
-            FastHit,
-            DirectMiss,
-            SeqFetch,
-        }
-        let shape = match self.config.mode {
-            SecurityMode::Insecure => Shape::Plain,
-            SecurityMode::Xom => Shape::Direct,
-            SecurityMode::Otp { snc: snc_cfg } => {
-                if kind == LineKind::Instruction
-                    || (self.config.clean_lines_bypass && !self.written.contains(&line_addr))
-                {
-                    Shape::FastNoProbe
-                } else {
-                    let snc = self.snc.as_ref().expect("OTP mode has an SNC");
-                    if snc.contains(line_addr) {
-                        Shape::FastHit
-                    } else if snc_cfg.policy == SncPolicy::NoReplacement {
-                        Shape::DirectMiss
-                    } else {
-                        Shape::SeqFetch
-                    }
-                }
-            }
-        };
-        // Checkpoint, then run the window-of-one arithmetic with the
-        // same per-window objects `drain_window` would build — a fresh
-        // crypto timeline and idle recycled ports — so the completion
-        // is structurally the one a parked singleton drain produces,
-        // and the steady-state issue path never allocates.
-        let stats = self.stats;
-        self.channels
-            .snapshot_channel(line_addr, &mut self.spec_snapshot);
-        let bytes = self.config.line_bytes;
-        let mut crypto = CryptoTimeline::new(
-            self.crypto_latency(),
-            self.config.crypto_pipeline_width,
-        );
-        let mut ports = match self.scratch.ports.take() {
-            Some(ports) => ports, // already reset when parked
-            None => SncPorts::new(self.config.snc_shards, self.config.snc_port_cycles),
-        };
-        let mut snc_undo = None;
-        let mut seq_install = None;
-        let done = match shape {
-            Shape::Plain => {
-                self.channels
-                    .demand_read(arrival, line_addr, TrafficClass::LineRead, bytes)
-            }
-            Shape::Direct => {
-                self.stats.xom_reads += 1;
-                let fetched = self.channels.demand_read(
-                    arrival,
-                    line_addr,
-                    TrafficClass::LineRead,
-                    bytes,
-                );
-                crypto.issue_block(fetched)
-            }
-            Shape::FastNoProbe => {
-                if kind != LineKind::Instruction {
-                    self.stats.clean_bypass_reads += 1;
-                }
-                self.stats.otp_fast_reads += 1;
-                let fetched = self.channels.demand_read(
-                    arrival,
-                    line_addr,
-                    TrafficClass::LineRead,
-                    bytes,
-                );
-                fetched.max(crypto.issue_pad(arrival)) + 1
-            }
-            Shape::FastHit | Shape::DirectMiss => {
-                let snc = self.snc.as_mut().expect("OTP mode has an SNC");
-                let lookup_at = ports.acquire(snc.shard_of(line_addr), arrival);
-                let (lookup, undo) = snc.query_undoable(line_addr);
-                snc_undo = Some(undo);
-                match lookup {
-                    SncLookup::Hit(_) => {
-                        self.stats.otp_fast_reads += 1;
-                        let fetched = self.channels.demand_read(
-                            lookup_at,
-                            line_addr,
-                            TrafficClass::LineRead,
-                            bytes,
-                        );
-                        fetched.max(crypto.issue_pad(lookup_at)) + 1
-                    }
-                    SncLookup::Miss => {
-                        self.stats.xom_reads += 1;
-                        let fetched = self.channels.demand_read(
-                            lookup_at,
-                            line_addr,
-                            TrafficClass::LineRead,
-                            bytes,
-                        );
-                        crypto.issue_block(fetched)
-                    }
-                }
-            }
-            Shape::SeqFetch => {
-                // Algorithm 1 as a window of one, the drain's phase
-                // boundaries collapsed: probe, sequence fetch, decrypt,
-                // then the overlapped line fill and pad. Both demand
-                // reads route by `line_addr`, so the one-channel
-                // snapshot above covers the rollback; the SNC install
-                // and victim spill are deferred to the confirm via
-                // `seq_install` so the abort never unwinds them.
-                self.stats.snc_fetch_reads += 1;
-                let snc = self.snc.as_mut().expect("OTP mode has an SNC");
-                let lookup_at = ports.acquire(snc.shard_of(line_addr), arrival);
-                let (lookup, undo) = snc.query_undoable(line_addr);
-                debug_assert!(
-                    matches!(lookup, SncLookup::Miss),
-                    "the SeqFetch shape implies an SNC miss"
-                );
-                snc_undo = Some(undo);
-                let seq_fetched = self.channels.demand_read(
-                    lookup_at,
-                    line_addr,
-                    TrafficClass::SeqRead,
-                    bytes,
-                );
-                let seq_ready = crypto.issue_block(seq_fetched);
-                let line_fetched = self.channels.demand_read(
-                    seq_ready,
-                    line_addr,
-                    TrafficClass::LineRead,
-                    bytes,
-                );
-                let pad_done = crypto.issue_pad(seq_ready);
-                seq_install = Some(SeqInstall {
-                    arrival,
-                    spill_ready: seq_ready + self.crypto_latency(),
-                });
-                line_fetched.max(pad_done) + 1
-            }
-        };
-        ports.reset();
-        self.scratch.ports = Some(ports);
-        self.spec.open(SpecCheckpoint {
-            line_addr,
-            stats,
-            snc_undo,
-            seq_install,
-        });
-        Some(done)
-    }
-
-    fn speculative_confirm(&mut self) -> bool {
-        match std::mem::replace(&mut self.spec, SpecWindow::Closed) {
-            SpecWindow::Open(cp) => {
-                // The speculation stands: run the SeqFetch tail the
-                // issue deferred. State is untouched since the issue
-                // (any interleaving call would have aborted), so the
-                // install and spill land on exactly the state a parked
-                // drain's phase three would have seen.
-                if let Some(install) = cp.seq_install {
-                    let snc = self.snc.as_mut().expect("a SeqFetch window implies an SNC");
-                    if let Some(victim) = snc.install(cp.line_addr, 1) {
-                        self.note_snc_eviction(victim.line_addr);
-                        self.spill_seq(install.arrival, install.spill_ready, victim.line_addr);
-                    }
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
     fn is_idle(&self, now: u64) -> bool {
         // Quiescent means the DRAM fabric has gone idle *and* no
         // transaction still sits in the in-flight queue. Buffered
@@ -1187,22 +908,7 @@ impl MemoryBackend for SecureBackend {
         self.queue.is_empty() && self.channels.is_idle(now)
     }
 
-    fn eager_issue_safe(&self) -> bool {
-        // Every drain window gets fresh crypto-timeline and SNC-port
-        // state, so two reads sharing a window couple: pads coalesce
-        // into shared pipeline slots, same-shard lookups serialise on
-        // the ports, and FR-FCFS reorders the window. With
-        // `max_inflight = 1` (and FIFO order) every window holds one
-        // read anyway — the queue is empty between backend calls
-        // because `line_writeback` drains immediately — so issuing each
-        // miss as its own singleton window touches identical
-        // window-scoped state. (The `window_coupling_vetoes_eager_issue`
-        // test demonstrates the >1 counterexample.)
-        self.config.max_inflight == 1 && self.config.drain_order == DrainOrder::Fifo
-    }
-
     fn drain(&mut self, now: u64) {
-        self.spec_abort();
         let mut out = Vec::new();
         self.drain_window(&mut out);
         self.flush_spills(now);
@@ -1216,7 +922,6 @@ impl MemoryBackend for SecureBackend {
     }
 
     fn reset_stats(&mut self) {
-        self.spec_abort();
         self.channels.reset_stats();
         self.stats = ControllerStats::default();
         self.snc_evicted_by_others.clear();
@@ -1643,55 +1348,6 @@ mod tests {
     }
 
     #[test]
-    fn window_coupling_vetoes_eager_issue() {
-        // `eager_issue_safe` promises that issuing each miss as its own
-        // singleton window is indistinguishable from the batched drain.
-        // At `max_inflight > 1` it is not: crypto-timeline slots, SNC
-        // ports, and bank state are window-scoped, so batch-mates
-        // contend inside one window but not across singleton windows.
-        // XOM decrypts every fetched line through the window's shared
-        // crypto pipeline. Four channels land the four fetches on the
-        // same cycle, so the batch serialises the decrypt issue slots
-        // while four singleton windows each start from a fresh
-        // pipeline.
-        let cfg = || {
-            plain_cfg(SecurityMode::Xom)
-                .with_max_inflight(8)
-                .with_mem_channels(4)
-        };
-        let reqs: Vec<(u64, u64, LineKind)> = (0..4u64)
-            .map(|i| (0, i * 128, LineKind::Data))
-            .collect();
-        let mut batched = SecureBackend::new(cfg());
-        let together = batched.line_read_batch_at(&reqs);
-        let mut singleton = SecureBackend::new(cfg());
-        let alone: Vec<u64> = reqs
-            .iter()
-            .map(|r| {
-                singleton
-                    .line_read_batch_at(&[*r])
-                    .first()
-                    .copied()
-                    .expect("singleton window returns one completion")
-            })
-            .collect();
-        assert_ne!(
-            together, alone,
-            "window-scoped contention must distinguish batched from \
-             singleton issue at max_inflight > 1"
-        );
-        assert!(!batched.eager_issue_safe());
-        // With singleton windows (the default config) the two regimes
-        // coincide, so the backend may declare eager issue safe; a
-        // reordering drain policy re-vetoes it.
-        assert!(SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024)).eager_issue_safe());
-        assert!(!SecureBackend::new(
-            otp_cfg(SncPolicy::Lru, 1024).with_drain_order(DrainOrder::RowFirst)
-        )
-        .eager_issue_safe());
-    }
-
-    #[test]
     fn closed_page_never_reports_row_hits_through_the_controller() {
         use padlock_mem::PagePolicy;
         let mut cfg = plain_cfg(SecurityMode::Insecure)
@@ -1720,246 +1376,6 @@ mod tests {
         assert!(d0 > 5000 && d1 > 10_000);
         assert_eq!(b.snc().unwrap().stats().get("query_hits"), 2);
         assert_eq!(b.snc().unwrap().num_shards(), 4);
-    }
-
-    /// Both directions, so a counter nonzero on only one side fails.
-    fn assert_counters_eq(a: &CounterSet, b: &CounterSet, what: &str) {
-        for (name, v) in a.iter() {
-            assert_eq!(b.get(name), v, "{what} {name}");
-        }
-        for (name, v) in b.iter() {
-            assert_eq!(a.get(name), v, "{what} {name}");
-        }
-    }
-
-    fn assert_state_eq(spec: &SecureBackend, parked: &SecureBackend) {
-        assert_counters_eq(&spec.traffic(), &parked.traffic(), "traffic");
-        assert_counters_eq(
-            &spec.controller_stats(),
-            &parked.controller_stats(),
-            "controller",
-        );
-        if let (Some(s), Some(p)) = (spec.snc(), parked.snc()) {
-            assert_counters_eq(&s.stats(), &p.stats(), "snc");
-        }
-    }
-
-    fn spec_vs_parked(mut mk: impl FnMut() -> SecureBackend, line: u64, kind: LineKind) {
-        let mut spec = mk();
-        let mut parked = mk();
-        let done_s = spec
-            .speculative_issue_at(40, line, kind)
-            .expect("path is speculation-eligible");
-        assert!(spec.speculative_confirm());
-        let done_p = parked.line_read_batch_at(&[(40, line, kind)])[0];
-        assert_eq!(done_s, done_p, "speculated singleton vs parked drain");
-        assert_state_eq(&spec, &parked);
-    }
-
-    #[test]
-    fn speculative_singleton_matches_the_parked_drain_on_eligible_paths() {
-        // Insecure (Plain) and XOM (Direct).
-        spec_vs_parked(
-            || SecureBackend::new(plain_cfg(SecurityMode::Insecure)),
-            0x4000,
-            LineKind::Data,
-        );
-        spec_vs_parked(
-            || SecureBackend::new(plain_cfg(SecurityMode::Xom)),
-            0x4000,
-            LineKind::Data,
-        );
-        // OTP instruction and clean-bypass reads (Fast, no SNC probe).
-        spec_vs_parked(
-            || SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024)),
-            0x4000,
-            LineKind::Instruction,
-        );
-        spec_vs_parked(
-            || SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024)),
-            0x8000,
-            LineKind::Data,
-        );
-        // OTP SNC hit (Fast behind the shard port + recency touch).
-        spec_vs_parked(
-            || {
-                let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024));
-                b.line_writeback(0, 0x8000);
-                b
-            },
-            0x8000,
-            LineKind::Data,
-        );
-        // OTP no-replacement SNC miss (Direct; the probe ticks the
-        // set-clock even on a miss, so the undo matters).
-        spec_vs_parked(
-            || {
-                let mut b = SecureBackend::new(otp_cfg(SncPolicy::NoReplacement, 1));
-                b.line_writeback(0, 0x100); // fills the 1-entry SNC
-                b.line_writeback(5, 0x8000); // SNC full: direct write
-                b
-            },
-            0x8000,
-            LineKind::Data,
-        );
-        // And on a contended banked FR-FCFS fabric, where the singleton
-        // still drains identically in either order.
-        spec_vs_parked(
-            || {
-                let mut cfg = otp_cfg(SncPolicy::Lru, 1024)
-                    .with_mem_channels(2)
-                    .with_mem_banks(2)
-                    .with_drain_order(DrainOrder::RowFirst)
-                    .with_max_inflight(8);
-                cfg.mem_occupancy = 8;
-                let mut b = SecureBackend::new(cfg);
-                b.line_writeback(0, 0x8000);
-                b
-            },
-            0x8000,
-            LineKind::Data,
-        );
-    }
-
-    #[test]
-    fn speculative_issue_matches_the_parked_seqfetch_drain() {
-        // Written line, SNC miss, LRU: Algorithm 1's sequence fetch.
-        // The install (and any victim spill) defers to the confirm, so
-        // the speculated singleton still lands bit-exact on the parked
-        // drain — this is the dominant path on miss-heavy pre-aged
-        // traces, the regime the speculation fast path targets.
-        let mk = || {
-            let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024));
-            b.line_writeback(0, 0x8000);
-            assert_eq!(b.context_switch_flush(10), 1, "empty the SNC");
-            b
-        };
-        spec_vs_parked(mk, 0x8000, LineKind::Data);
-        // The confirm ran the deferred install: the fetched number is
-        // resident, so the next read is an SNC hit on both machines.
-        let mut spec = mk();
-        let mut parked = mk();
-        let done_s = spec
-            .speculative_issue_at(40, 0x8000, LineKind::Data)
-            .expect("LRU miss speculates as a SeqFetch singleton");
-        assert!(spec.speculative_confirm());
-        assert_eq!(done_s, parked.line_read(40, 0x8000, LineKind::Data));
-        assert_eq!(spec.controller_stats().get("snc_fetch_reads"), 1);
-        assert_eq!(
-            spec.line_read(5_000, 0x8000, LineKind::Data),
-            parked.line_read(5_000, 0x8000, LineKind::Data)
-        );
-        assert_eq!(spec.snc().unwrap().stats().get("query_hits"), 1);
-        assert_state_eq(&spec, &parked);
-    }
-
-    #[test]
-    fn confirmed_seqfetch_spills_its_victim_exactly_like_the_parked_drain() {
-        // A 1-entry SNC holding the active line: fetching the ancient
-        // line's number evicts it, and the victim spill — deferred to
-        // the confirm — must buffer and pack identically to the parked
-        // drain's.
-        let mk = || {
-            let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1));
-            b.pre_age([0x8000], [0x100]);
-            b
-        };
-        let mut spec = mk();
-        let mut parked = mk();
-        let done_s = spec
-            .speculative_issue_at(40, 0x8000, LineKind::Data)
-            .expect("LRU miss speculates");
-        assert!(spec.speculative_confirm());
-        assert_eq!(done_s, parked.line_read(40, 0x8000, LineKind::Data));
-        // One victim entry buffered on each side; flushing it issues
-        // the same packed SeqWrite transaction.
-        assert_eq!(spec.flush_spills(2_000), 1);
-        assert_eq!(parked.flush_spills(2_000), 1);
-        assert_state_eq(&spec, &parked);
-    }
-
-    #[test]
-    fn aborted_seqfetch_never_runs_the_deferred_install() {
-        let mk = || {
-            let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024));
-            b.line_writeback(0, 0x8000);
-            assert_eq!(b.context_switch_flush(10), 1, "empty the SNC");
-            b
-        };
-        let mut spec = mk();
-        let mut parked = mk();
-        assert!(spec
-            .speculative_issue_at(40, 0x8000, LineKind::Data)
-            .is_some());
-        // Couple the window: the rollback reverts the probe, and the
-        // deferred install simply never happens — no resident number,
-        // no buffered spill.
-        assert!(spec
-            .speculative_issue_at(43, 0x9000, LineKind::Data)
-            .is_none());
-        assert!(!spec.speculative_confirm());
-        assert_eq!(spec.snc().unwrap().stats().get("query_misses"), 0);
-        assert_eq!(spec.flush_spills(100), 0, "no spill was buffered");
-        assert_eq!(parked.flush_spills(100), 0);
-        let reqs = [(40, 0x8000, LineKind::Data), (43, 0x9000, LineKind::Data)];
-        assert_eq!(
-            spec.line_read_batch_at(&reqs),
-            parked.line_read_batch_at(&reqs)
-        );
-        assert_state_eq(&spec, &parked);
-    }
-
-    #[test]
-    fn coupled_speculation_rolls_back_to_the_parked_state() {
-        let mk = || {
-            let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024));
-            b.line_writeback(0, 0x8000);
-            b
-        };
-        let mut spec = mk();
-        let mut parked = mk();
-        // Open a window on an SNC-hit read (channel + counters + SNC
-        // recency all touched), then couple it with a second miss.
-        assert!(spec
-            .speculative_issue_at(40, 0x8000, LineKind::Data)
-            .is_some());
-        assert!(
-            spec.speculative_issue_at(43, 0x9000, LineKind::Data)
-                .is_none(),
-            "second request in the window couples and aborts"
-        );
-        assert!(!spec.speculative_confirm(), "coupled window fails confirm");
-        // The replay sees parked-equal state: identical completions and
-        // counters to a machine that never speculated.
-        let reqs = [(40, 0x8000, LineKind::Data), (43, 0x9000, LineKind::Data)];
-        assert_eq!(
-            spec.line_read_batch_at(&reqs),
-            parked.line_read_batch_at(&reqs)
-        );
-        assert_state_eq(&spec, &parked);
-    }
-
-    #[test]
-    fn writeback_aborts_an_open_window() {
-        let mk = || {
-            let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024));
-            b.line_writeback(0, 0x8000);
-            b
-        };
-        let mut spec = mk();
-        let mut parked = mk();
-        assert!(spec
-            .speculative_issue_at(40, 0x8000, LineKind::Data)
-            .is_some());
-        spec.line_writeback(45, 0x9000);
-        parked.line_writeback(45, 0x9000);
-        assert!(!spec.speculative_confirm(), "writeback poisoned the window");
-        let reqs = [(40, 0x8000, LineKind::Data)];
-        assert_eq!(
-            spec.line_read_batch_at(&reqs),
-            parked.line_read_batch_at(&reqs)
-        );
-        assert_state_eq(&spec, &parked);
     }
 
     #[test]

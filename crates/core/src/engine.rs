@@ -204,110 +204,9 @@ impl SncPorts {
     }
 }
 
-/// The lifecycle of one speculative drain window.
-///
-/// A backend that speculates issues a lone miss as a singleton window
-/// the moment its MSHR entry allocates, keeping a checkpoint `C` of
-/// everything the issue mutated. The window then moves through three
-/// states:
-///
-/// * **Closed** — no speculation in flight; the next eligible miss may
-///   open a window.
-/// * **Open(C)** — one read speculated, checkpoint held. If the window
-///   drains in this state, the speculation was right: [`SpecWindow::confirm`]
-///   commits it (the issued work simply stands) and returns `true`.
-/// * **Poisoned** — a second request landed in the window (shared
-///   crypto slots, port contention, FR-FCFS reordering, or a write
-///   forward would couple the batch). [`SpecWindow::abort`] hands the
-///   checkpoint back so the caller can roll the issue back; the window
-///   stays poisoned — declining further speculation — until the drain's
-///   `confirm` observes the failure and closes it for replay.
-///
-/// The state machine is deliberately backend-agnostic: `C` carries
-/// whatever the backend must restore (a channel snapshot, a stats
-/// copy, an SNC recency undo).
-#[derive(Debug, Default)]
-pub enum SpecWindow<C> {
-    /// No speculation in flight.
-    #[default]
-    Closed,
-    /// One speculated read stands, with the checkpoint to unwind it.
-    Open(C),
-    /// The window coupled and was rolled back; speculation is declined
-    /// until the next drain confirms and closes it.
-    Poisoned,
-}
-
-impl<C> SpecWindow<C> {
-    /// Whether a new speculation may open (no window in flight and no
-    /// poison pending).
-    pub fn is_closed(&self) -> bool {
-        matches!(self, Self::Closed)
-    }
-
-    /// Opens the window around a just-issued speculation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is not closed — the caller must abort or
-    /// confirm first (one speculation per window).
-    pub fn open(&mut self, checkpoint: C) {
-        assert!(self.is_closed(), "one speculation per window");
-        *self = Self::Open(checkpoint);
-    }
-
-    /// Poisons an open window, returning its checkpoint so the caller
-    /// can roll the speculated issue back. `None` (and no state
-    /// change) when the window is closed or already poisoned.
-    pub fn abort(&mut self) -> Option<C> {
-        if matches!(self, Self::Open(_)) {
-            match std::mem::replace(self, Self::Poisoned) {
-                Self::Open(checkpoint) => Some(checkpoint),
-                _ => unreachable!("just matched Open"),
-            }
-        } else {
-            None
-        }
-    }
-
-    /// Closes the window at a drain: `true` when it was still open (the
-    /// speculation stands — drop the checkpoint and keep the issued
-    /// work), `false` when there was nothing to confirm (closed) or the
-    /// window was poisoned (caller must replay). Always leaves the
-    /// window closed, clearing any poison.
-    pub fn confirm(&mut self) -> bool {
-        matches!(std::mem::replace(self, Self::Closed), Self::Open(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_window_confirms_an_open_speculation() {
-        let mut w: SpecWindow<u32> = SpecWindow::default();
-        assert!(w.is_closed());
-        assert!(!w.confirm(), "nothing speculated, nothing to confirm");
-        w.open(7);
-        assert!(!w.is_closed());
-        assert!(w.abort().is_some(), "open window yields its checkpoint");
-        assert!(w.abort().is_none(), "poisoned window has nothing left");
-        assert!(!w.is_closed(), "poison blocks new speculation");
-        assert!(!w.confirm(), "poisoned window fails its confirm");
-        assert!(w.is_closed(), "confirm clears the poison");
-        w.open(9);
-        assert!(w.confirm());
-        assert!(w.is_closed());
-    }
-
-    #[test]
-    #[should_panic(expected = "one speculation per window")]
-    fn spec_window_rejects_double_open() {
-        let mut w: SpecWindow<()> = SpecWindow::default();
-        w.open(());
-        w.open(());
-    }
 
     #[test]
     fn lone_crypto_job_starts_at_ready_time() {

@@ -64,7 +64,7 @@ pub mod vendor;
 
 pub use config::{SecureBackendConfig, SecurityMode, SeedScheme, SncConfig, SncOrganization, SncPolicy};
 pub use controller::SecureBackend;
-pub use engine::{MemTxn, SpecWindow, TxnOp};
+pub use engine::{MemTxn, TxnOp};
 pub use machine::{Machine, MachineConfig, Measurement};
 pub use server::{
     CompartmentReport, SecureServer, ServerConfig, ServerMeasurement, ServerSlot,
@@ -73,7 +73,7 @@ pub use secure_mem::{
     AttackOutcome, IntegrityMode, LineProtection, LineSnapshot, MapRegionError, SecureMemory,
     SecureMemoryError,
 };
-pub use snc::{EvictedSeq, SequenceNumberCache, SncLookup, SncQueryUndo};
+pub use snc::{EvictedSeq, SequenceNumberCache, SncLookup};
 pub use snc_shards::SncShards;
 
 // The sweep executor moves whole machines and their results across

@@ -196,18 +196,6 @@ impl MemoryBackend for ServerSlot {
         self.get_mut().line_writeback(now, line_addr);
     }
 
-    fn eager_issue_safe(&self) -> bool {
-        self.get().eager_issue_safe()
-    }
-
-    fn speculative_issue_at(&mut self, arrival: u64, line_addr: u64, kind: LineKind) -> Option<u64> {
-        self.get_mut().speculative_issue_at(arrival, line_addr, kind)
-    }
-
-    fn speculative_confirm(&mut self) -> bool {
-        self.get_mut().speculative_confirm()
-    }
-
     fn is_idle(&self, now: u64) -> bool {
         self.get().is_idle(now)
     }
@@ -331,22 +319,9 @@ impl SecureServer {
     ///
     /// # Panics
     ///
-    /// Panics when `cores == 0`, and when speculative completions are
-    /// enabled with more than one core or a switch quantum: a rolled-
-    /// back speculative window rewinds the shared channel statistics,
-    /// which would corrupt the per-compartment delta attribution (the
-    /// single-core no-switch case never snapshots mid-run, so it keeps
-    /// speculation).
+    /// Panics when `cores == 0`.
     pub fn new(config: ServerConfig) -> Self {
         assert!(config.cores >= 1, "a server needs at least one core");
-        if config.cores > 1 || config.switch_interval.is_some() {
-            assert!(
-                !config.machine.hierarchy.speculative_completions,
-                "speculative completions roll shared channel statistics back; \
-                 per-compartment attribution requires them off when traffic \
-                 ownership can change mid-run"
-            );
-        }
         let cores: Vec<_> = (0..config.cores)
             .map(|_| {
                 let hierarchy =
@@ -711,13 +686,5 @@ mod tests {
             meas.controller,
             meas.traffic
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "speculative completions")]
-    fn multi_core_rejects_speculative_completions() {
-        let mut config = ServerConfig::paper(SecurityMode::otp_lru_64k(), 2);
-        config.machine.hierarchy.speculative_completions = true;
-        let _ = SecureServer::new(config);
     }
 }

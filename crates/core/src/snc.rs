@@ -72,22 +72,6 @@ impl SncStats {
     }
 }
 
-/// Opaque undo state for one [`SequenceNumberCache::query_undoable`]:
-/// the pre-query SNC statistics plus the underlying cache's own recency
-/// undo. Apply with [`SequenceNumberCache::undo_query`] before any other
-/// mutating SNC call.
-#[derive(Debug, Clone, Copy)]
-pub struct SncQueryUndo {
-    stats: SncStats,
-    storage: StorageUndo,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum StorageUndo {
-    Full(padlock_cache::TouchUndo),
-    SetAssoc(padlock_cache::ProbeUndo),
-}
-
 /// The on-chip Sequence Number Cache.
 ///
 /// # Examples
@@ -200,50 +184,6 @@ impl SequenceNumberCache {
                 self.stats.query_misses += 1;
                 SncLookup::Miss
             }
-        }
-    }
-
-    /// Like [`SequenceNumberCache::query`], but also returns the opaque
-    /// state [`SequenceNumberCache::undo_query`] needs to reverse the
-    /// query's statistics and recency effects exactly. The controller's
-    /// speculative singleton-window issue uses this: the SNC lookup must
-    /// happen to produce the speculated latency, but must be rolled back
-    /// if the window is later replayed, so the replayed batch sees the
-    /// exact pre-speculation recency order.
-    pub fn query_undoable(&mut self, line_addr: u64) -> (SncLookup, SncQueryUndo) {
-        let stats = self.stats;
-        let (found, storage) = match &mut self.storage {
-            Storage::Full(c) => {
-                let (got, undo) = c.get_undoable(line_addr);
-                (got.map(|s| *s), StorageUndo::Full(undo))
-            }
-            Storage::SetAssoc(c) => {
-                let (got, undo) = c.probe_mut_undoable(line_addr);
-                (got.map(|s| *s), StorageUndo::SetAssoc(undo))
-            }
-        };
-        let lookup = match found {
-            Some(seq) => {
-                self.stats.query_hits += 1;
-                SncLookup::Hit(seq)
-            }
-            None => {
-                self.stats.query_misses += 1;
-                SncLookup::Miss
-            }
-        };
-        (lookup, SncQueryUndo { stats, storage })
-    }
-
-    /// Reverses the matching [`SequenceNumberCache::query_undoable`],
-    /// restoring statistics and recency. Must be applied before any
-    /// other mutating SNC call.
-    pub fn undo_query(&mut self, undo: SncQueryUndo) {
-        self.stats = undo.stats;
-        match (&mut self.storage, undo.storage) {
-            (Storage::Full(c), StorageUndo::Full(u)) => c.undo_touch(u),
-            (Storage::SetAssoc(c), StorageUndo::SetAssoc(u)) => c.undo_probe(u),
-            _ => unreachable!("undo state matches the storage it came from"),
         }
     }
 
@@ -472,52 +412,6 @@ mod tests {
         snc.reset_stats();
         assert_eq!(snc.stats().get("query_hits"), 0);
         assert_eq!(snc.query(0), SncLookup::Hit(7));
-    }
-
-    #[test]
-    fn undo_query_restores_stats_and_recency() {
-        let mut snc = tiny(SncPolicy::Lru);
-        for i in 0..4u64 {
-            snc.install(i * 128, i as u16 + 1);
-        }
-        // Speculatively touch the LRU entry (line 0), then roll back.
-        let (lookup, undo) = snc.query_undoable(0);
-        assert_eq!(lookup, SncLookup::Hit(1));
-        snc.undo_query(undo);
-        assert_eq!(snc.stats().get("query_hits"), 0);
-        // A rolled-back miss too (probe misses still tick recency state
-        // in the set-associative organisation; stats always move).
-        let (lookup, undo) = snc.query_undoable(9 * 128);
-        assert_eq!(lookup, SncLookup::Miss);
-        snc.undo_query(undo);
-        assert_eq!(snc.stats().get("query_misses"), 0);
-        // Line 0 stayed LRU: the next install evicts it, not line 128.
-        let victim = snc.install(4 * 128, 9).expect("full SNC evicts");
-        assert_eq!(victim.line_addr, 0, "speculative touch left no trace");
-    }
-
-    #[test]
-    fn undo_query_matches_untouched_twin_in_set_assoc() {
-        let cfg = SncConfig {
-            capacity_bytes: 8,
-            entry_bytes: 2,
-            organization: SncOrganization::SetAssociative(2),
-            policy: SncPolicy::Lru,
-            covered_line_bytes: 128,
-        };
-        let mut probed = SequenceNumberCache::new(cfg);
-        let mut twin = SequenceNumberCache::new(cfg);
-        for snc in [&mut probed, &mut twin] {
-            snc.install(0, 1);
-            snc.install(256, 2);
-        }
-        let (_, undo) = probed.query_undoable(0);
-        probed.undo_query(undo);
-        // Same conflict install evicts the same victim in both.
-        let vp = probed.install(512, 3).expect("conflict eviction");
-        let vt = twin.install(512, 3).expect("conflict eviction");
-        assert_eq!(vp, vt);
-        assert_eq!(probed.stats().get("query_hits"), 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! tested in `snc_shard_properties`).
 
 use crate::config::SncConfig;
-use crate::snc::{EvictedSeq, SequenceNumberCache, SncLookup, SncQueryUndo};
+use crate::snc::{EvictedSeq, SequenceNumberCache, SncLookup};
 use padlock_stats::CounterSet;
 
 /// `N` address-interleaved [`SequenceNumberCache`] shards behind the
@@ -112,22 +112,6 @@ impl SncShards {
     pub fn query(&mut self, line_addr: u64) -> SncLookup {
         let shard = self.shard_of(line_addr);
         self.shards[shard].query(line_addr)
-    }
-
-    /// Like [`SncShards::query`], but also returns the owning shard's
-    /// undo state so [`SncShards::undo_query`] can reverse the lookup
-    /// exactly (see [`SequenceNumberCache::query_undoable`]).
-    pub fn query_undoable(&mut self, line_addr: u64) -> (SncLookup, SncQueryUndo) {
-        let shard = self.shard_of(line_addr);
-        self.shards[shard].query_undoable(line_addr)
-    }
-
-    /// Reverses the matching [`SncShards::query_undoable`] on the shard
-    /// owning `line_addr`. Must be applied before any other mutating
-    /// SNC call.
-    pub fn undo_query(&mut self, line_addr: u64, undo: SncQueryUndo) {
-        let shard = self.shard_of(line_addr);
-        self.shards[shard].undo_query(undo);
     }
 
     /// Increments the sequence number on an update hit; `None` on miss.

@@ -35,11 +35,10 @@
 //! the future cannot have committed).
 //!
 //! Loads that miss past the L2 park with a [`PENDING`] completion until
-//! the MSHR file schedules or drains them (see
-//! [`Hierarchy`](crate::hierarchy::Hierarchy) for the eager-completion
-//! rules); a parked load at the ROB head forces a drain exactly as the
-//! seed loop did, so the backend observes the identical window
-//! composition.
+//! the MSHR file drains them (see
+//! [`Hierarchy`](crate::hierarchy::Hierarchy) for the drain triggers);
+//! a parked load at the ROB head forces a drain exactly as the seed
+//! loop did, so the backend observes the identical window composition.
 
 use crate::bpred::{BimodalPredictor, BranchPredictor};
 use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend};
@@ -341,10 +340,10 @@ impl<B: MemoryBackend> Core<B> {
         let mut progress = false;
 
         // ---- Collect resolved fills ----
-        // A hierarchy drain (MSHR-file exhaustion inside an access,
-        // the forced stall-on-use drain below, or an eagerly
-        // scheduled completion) resolves pending loads to their real
-        // completion cycles.
+        // A hierarchy drain (MSHR-file exhaustion inside an access, a
+        // blocking instruction fetch, an idle-triggered drain, or the
+        // forced stall-on-use drain below) resolves pending loads to
+        // their real completion cycles.
         self.hierarchy.take_resolutions(&mut s.resolved_buf);
         for (token, done) in s.resolved_buf.drain(..) {
             let Some(seq) = s.pending_loads.remove(&token) else {
@@ -464,8 +463,7 @@ impl<B: MemoryBackend> Core<B> {
                     Access::Ready(done) => done,
                     Access::Pending(token) => {
                         // The miss sits in the MSHR file; the slot
-                        // completes when a drain or a scheduled
-                        // completion resolves it.
+                        // completes when a drain resolves it.
                         s.pending_loads.insert(token, seq);
                         PENDING
                     }
@@ -641,8 +639,8 @@ impl<B: MemoryBackend> Core<B> {
                 next = next.min(s.fetch_resume_at);
             }
             if let Some(c) = self.hierarchy.next_completion() {
-                // Scheduled-but-uncollected miss completions (eager
-                // issue) are events too.
+                // Resolutions queued since the collect phase (e.g. by
+                // a blocking instruction fetch's drain) are events too.
                 if c > now {
                     next = next.min(c);
                 }

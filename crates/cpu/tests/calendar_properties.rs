@@ -1,305 +1,63 @@
-//! Property-based tests on the miss-completion calendar: for
-//! *arbitrary* access streams the hierarchy's announced
-//! [`Hierarchy::next_completion`] must be an exact minimum (advancing
-//! the clock to just below it never drops or reorders anything — the
-//! event-driven core's time jump can never skip over an earlier
-//! completion), eagerly issued singleton misses must resolve with
-//! the same cycles, in the same order, as one batched drain, and
-//! speculative singleton-window issue over a *non*-eager-safe
-//! (FR-FCFS banked) backend must be indistinguishable from parked
-//! drains except for its own three counters — even on deep windows
-//! where most batches couple and replay.
+//! Property-based tests on the MSHR file and the run loop's event
+//! calendar: for *arbitrary* miss streams the file delivers its
+//! resolutions in issue order across every drain, and for arbitrary op
+//! streams the event-driven core never has to fall back to a forced
+//! step, on a flat FIFO backend or an FR-FCFS banked one.
 
 use padlock_cpu::{
-    Access, AccessToken, Core, Hierarchy, HierarchyConfig, InsecureBackend, LineKind,
-    MemoryBackend, MicroOp, OpClass, PipelineConfig, Workload,
+    Access, AccessToken, Core, Hierarchy, HierarchyConfig, InsecureBackend, MicroOp, OpClass,
+    PipelineConfig, Workload,
 };
 use proptest::prelude::*;
 
 const LINE: u64 = 128;
 
-/// A hierarchy with scheduled (eager) miss completions over the flat
-/// insecure backend — the configuration whose calendar feeds the
-/// fast-forward core's time jumps.
-fn eager_hierarchy(mshrs: usize, channels: usize, banks: usize) -> Hierarchy<InsecureBackend> {
-    let backend = InsecureBackend::new(100, 8)
-        .with_channels(channels)
-        .with_banks(banks);
-    assert!(backend.eager_issue_safe(), "FIFO insecure backend is eager-safe");
-    Hierarchy::new(
-        HierarchyConfig::paper_default()
-            .with_l2_mshrs(mshrs)
-            .with_eager_completions(true),
-        backend,
-    )
-}
-
-/// A hierarchy that accumulates misses and drains them in batches —
-/// the pre-calendar behaviour the eager path must stay bit-exact with.
-fn batched_hierarchy(mshrs: usize, channels: usize, banks: usize) -> Hierarchy<InsecureBackend> {
+/// A hierarchy that accumulates misses in its MSHR file and drains
+/// them in batches over the flat insecure backend.
+fn batched_hierarchy(mshrs: usize, channels: usize) -> Hierarchy<InsecureBackend> {
     Hierarchy::new(
         HierarchyConfig::paper_default().with_l2_mshrs(mshrs),
-        InsecureBackend::new(100, 8)
-            .with_channels(channels)
-            .with_banks(banks),
+        InsecureBackend::new(100, 8).with_channels(channels),
     )
-}
-
-/// One step of an arbitrary access stream: a clock increment, a line
-/// index into a 512KB footprint (beyond the 256KB L2, so lines evict
-/// and re-miss), and the access kind.
-fn step_strategy() -> impl Strategy<Value = (u64, u64, bool)> {
-    (0u64..220, 0u64..4_096, any::<bool>())
-}
-
-/// Completion cycle of one non-blocking access on an *eager* hierarchy:
-/// fresh misses resolve at allocation and merges queue their resolution
-/// immediately, so `resolve` never has to force a drain here.
-fn eager_done(h: &mut Hierarchy<InsecureBackend>, now: u64, addr: u64, is_store: bool) -> u64 {
-    match h.data_access_nb(now, addr, is_store) {
-        Access::Ready(done) => done,
-        Access::Pending(token) => h.resolve(token),
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `next_completion` is an exact minimum: retiring the calendar at
-    /// one cycle *below* the announced next completion is a no-op. A
-    /// twin hierarchy that performs that jump before every access stays
-    /// in lockstep with an unperturbed one — same completion cycle for
-    /// every access, same counters — so an event-driven core advancing
-    /// its clock to `next_completion()` can never jump past (and lose)
-    /// an earlier completion.
+    /// A stream of distinct-line misses through the MSHR file: the
+    /// allocation that fills the file drains it and comes back ready,
+    /// every other miss parks, and the parked misses' resolutions,
+    /// accumulated across every drain, arrive in issue order — never
+    /// before the access that caused them.
     #[test]
-    fn advancing_to_the_announced_completion_skips_no_event(
-        stream in proptest::collection::vec(step_strategy(), 1..200),
-        mshrs in 2usize..9,
-        channels in 1usize..3,
-        banks in prop_oneof![Just(1usize), Just(4usize)],
-    ) {
-        let mut plain = eager_hierarchy(mshrs, channels, banks);
-        let mut jumpy = eager_hierarchy(mshrs, channels, banks);
-        let mut now = 0u64;
-        for &(dt, idx, is_store) in &stream {
-            now += dt;
-            if let Some(c) = jumpy.next_completion() {
-                jumpy.retire_completed(c.saturating_sub(1));
-                prop_assert_eq!(
-                    jumpy.next_completion(),
-                    Some(c),
-                    "an event earlier than the announced minimum {} was dropped",
-                    c
-                );
-            }
-            let addr = 0x10_0000 + idx * LINE;
-            let a = eager_done(&mut plain, now, addr, is_store);
-            let b = eager_done(&mut jumpy, now, addr, is_store);
-            prop_assert!(a >= now, "completion {} before the access at {}", a, now);
-            prop_assert_eq!(a, b, "the sub-completion jump changed a latency");
-        }
-        prop_assert_eq!(plain.next_completion(), jumpy.next_completion());
-        prop_assert_eq!(
-            format!("{:?}", plain.mshr_stats()),
-            format!("{:?}", jumpy.mshr_stats())
-        );
-    }
-
-    /// The eager-issue contract at the backend: issuing each miss as a
-    /// singleton batch at its own arrival returns the same completion
-    /// cycles — and therefore the same resolution order — as one
-    /// batched drain of the whole set, whenever the backend declares
-    /// `eager_issue_safe`. (FR-FCFS and multi-inflight windows refuse
-    /// the declaration precisely because this would not hold.)
-    #[test]
-    fn eager_singleton_issue_matches_batched_drain(
-        gaps in proptest::collection::vec((0u64..150, 0u64..1 << 16), 1..64),
-        channels in 1usize..3,
-        banks in prop_oneof![Just(1usize), Just(4usize)],
-    ) {
-        let make = || {
-            InsecureBackend::new(100, 8)
-                .with_channels(channels)
-                .with_banks(banks)
-        };
-        let mut batched = make();
-        let mut eager = make();
-        prop_assume!(batched.eager_issue_safe());
-
-        let mut at = 0u64;
-        let reqs: Vec<(u64, u64, LineKind)> = gaps
-            .iter()
-            .map(|&(dt, idx)| {
-                at += dt;
-                (at, idx * LINE, LineKind::Data)
-            })
-            .collect();
-        let as_batch = batched.line_read_batch_at(&reqs);
-        let as_singletons: Vec<u64> = reqs
-            .iter()
-            .map(|&req| {
-                *eager
-                    .line_read_batch_at(&[req])
-                    .first()
-                    .expect("one completion per request")
-            })
-            .collect();
-        prop_assert_eq!(&as_batch, &as_singletons, "completion cycles diverged");
-
-        // Same cycles in the same positions means the same resolution
-        // order; assert the order explicitly all the same.
-        let order = |dones: &[u64]| {
-            let mut ix: Vec<usize> = (0..dones.len()).collect();
-            ix.sort_by_key(|&i| (dones[i], i));
-            ix
-        };
-        prop_assert_eq!(order(&as_batch), order(&as_singletons));
-        prop_assert_eq!(
-            format!("{:?}", batched.traffic()),
-            format!("{:?}", eager.traffic())
-        );
-    }
-
-    /// The same contract one layer up, through the MSHR file: a stream
-    /// of distinct-line misses resolves with identical completion
-    /// cycles whether the hierarchy schedules each miss eagerly or
-    /// parks it for batched drains — and the batched file delivers its
-    /// resolutions in issue order, matching the order the eager file
-    /// handed them out.
-    #[test]
-    fn eager_and_batched_hierarchies_resolve_identically(
+    fn resolutions_arrive_in_issue_order_across_drains(
         gaps in proptest::collection::vec((0u64..220, 1u64..40), 1..120),
         mshrs in 2usize..9,
         channels in 1usize..3,
     ) {
-        let mut eager = eager_hierarchy(mshrs, channels, 1);
-        let mut batched = batched_hierarchy(mshrs, channels, 1);
+        let mut batched = batched_hierarchy(mshrs, channels);
 
         let mut now = 0u64;
         let mut idx = 0u64; // strictly increasing: every access a fresh line
-        let mut eager_dones: Vec<u64> = Vec::new();
-        let mut batched_dones: Vec<Option<u64>> = Vec::new();
-        let mut waiting: Vec<(usize, AccessToken)> = Vec::new();
+        let mut waiting: Vec<(u64, AccessToken)> = Vec::new();
         let mut resolved: Vec<(AccessToken, u64)> = Vec::new();
         for &(dt, stride) in &gaps {
             now += dt;
             idx += stride;
             let addr = 0x10_0000 + idx * LINE;
-            eager_dones.push(eager_done(&mut eager, now, addr, false));
             match batched.data_access_nb(now, addr, false) {
-                Access::Ready(done) => batched_dones.push(Some(done)),
-                Access::Pending(token) => {
-                    waiting.push((batched_dones.len(), token));
-                    batched_dones.push(None);
-                }
+                Access::Ready(done) => prop_assert!(done >= now, "ready before its access"),
+                Access::Pending(token) => waiting.push((now, token)),
             }
         }
         batched.drain_pending();
+        prop_assert_eq!(batched.pending_misses(), 0);
         batched.take_resolutions(&mut resolved);
         prop_assert_eq!(resolved.len(), waiting.len());
-        // Accumulated across every drain, resolutions arrive in issue
-        // order — the order the eager hierarchy resolved them in.
-        for (&(slot, expected_token), &(token, done)) in waiting.iter().zip(&resolved) {
+        for (&(at, expected_token), &(token, done)) in waiting.iter().zip(&resolved) {
             prop_assert_eq!(expected_token, token, "batched drain reordered resolutions");
-            batched_dones[slot] = Some(done);
+            prop_assert!(done >= at, "resolution {} before its access at {}", done, at);
         }
-        let batched_dones: Vec<u64> = batched_dones
-            .into_iter()
-            .map(|d| d.expect("every access resolved"))
-            .collect();
-        prop_assert_eq!(eager_dones, batched_dones);
-    }
-
-    /// Deep-window speculation is invisible: with
-    /// `speculative_completions` on over a backend that is *not*
-    /// `eager_issue_safe` (FR-FCFS over banks, where overlapping
-    /// window members couple), an arbitrary access stream resolves
-    /// with the same hit/miss classification, the same completion
-    /// cycle for every access, and the same resolution order as the
-    /// parked machine. Only the three speculation counters may
-    /// differ — and the parked side must never touch them.
-    #[test]
-    fn speculative_hierarchy_is_indistinguishable_from_the_parked_one(
-        stream in proptest::collection::vec(step_strategy(), 1..120),
-        mshrs in 2usize..9,
-        channels in 1usize..3,
-        banks in prop_oneof![Just(1usize), Just(4usize)],
-    ) {
-        let make = |speculative: bool| {
-            let backend = InsecureBackend::new(100, 8)
-                .with_channels(channels)
-                .with_banks(banks)
-                .with_drain_order(padlock_mem::DrainOrder::RowFirst);
-            assert!(!backend.eager_issue_safe(), "FR-FCFS windows couple");
-            Hierarchy::new(
-                HierarchyConfig::paper_default()
-                    .with_l2_mshrs(mshrs)
-                    .with_speculative_completions(speculative),
-                backend,
-            )
-        };
-        let mut spec = make(true);
-        let mut parked = make(false);
-        let mut spec_waiting: Vec<AccessToken> = Vec::new();
-        let mut parked_waiting: Vec<AccessToken> = Vec::new();
-        let mut now = 0u64;
-        for &(dt, idx, is_store) in &stream {
-            now += dt;
-            let addr = 0x10_0000 + idx * LINE;
-            match (
-                spec.data_access_nb(now, addr, is_store),
-                parked.data_access_nb(now, addr, is_store),
-            ) {
-                (Access::Ready(a), Access::Ready(b)) => {
-                    prop_assert_eq!(a, b, "ready completion cycles diverged");
-                }
-                (Access::Pending(a), Access::Pending(b)) => {
-                    spec_waiting.push(a);
-                    parked_waiting.push(b);
-                }
-                _ => prop_assert!(false, "hit/miss classification diverged"),
-            }
-        }
-        spec.drain_pending();
-        parked.drain_pending();
-        let mut spec_resolved: Vec<(AccessToken, u64)> = Vec::new();
-        let mut parked_resolved: Vec<(AccessToken, u64)> = Vec::new();
-        spec.take_resolutions(&mut spec_resolved);
-        parked.take_resolutions(&mut parked_resolved);
-        prop_assert_eq!(spec_resolved.len(), spec_waiting.len());
-        prop_assert_eq!(parked_resolved.len(), parked_waiting.len());
-        for (i, (&(st, sd), &(pt, pd))) in
-            spec_resolved.iter().zip(&parked_resolved).enumerate()
-        {
-            prop_assert_eq!(st, spec_waiting[i], "speculative side reordered");
-            prop_assert_eq!(pt, parked_waiting[i], "parked side reordered");
-            prop_assert_eq!(sd, pd, "pending completion cycles diverged");
-        }
-        // Counters: identical except the speculation-only three; the
-        // first cold miss always speculates (the backend is idle), so
-        // the mechanism provably engaged.
-        let spec_only = [
-            "speculative_issues",
-            "window_replays",
-            "replay_patched_completions",
-        ];
-        for (name, v) in parked.mshr_stats().iter() {
-            prop_assert!(!spec_only.contains(&name), "parked run counted {}", name);
-            prop_assert_eq!(spec.mshr_stats().get(name), v, "MSHR counter {}", name);
-        }
-        for (name, v) in spec.mshr_stats().iter() {
-            if spec_only.contains(&name) {
-                continue;
-            }
-            prop_assert_eq!(parked.mshr_stats().get(name), v, "MSHR counter {}", name);
-        }
-        prop_assert!(spec.mshr_stats().get("speculative_issues") > 0);
-        prop_assert_eq!(
-            format!("{:?}", spec.backend().traffic()),
-            format!("{:?}", parked.backend().traffic()),
-            "backend traffic diverged"
-        );
     }
 }
 
@@ -339,20 +97,16 @@ proptest! {
 
     /// The pipeline's event calendar is complete for arbitrary op
     /// streams: the run loop never has to fall back to a forced +1
-    /// step, with misses parked for batched drains, scheduled eagerly
-    /// at allocation, *or* issued speculatively over a non-eager-safe
-    /// FR-FCFS banked backend (where coupled windows abort and replay
-    /// mid-stream).
+    /// step, whether the MSHR file drains into a flat FIFO channel or
+    /// into an FR-FCFS scheduler over four banks that reorders each
+    /// drained batch.
     #[test]
     fn run_loop_never_forces_a_step(
         ops in proptest::collection::vec(op_strategy(), 1..64),
-        eager in any::<bool>(),
-        speculative in any::<bool>(),
+        frfcfs in any::<bool>(),
         mshrs in 1usize..9,
     ) {
-        let backend = if speculative {
-            // The regime speculation exists for: windows couple, so
-            // eager issue is unsafe and replays actually happen.
+        let backend = if frfcfs {
             InsecureBackend::new(100, 8)
                 .with_banks(4)
                 .with_drain_order(padlock_mem::DrainOrder::RowFirst)
@@ -360,10 +114,7 @@ proptest! {
             InsecureBackend::new(100, 8)
         };
         let hierarchy = Hierarchy::new(
-            HierarchyConfig::paper_default()
-                .with_l2_mshrs(mshrs)
-                .with_eager_completions(eager && !speculative)
-                .with_speculative_completions(speculative),
+            HierarchyConfig::paper_default().with_l2_mshrs(mshrs),
             backend,
         );
         let mut core = Core::with_hierarchy(PipelineConfig::paper_default(), hierarchy);

@@ -207,27 +207,10 @@ pub struct BankGrant {
 }
 
 /// One channel's banks with open-row registers and busy timelines.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BankSet {
     config: BankConfig,
     banks: Vec<Bank>,
-}
-
-impl Clone for BankSet {
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            banks: self.banks.clone(),
-        }
-    }
-
-    // Hand-written so the per-issue channel snapshot under speculative
-    // window issue reuses the destination's bank vector instead of
-    // reallocating it (`derive` would fall back to clone-and-drop).
-    fn clone_from(&mut self, source: &Self) {
-        self.config = source.config;
-        self.banks.clone_from(&source.banks);
-    }
 }
 
 impl BankSet {

@@ -40,33 +40,11 @@ use padlock_stats::CounterSet;
 /// let done = ch.demand_read(60, 0x100, TrafficClass::LineRead, 128);
 /// assert!(done >= 160);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemoryChannel {
     mem: MemTimingModel,
     write_buffer: WriteBuffer,
     banks: Option<BankSet>,
-}
-
-impl Clone for MemoryChannel {
-    fn clone(&self) -> Self {
-        Self {
-            mem: self.mem.clone(),
-            write_buffer: self.write_buffer.clone(),
-            banks: self.banks.clone(),
-        }
-    }
-
-    // Hand-written so the per-issue channel snapshot under speculative
-    // window issue reuses the destination's buffers instead of
-    // reallocating them (`derive` would fall back to clone-and-drop).
-    fn clone_from(&mut self, source: &Self) {
-        self.mem = source.mem.clone();
-        self.write_buffer.clone_from(&source.write_buffer);
-        match (&mut self.banks, &source.banks) {
-            (Some(dst), Some(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
 }
 
 impl MemoryChannel {
@@ -298,30 +276,6 @@ pub struct ChannelSet {
     bank_config: BankConfig,
 }
 
-/// A saved copy of one channel's complete timing state — bus and bank
-/// timelines, row-buffer contents, traffic statistics, and buffered
-/// writebacks — taken by [`ChannelSet::snapshot_channel`] and applied
-/// back by [`ChannelSet::restore_channel`].
-///
-/// This is the timeline checkpoint under speculative window issue: a
-/// controller that speculatively issues a singleton drain window
-/// snapshots the one channel the read touches, and restores it if a
-/// later request couples into the window and forces a replay. The
-/// snapshot is reusable — repeated saves into the same value reuse its
-/// allocations (`clone_from`), keeping the hot path allocation-free
-/// after warm-up.
-#[derive(Debug, Clone, Default)]
-pub struct ChannelSnapshot {
-    saved: Option<MemoryChannel>,
-}
-
-impl ChannelSnapshot {
-    /// Creates an empty snapshot (nothing saved yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl ChannelSet {
     /// Creates `channels` idle flat channels interleaved every
     /// `interleave_bytes` (normally the L2 line size).
@@ -436,31 +390,6 @@ impl ChannelSet {
         for ch in &mut self.channels {
             ch.reset_stats();
         }
-    }
-
-    /// Saves the complete timing state of the channel serving `addr`
-    /// into `snap`, reusing the snapshot's allocations when possible.
-    pub fn snapshot_channel(&self, addr: u64, snap: &mut ChannelSnapshot) {
-        let ch = &self.channels[self.channel_of(addr)];
-        match &mut snap.saved {
-            Some(saved) => saved.clone_from(ch),
-            None => snap.saved = Some(ch.clone()),
-        }
-    }
-
-    /// Restores the channel serving `addr` from `snap`, discarding every
-    /// mutation since the matching [`ChannelSet::snapshot_channel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` holds nothing.
-    pub fn restore_channel(&mut self, addr: u64, snap: &ChannelSnapshot) {
-        let ch = self.channel_of(addr);
-        self.channels[ch].clone_from(
-            snap.saved
-                .as_ref()
-                .expect("restore_channel needs a prior snapshot"),
-        );
     }
 
     /// Chooses an FR-FCFS issue order for one window of read requests
@@ -621,44 +550,6 @@ impl ChannelSet {
 mod tests {
     use super::*;
     use crate::bank::{DEFAULT_ROW_CONFLICT_CYCLES, DEFAULT_ROW_HIT_CYCLES, ROW_LINES};
-
-    #[test]
-    fn snapshot_restore_discards_speculative_mutations() {
-        // A banked, write-buffered fabric with history: snapshot one
-        // channel, mutate it every way a speculated read can (bus, bank
-        // rows, stats, write-buffer pops), restore, and check the fabric
-        // behaves bit-identically to an untouched twin.
-        let bank_cfg = BankConfig::banked(2, 128);
-        let mut fabric = ChannelSet::new(2, 100, 8, 8, 128).with_banks(bank_cfg);
-        let mut twin = ChannelSet::new(2, 100, 8, 8, 128).with_banks(bank_cfg);
-        for set in [&mut fabric, &mut twin] {
-            set.demand_read(0, 0x000, TrafficClass::LineRead, 128);
-            set.enqueue_write(5, 400, 0x200, TrafficClass::LineWrite, 128);
-        }
-        let mut snap = ChannelSnapshot::new();
-        fabric.snapshot_channel(0x000, &mut snap);
-        // Speculate: a read late enough to pop the buffered write.
-        fabric.demand_read(500, 0x400, TrafficClass::LineRead, 128);
-        assert_ne!(fabric.stats(), twin.stats());
-        fabric.restore_channel(0x000, &snap);
-        assert_eq!(fabric.stats(), twin.stats());
-        assert_eq!(fabric.busy_until(), twin.busy_until());
-        assert_eq!(fabric.buffered_writes(), twin.buffered_writes());
-        // Same subsequent traffic completes at the same cycles.
-        for addr in [0x000u64, 0x200, 0x400, 0x600] {
-            assert_eq!(
-                fabric.demand_read(600, addr, TrafficClass::LineRead, 128),
-                twin.demand_read(600, addr, TrafficClass::LineRead, 128),
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "prior snapshot")]
-    fn restore_without_snapshot_panics() {
-        let mut fabric = ChannelSet::new(1, 100, 8, 8, 128);
-        fabric.restore_channel(0, &ChannelSnapshot::new());
-    }
 
     #[test]
     fn channel_reads_have_priority_over_pending_writes() {

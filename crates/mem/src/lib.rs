@@ -45,7 +45,7 @@ pub use bank::{
     BankConfig, BankGrant, BankSet, PagePolicy, DEFAULT_ROW_CLOSED_CYCLES,
     DEFAULT_ROW_CONFLICT_CYCLES, DEFAULT_ROW_HIT_CYCLES, ROW_LINES,
 };
-pub use channel::{ChannelSet, ChannelSnapshot, MemoryChannel};
+pub use channel::{ChannelSet, MemoryChannel};
 pub use sched::DrainOrder;
 pub use region::{RegionMap, RegionOverlap};
 pub use sparse::SparseMemory;

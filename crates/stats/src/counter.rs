@@ -3,70 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A named, monotonically increasing event counter.
-///
-/// Counters are the unit of bookkeeping used by every timing model in the
-/// workspace (cache hits, SNC replacements, bus transactions, ...).
-///
-/// # Examples
-///
-/// ```
-/// use padlock_stats::Counter;
-///
-/// let mut c = Counter::new("l2.misses");
-/// c.incr();
-/// c.add(4);
-/// assert_eq!(c.value(), 5);
-/// assert_eq!(c.name(), "l2.misses");
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter with the given name, starting at zero.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Increments the counter by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Resets the counter to zero (used when a measured window starts after
-    /// warm-up).
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
-
 /// A collection of counters addressed by name.
 ///
 /// Models that own many counters (a cache, the memory bus) keep a
@@ -172,31 +108,6 @@ impl fmt::Display for CounterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_starts_at_zero_and_accumulates() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.incr();
-        c.add(41);
-        assert_eq!(c.value(), 42);
-    }
-
-    #[test]
-    fn counter_reset_zeroes_value_but_keeps_name() {
-        let mut c = Counter::new("warmup");
-        c.add(7);
-        c.reset();
-        assert_eq!(c.value(), 0);
-        assert_eq!(c.name(), "warmup");
-    }
-
-    #[test]
-    fn counter_display_mentions_name_and_value() {
-        let mut c = Counter::new("n");
-        c.add(3);
-        assert_eq!(c.to_string(), "n = 3");
-    }
 
     #[test]
     fn set_creates_counters_on_demand() {

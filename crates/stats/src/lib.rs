@@ -8,26 +8,29 @@
 //! # Examples
 //!
 //! ```
-//! use padlock_stats::{Counter, Table};
+//! use padlock_stats::{arith_mean, CounterSet, Table};
 //!
-//! let mut hits = Counter::new("snc.hits");
-//! hits.add(3);
-//! assert_eq!(hits.value(), 3);
+//! let mut snc = CounterSet::new("snc");
+//! snc.add("hits", 3);
+//! snc.incr("misses");
+//! assert_eq!(snc.get("hits"), 3);
 //!
+//! let slowdowns = [34.76, 1.3];
+//! let average = arith_mean(&slowdowns).unwrap();
 //! let mut table = Table::new(vec!["bench".into(), "slowdown %".into()]);
-//! table.push_row(vec!["mcf".into(), "34.76".into()]);
+//! table.push_row(vec!["mcf".into(), format!("{:.2}", slowdowns[0])]);
+//! table.push_row(vec!["Average".into(), format!("{average:.2}")]);
 //! let text = table.render_text();
 //! assert!(text.contains("mcf"));
+//! assert!(text.contains("18.03"));
 //! ```
 
 #![warn(missing_docs)]
 
 mod counter;
-mod histogram;
 mod summary;
 mod table;
 
-pub use counter::{Counter, CounterSet};
-pub use histogram::Histogram;
-pub use summary::{arith_mean, geo_mean, percent_change, ratio, Summary};
+pub use counter::CounterSet;
+pub use summary::arith_mean;
 pub use table::{Align, Table};

@@ -19,135 +19,6 @@ pub fn arith_mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-/// Geometric mean of a slice of positive values; `None` when empty or when
-/// any value is non-positive.
-///
-/// # Examples
-///
-/// ```
-/// let g = padlock_stats::geo_mean(&[1.0, 4.0]).unwrap();
-/// assert!((g - 2.0).abs() < 1e-12);
-/// assert_eq!(padlock_stats::geo_mean(&[1.0, 0.0]), None);
-/// ```
-pub fn geo_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
-    Some((log_sum / xs.len() as f64).exp())
-}
-
-/// `new / old` as a ratio; `None` when `old` is zero.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(padlock_stats::ratio(150.0, 100.0), Some(1.5));
-/// assert_eq!(padlock_stats::ratio(1.0, 0.0), None);
-/// ```
-pub fn ratio(new: f64, old: f64) -> Option<f64> {
-    if old == 0.0 {
-        None
-    } else {
-        Some(new / old)
-    }
-}
-
-/// Percentage change from `old` to `new` (`+34.76` means 34.76% slower);
-/// `None` when `old` is zero.
-///
-/// This is exactly the paper's "program slowdown \[%\]" metric with
-/// `old = baseline cycles` and `new = secure-mode cycles`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(padlock_stats::percent_change(150.0, 100.0), Some(50.0));
-/// ```
-pub fn percent_change(new: f64, old: f64) -> Option<f64> {
-    ratio(new, old).map(|r| (r - 1.0) * 100.0)
-}
-
-/// Running summary of a stream of `f64` samples (count/mean/min/max).
-///
-/// # Examples
-///
-/// ```
-/// use padlock_stats::Summary;
-///
-/// let mut s = Summary::new();
-/// s.push(2.0);
-/// s.push(4.0);
-/// assert_eq!(s.count(), 2);
-/// assert_eq!(s.mean(), Some(3.0));
-/// assert_eq!(s.min(), Some(2.0));
-/// assert_eq!(s.max(), Some(4.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Minimum, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Maximum, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,50 +26,5 @@ mod tests {
     #[test]
     fn arith_mean_of_singleton_is_value() {
         assert_eq!(arith_mean(&[5.5]), Some(5.5));
-    }
-
-    #[test]
-    fn geo_mean_rejects_non_positive() {
-        assert_eq!(geo_mean(&[-1.0, 2.0]), None);
-        assert_eq!(geo_mean(&[]), None);
-    }
-
-    #[test]
-    fn geo_mean_is_scale_invariant() {
-        let a = geo_mean(&[2.0, 8.0]).unwrap();
-        let b = geo_mean(&[4.0, 16.0]).unwrap();
-        assert!((b / a - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percent_change_matches_paper_semantics() {
-        // 116.76 cycles vs 100 cycles baseline = 16.76% slowdown.
-        let s = percent_change(116.76, 100.0).unwrap();
-        assert!((s - 16.76).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percent_change_of_equal_values_is_zero() {
-        assert_eq!(percent_change(7.0, 7.0), Some(0.0));
-    }
-
-    #[test]
-    fn summary_empty_reports_none() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        for x in [3.0, -1.0, 10.0] {
-            s.push(x);
-        }
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(10.0));
-        assert_eq!(s.sum(), 12.0);
     }
 }
