@@ -16,7 +16,8 @@
 //! stdout are byte-identical for any `--jobs` value (timing
 //! diagnostics go to stderr).
 
-use padlock_bench::{E2eTrace, Lab, MachineKind, RunScale};
+use padlock_bench::{E2eParams, E2eTrace, Lab, MachineKind, RunScale};
+use padlock_core::SecurityMode;
 use padlock_exec::SweepPool;
 use padlock_mem::{DrainOrder, PagePolicy, ROW_LINES};
 use std::fs::File;
@@ -135,6 +136,27 @@ fn parse_banks_axis(value: &str) -> Vec<usize> {
     axis
 }
 
+/// The channel axis feeds the `--mlp` end-to-end and `--server` sweeps,
+/// whose machines pair one SNC shard with each channel — and shards
+/// must split the SNC's entries evenly. Reject a channel count that
+/// does not divide them instead of panicking mid-sweep.
+fn parse_channels_axis(value: &str) -> Vec<usize> {
+    let axis = parse_axis("--channels", value);
+    let swept = padlock_bench::e2e_machine_config(E2eParams::new(1, 1, 1, 1));
+    if let SecurityMode::Otp { snc } = swept.security.mode {
+        let entries = snc.entries();
+        for &channels in &axis {
+            if entries % channels != 0 {
+                usage_error(&format!(
+                    "--channels values must divide the {entries} SNC entries \
+                     the swept machines split into one shard per channel, got {channels}"
+                ));
+            }
+        }
+    }
+    axis
+}
+
 fn usage_error(message: &str) -> ! {
     eprintln!("{message} (try --help)");
     std::process::exit(2);
@@ -207,7 +229,8 @@ fn parse_args() -> Args {
                      machines — L2 MSHRs x DRAM channels — end to end on a recorded\n\
                      benchmark trace (CPI), each with the speedup over the paper's\n\
                      blocking single-channel machine.\n\
-                     --channels / --mshrs set the sweep axes (comma-separated);\n\
+                     --channels / --mshrs set the sweep axes (comma-separated;\n\
+                     channel counts must divide the swept SNC's entry count);\n\
                      --banks additionally sweeps DRAM banks per channel with\n\
                      row-buffer timing (values must divide the 16-line row),\n\
                      comparing the chosen trace against the row-conflict-bound\n\
@@ -249,7 +272,7 @@ fn parse_args() -> Args {
             }
             "--channels" => {
                 let v = iter.next().unwrap_or_else(|| usage_error("--channels needs counts"));
-                args.channels = parse_axis("--channels", &v);
+                args.channels = parse_channels_axis(&v);
             }
             "--mshrs" => {
                 let v = iter.next().unwrap_or_else(|| usage_error("--mshrs needs counts"));

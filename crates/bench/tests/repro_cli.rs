@@ -34,6 +34,29 @@ fn banks_must_divide_the_row() {
 }
 
 #[test]
+fn channels_must_divide_the_swept_snc() {
+    // The --mlp end-to-end and --server machines pair one shard of a
+    // 64-entry SNC with each channel; a channel count that does not
+    // divide the entries cannot be built, so the CLI rejects it before
+    // printing any table.
+    for args in [
+        &["--mlp", "--smoke", "--channels", "3"][..],
+        &["--mlp", "--smoke", "--channels", "1,128"][..],
+        &["--server", "--smoke", "--channels", "6"][..],
+        &["--server", "--smoke", "--cores", "1", "--channels", "2,5"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} should be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("divide the 64 SNC entries"),
+            "{args:?}: unexpected message {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+}
+
+#[test]
 fn zero_and_garbage_axes_are_rejected() {
     for (flag, value) in [("--banks", "0"), ("--banks", "x"), ("--channels", "0")] {
         let out = repro(&["--mlp", flag, value]);

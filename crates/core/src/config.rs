@@ -239,9 +239,6 @@ pub struct SecureBackendConfig {
     /// Whether reads of lines never written back bypass the SNC
     /// (sequence number is known to be zero). See DESIGN.md §3.
     pub clean_lines_bypass: bool,
-    /// Seed derivation scheme (timing-neutral; recorded for the
-    /// functional layer and reports).
-    pub seed_scheme: SeedScheme,
     /// Maximum in-flight miss transactions (MSHR entries) the
     /// controller's transaction engine overlaps within one drain
     /// window. `1` models the paper's blocking controller exactly.
@@ -278,7 +275,6 @@ impl SecureBackendConfig {
             drain_order: padlock_mem::DrainOrder::Fifo,
             write_buffer_entries: 8,
             clean_lines_bypass: true,
-            seed_scheme: SeedScheme::PaperAdditive,
             max_inflight: 1,
             snc_shards: 1,
             crypto_pipeline_width: 4,
@@ -289,12 +285,6 @@ impl SecureBackendConfig {
     /// Builder: use the 102-cycle crypto unit of Fig. 10.
     pub fn with_slow_crypto(mut self) -> Self {
         self.crypto = CryptoUnitModel::paper_slow();
-        self
-    }
-
-    /// Builder: set an arbitrary crypto model.
-    pub fn with_crypto(mut self, crypto: CryptoUnitModel) -> Self {
-        self.crypto = crypto;
         self
     }
 

@@ -18,10 +18,11 @@
 //! # The transaction engine
 //!
 //! The controller is organised as a transaction engine rather than a
-//! one-call-one-latency function: every request becomes a
-//! [`MemTxn`] in a bounded in-flight queue (at most
-//! `max_inflight` entries, MSHR-style), and a drain scheduler retires
-//! queued transactions in three phases against per-resource timelines —
+//! one-call-one-latency function: its one read entry point,
+//! `line_read_batch_at`, cuts a batch of L2 misses (each at its own
+//! arrival cycle) into windows of at most `max_inflight` [`MemTxn`]s,
+//! MSHR-style, and a drain scheduler retires each window in three
+//! phases against per-resource timelines —
 //! the DRAM channel (persistent occupancy), the per-channel DRAM
 //! **banks** (each [`padlock_mem::BankSet`] bank's open-row register
 //! and busy timeline, consulted by every fabric access when
@@ -34,58 +35,57 @@
 //!
 //! 1. **classify + first issue** — probe the (sharded) SNC, pick the
 //!    path (fast / sequence-fetch / direct), and issue the first memory
-//!    access; same-line reads merge into the earlier miss, and a read
-//!    of a line the window already wrote back forwards straight from
-//!    the write buffer instead of re-fetching ciphertext the
-//!    controller just produced;
+//!    access; same-line reads merge into the earlier miss;
 //! 2. **decrypt** — sequence-number decryptions claim crypto slots;
 //! 3. **fill + pad** — overlapped line fetches issue, pads batch
 //!    through the crypto timeline, evicted sequence numbers spill.
 //!
+//! `line_read` and `line_read_batch` are the trait's batches of one and
+//! of same-cycle misses. With `max_inflight = 1` and `snc_shards = 1` a
+//! window never holds more than one transaction, no resource is ever
+//! contended, and the engine's arithmetic is bit-identical to the
+//! paper's single-miss model (the `engine_vs_seed` differential test
+//! drives both against random traces and compares every latency and
+//! traffic counter).
+//!
 //! # Drain order
 //!
-//! Phase one's memory accesses issue in arrival order under
-//! [`DrainOrder::Fifo`] (the paper's controller, and the default). Under
-//! [`DrainOrder::RowFirst`] the scheduler defers them until the window
-//! is classified, then issues them in the fabric's FR-FCFS order
+//! Classifying a read never touches the fabric, so a window's phase-one
+//! memory accesses leave in one issue pass once the window is
+//! classified: in arrival order under [`DrainOrder::Fifo`] (the paper's
+//! controller, and the default), or under [`DrainOrder::RowFirst`] in
+//! the fabric's FR-FCFS order
 //! ([`padlock_mem::ChannelSet::row_first_order`]: first-ready,
 //! row-hit-first, oldest-first against the live per-bank open-row
 //! state) — so a window whose misses are row-mates opens each row once
 //! and streams the rest as row hits instead of paying a
 //! precharge + activate per miss. Everything order-sensitive to
-//! *state* — SNC probes and installs, merge detection, writeback
-//! processing, retirement — still runs in arrival order, which is why
+//! *state* — SNC probes and installs, merge detection,
+//! retirement — still runs in arrival order, which is why
 //! reordering moves only completion cycles: traffic, controller, and
 //! SNC counters are bit-identical between the two orders (the
 //! `drain_order_properties` suite proves it), and on a flat
 //! (`mem_banks = 1`) fabric `RowFirst` collapses to `Fifo` exactly.
 //!
-//! Blocking callers (`line_read`, `line_writeback`) enqueue one
-//! transaction and drain immediately; `line_read_batch` and
-//! `line_read_batch_at` (the hierarchy's MSHR drain, each miss at its
-//! own arrival cycle) keep up to `max_inflight` misses outstanding so
-//! their sequence-number fetches and pad generations overlap. With
-//! `max_inflight = 1` and `snc_shards = 1` a window never holds more
-//! than one transaction, no resource is ever contended, and the
-//! engine's arithmetic is bit-identical to the paper's single-miss
-//! model (the `engine_vs_seed` differential test drives both against
-//! random traces and compares every latency and traffic counter).
+//! # Writebacks
 //!
-//! Writebacks are enqueued in the write buffer with their ciphertext
-//! ready-time and drain on idle channel slots; sequence-number fetches
+//! A writeback is posted, off the read critical path (§3.4), and never
+//! joins a window: `line_writeback` encrypts it per mode, updates the
+//! SNC, and enqueues the ciphertext in the write buffer with its
+//! ready-time, to drain on idle channel slots. Sequence-number fetches
 //! and spills are tagged so Fig. 9's induced-traffic ratio falls out of
 //! the traffic counters. Residual spill entries that never filled a
-//! packed line can be flushed with [`SecureBackend::flush_spills`]
-//! (called by `Machine` at measurement wrap-up).
+//! packed line are flushed by [`SecureBackend::flush_spills`], which
+//! `MemoryBackend::drain` calls at measurement wrap-up.
 
 use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy};
-use crate::engine::{CryptoTimeline, MemTxn, SncPorts, TxnOp};
+use crate::engine::{CryptoTimeline, MemTxn, SncPorts};
 use crate::snc::SncLookup;
 use crate::snc_shards::SncShards;
 use padlock_cpu::{LineKind, MemoryBackend};
 use padlock_mem::{ChannelSet, DrainOrder, TrafficClass};
 use padlock_stats::CounterSet;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Fixed-slot controller event counters, bumped as plain fields on
 /// the classify hot paths and rendered as a [`CounterSet`] on demand.
@@ -95,7 +95,6 @@ struct ControllerStats {
     clean_bypass_reads: u64,
     otp_fast_reads: u64,
     snc_fetch_reads: u64,
-    wb_forwarded_reads: u64,
     mshr_merged_reads: u64,
     norepl_direct_writes: u64,
     first_writebacks: u64,
@@ -114,7 +113,6 @@ impl ControllerStats {
             ("clean_bypass_reads", self.clean_bypass_reads),
             ("otp_fast_reads", self.otp_fast_reads),
             ("snc_fetch_reads", self.snc_fetch_reads),
-            ("wb_forwarded_reads", self.wb_forwarded_reads),
             ("mshr_merged_reads", self.mshr_merged_reads),
             ("norepl_direct_writes", self.norepl_direct_writes),
             ("first_writebacks", self.first_writebacks),
@@ -157,17 +155,14 @@ pub struct SecureBackend {
     /// Evicted sequence numbers awaiting spill; 64 two-byte entries pack
     /// into one line-sized memory transaction.
     pending_spills: u32,
-    /// The bounded in-flight transaction queue (MSHR entries awaiting a
-    /// drain).
-    queue: VecDeque<MemTxn>,
     stats: ControllerStats,
     /// Window-scoped scratch buffers, recycled across [`Self::drain_window`]
     /// calls so a drain does not allocate per window. Always left
     /// empty/idle between windows; carries no cross-window state.
     scratch: WindowScratch,
     /// The compartment whose traffic is currently entering the shared
-    /// fabric; every enqueued [`MemTxn`] is tagged with it. Single-core
-    /// machines never move it off 0.
+    /// fabric; SNC victims owned by other compartments are charged
+    /// against it. Single-core machines never move it off 0.
     active_requestor: u16,
     /// Per-compartment count of SNC entries this compartment *lost* to
     /// a different compartment's install or context-switch flush —
@@ -180,9 +175,13 @@ pub struct SecureBackend {
 /// Reusable drain-window buffers (see [`SecureBackend::scratch`]).
 #[derive(Debug, Default)]
 struct WindowScratch {
-    txns: Vec<MemTxn>,
     slots: Vec<Slot>,
     ports: Option<SncPorts>,
+    /// Indices of the slots whose phase-one fetch the issue pass sends.
+    fetching: Vec<usize>,
+    /// Those fetches as `(ready, line_addr)` requests, for the fabric's
+    /// row-first order.
+    reqs: Vec<(u64, u64)>,
 }
 
 /// Sequence-number entries packed per spill transaction (128B line /
@@ -200,52 +199,36 @@ enum Path {
     SeqFetch,
     /// Serial fetch-then-decrypt (XOM, and no-replacement SNC misses).
     Direct,
-    /// Same-line merge with an earlier read in the window.
+    /// Same-line merge with an earlier read in the window; it issues no
+    /// memory access of its own.
     Alias(usize),
-    /// Forwarded from a same-window posted writeback to the same line:
-    /// the data is still on chip in the write buffer, so the read never
-    /// touches memory or the crypto unit.
-    ///
-    /// Unreachable from the public [`MemoryBackend`] entry points:
-    /// `line_writeback` posts and drains its window synchronously
-    /// (asserted there), and the hierarchy's drains are read-only
-    /// batches, so a read can never trail a writeback in one window.
-    /// The arm stays live for direct queue injection (the write-buffer
-    /// forwarding test below) and any future caller that batches
-    /// writebacks with reads.
-    WbForward,
-    /// A writeback, fully processed (posted) in phase one.
-    Posted,
 }
 
-/// Per-transaction scheduling scratch for one drain window.
+/// Per-read scheduling scratch for one drain window.
 #[derive(Debug)]
 struct Slot {
     txn: MemTxn,
     path: Path,
-    /// Phase-one memory access not yet issued: its ready cycle and
-    /// traffic class. Only used under `DrainOrder::RowFirst`, where the
-    /// scheduler defers fabric issue until the whole window is
-    /// classified so row-mates can be grouped.
-    fetch: Option<(u64, TrafficClass)>,
+    /// Cycle the phase-one memory access may start: the arrival, or the
+    /// SNC probe's port-grant cycle.
+    ready: u64,
     /// Completion of the phase-one memory access (line fetch for
     /// `Fast`/`Direct`/`Plain`, sequence fetch for `SeqFetch`).
     fetched: u64,
     /// Completion of the phase-one/two crypto job (pad for `Fast`,
     /// sequence decrypt for `SeqFetch`).
     crypto_done: u64,
-    /// Retire cycle (reads only).
+    /// Retire cycle.
     done: u64,
 }
 
 impl Slot {
-    /// A slot with no scheduled work yet (writebacks, merges, and
-    /// forwards never get any).
-    fn inert(txn: MemTxn, path: Path) -> Self {
+    /// A slot with no scheduled work yet, ready at its arrival.
+    fn new(txn: MemTxn, path: Path) -> Self {
         Self {
             txn,
             path,
-            fetch: None,
+            ready: txn.arrival,
             fetched: 0,
             crypto_done: 0,
             done: 0,
@@ -283,7 +266,6 @@ impl SecureBackend {
             snc,
             written: BTreeSet::new(),
             pending_spills: 0,
-            queue: VecDeque::new(),
             stats: ControllerStats::default(),
             scratch: WindowScratch::default(),
             active_requestor: 0,
@@ -291,18 +273,12 @@ impl SecureBackend {
         }
     }
 
-    /// Declares which compartment's traffic enters the fabric next;
-    /// every transaction enqueued after this call is tagged with
-    /// `requestor`, and SNC victims owned by *other* compartments are
-    /// charged against it. The multi-core server calls this before
-    /// each core's scheduling step.
+    /// Declares which compartment's traffic enters the fabric next:
+    /// SNC victims owned by *other* compartments are charged against
+    /// `requestor`. The multi-core server calls this before each core's
+    /// scheduling step.
     pub fn set_active_requestor(&mut self, requestor: u16) {
         self.active_requestor = requestor;
-    }
-
-    /// The compartment currently tagged onto enqueued transactions.
-    pub fn active_requestor(&self) -> u16 {
-        self.active_requestor
     }
 
     /// Per-compartment counts of SNC entries evicted by a *different*
@@ -426,12 +402,6 @@ impl SecureBackend {
         self.pending_spills
     }
 
-    /// Transactions currently sitting in the in-flight queue (only
-    /// non-zero mid-batch).
-    pub fn inflight(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SecureBackendConfig {
         &self.config
@@ -504,59 +474,22 @@ impl SecureBackend {
         entries.len()
     }
 
-    /// Issues slot's phase-one memory access at `at` — or, when the
-    /// drain order defers fabric issue, records it for the row-first
-    /// pass to issue once the whole window is classified.
-    fn issue_or_defer(
-        channels: &mut ChannelSet,
-        slot: &mut Slot,
-        defer: bool,
-        at: u64,
-        class: TrafficClass,
-        bytes: u32,
-    ) {
-        if defer {
-            slot.fetch = Some((at, class));
-        } else {
-            slot.fetched = channels.demand_read(at, slot.txn.line_addr, class, bytes);
-        }
-    }
-
-    /// Phase one of a drain: classify one read, probe the SNC through
-    /// its shard port, and issue (or, under `RowFirst`, schedule) the
-    /// first memory access.
+    /// Phase one of a drain: classify one read and probe the SNC
+    /// through its shard port. The returned slot carries the read's
+    /// latency path and the cycle its first memory access may start;
+    /// [`Self::issue_fetches`] sends that access to the fabric.
     fn classify_read(
         &mut self,
-        txn: &MemTxn,
-        kind: LineKind,
+        txn: MemTxn,
         crypto: &mut CryptoTimeline,
         ports: &mut SncPorts,
-        defer: bool,
     ) -> Slot {
-        let bytes = self.config.line_bytes;
-        let mut slot = Slot::inert(*txn, Path::Plain);
+        let mut slot = Slot::new(txn, Path::Plain);
         match self.config.mode {
-            SecurityMode::Insecure => {
-                Self::issue_or_defer(
-                    &mut self.channels,
-                    &mut slot,
-                    defer,
-                    txn.arrival,
-                    TrafficClass::LineRead,
-                    bytes,
-                );
-            }
+            SecurityMode::Insecure => {}
             SecurityMode::Xom => {
                 self.stats.xom_reads += 1;
                 slot.path = Path::Direct;
-                Self::issue_or_defer(
-                    &mut self.channels,
-                    &mut slot,
-                    defer,
-                    txn.arrival,
-                    TrafficClass::LineRead,
-                    bytes,
-                );
             }
             SecurityMode::Otp { snc: snc_cfg } => {
                 // Instructions are only ever read: their seed is the
@@ -564,7 +497,7 @@ impl SecureBackend {
                 // lines (never written back) still carry the loader's
                 // address-seeded encryption: seed known. Neither probes
                 // the SNC.
-                let fast = if kind == LineKind::Instruction {
+                let fast = if txn.kind == LineKind::Instruction {
                     true
                 } else if self.config.clean_lines_bypass && !self.written.contains(&txn.line_addr)
                 {
@@ -576,32 +509,16 @@ impl SecureBackend {
                 if fast {
                     self.stats.otp_fast_reads += 1;
                     slot.path = Path::Fast;
-                    Self::issue_or_defer(
-                        &mut self.channels,
-                        &mut slot,
-                        defer,
-                        txn.arrival,
-                        TrafficClass::LineRead,
-                        bytes,
-                    );
                     slot.crypto_done = crypto.issue_pad(txn.arrival);
                     return slot;
                 }
                 let snc = self.snc.as_mut().expect("OTP mode has an SNC");
-                let lookup_at = ports.acquire(snc.shard_of(txn.line_addr), txn.arrival);
+                slot.ready = ports.acquire(snc.shard_of(txn.line_addr), txn.arrival);
                 match snc.query(txn.line_addr) {
                     SncLookup::Hit(_) => {
                         self.stats.otp_fast_reads += 1;
                         slot.path = Path::Fast;
-                        Self::issue_or_defer(
-                            &mut self.channels,
-                            &mut slot,
-                            defer,
-                            lookup_at,
-                            TrafficClass::LineRead,
-                            bytes,
-                        );
-                        slot.crypto_done = crypto.issue_pad(lookup_at);
+                        slot.crypto_done = crypto.issue_pad(slot.ready);
                     }
                     SncLookup::Miss => match snc_cfg.policy {
                         // The line was encrypted directly when it was
@@ -609,14 +526,6 @@ impl SecureBackend {
                         SncPolicy::NoReplacement => {
                             self.stats.xom_reads += 1;
                             slot.path = Path::Direct;
-                            Self::issue_or_defer(
-                                &mut self.channels,
-                                &mut slot,
-                                defer,
-                                lookup_at,
-                                TrafficClass::LineRead,
-                                bytes,
-                            );
                         }
                         // Algorithm 1: fetch the sequence number first
                         // (from the line's own channel); the decrypt and
@@ -624,14 +533,6 @@ impl SecureBackend {
                         SncPolicy::Lru => {
                             self.stats.snc_fetch_reads += 1;
                             slot.path = Path::SeqFetch;
-                            Self::issue_or_defer(
-                                &mut self.channels,
-                                &mut slot,
-                                defer,
-                                lookup_at,
-                                TrafficClass::SeqRead,
-                                bytes,
-                            );
                         }
                     },
                 }
@@ -640,14 +541,48 @@ impl SecureBackend {
         slot
     }
 
-    /// Retires every queued transaction, appending each read's
-    /// completion cycle to `out` in queue order.
-    fn drain_window(&mut self, out: &mut Vec<u64>) {
-        if self.queue.is_empty() {
-            return;
+    /// The issue pass: sends every classified slot's phase-one memory
+    /// access (the sequence-number fetch for `SeqFetch`, the line fetch
+    /// otherwise; merged reads have none) to the fabric at its ready
+    /// cycle — in arrival order under `Fifo`, or under `RowFirst` in
+    /// the fabric's FR-FCFS order (first-ready, row-hit-first,
+    /// oldest-first against the live bank state), so row-mates stream
+    /// out of one activate without idling a bank behind a not-yet-ready
+    /// request.
+    fn issue_fetches(&mut self, slots: &mut [Slot]) {
+        let WindowScratch { fetching, reqs, .. } = &mut self.scratch;
+        fetching.clear();
+        fetching.extend((0..slots.len()).filter(|&i| !matches!(slots[i].path, Path::Alias(_))));
+        let order = match self.config.drain_order {
+            DrainOrder::Fifo => None,
+            DrainOrder::RowFirst => {
+                reqs.clear();
+                reqs.extend(
+                    fetching
+                        .iter()
+                        .map(|&i| (slots[i].ready, slots[i].txn.line_addr)),
+                );
+                Some(self.channels.row_first_order(reqs))
+            }
+        };
+        for k in 0..fetching.len() {
+            let slot = &mut slots[fetching[order.as_ref().map_or(k, |o| o[k])]];
+            let class = match slot.path {
+                Path::SeqFetch => TrafficClass::SeqRead,
+                _ => TrafficClass::LineRead,
+            };
+            slot.fetched = self.channels.demand_read(
+                slot.ready,
+                slot.txn.line_addr,
+                class,
+                self.config.line_bytes,
+            );
         }
-        let mut window = std::mem::take(&mut self.scratch.txns);
-        window.extend(self.queue.drain(..));
+    }
+
+    /// Retires one window of reads (`(arrival, line_addr, kind)` each),
+    /// appending each read's completion cycle to `out` in request order.
+    fn drain_window(&mut self, window: &[(u64, u64, LineKind)], out: &mut Vec<u64>) {
         let mut crypto = CryptoTimeline::new(
             self.crypto_latency(),
             self.config.crypto_pipeline_width,
@@ -656,69 +591,26 @@ impl SecureBackend {
             Some(ports) => ports, // already reset when parked
             None => SncPorts::new(self.config.snc_shards, self.config.snc_port_cycles),
         };
-        let defer = self.config.drain_order == DrainOrder::RowFirst;
         let mut slots = std::mem::take(&mut self.scratch.slots);
 
-        // Phase one: classify in arrival order, issue (Fifo) or
-        // schedule (RowFirst) first accesses, and fully process posted
-        // writebacks.
-        for txn in window.drain(..) {
-            let slot = match txn.op {
-                TxnOp::Writeback => {
-                    self.process_writeback(txn.arrival, txn.line_addr);
-                    Slot::inert(txn, Path::Posted)
+        // Phase one: classify in arrival order. A later miss to a line
+        // already in the window merges into that line's primary miss
+        // (its MSHR entry) instead of fetching it again.
+        for &(at, line_addr, kind) in window {
+            let txn = MemTxn::read(at, line_addr, kind);
+            let primary = slots
+                .iter()
+                .position(|s| s.txn.line_addr == line_addr && !matches!(s.path, Path::Alias(_)));
+            let slot = match primary {
+                Some(p) => {
+                    self.stats.mshr_merged_reads += 1;
+                    Slot::new(txn, Path::Alias(p))
                 }
-                TxnOp::Read(kind) => {
-                    // The newest same-line slot that owns data: a
-                    // primary read miss (later misses merge into its
-                    // MSHR entry) or a posted writeback (the line is
-                    // still on chip in the write buffer — forward it
-                    // instead of re-fetching ciphertext this window
-                    // just encrypted).
-                    let prev = slots.iter().rposition(|s| {
-                        s.txn.line_addr == txn.line_addr
-                            && !matches!(s.path, Path::Alias(_) | Path::WbForward)
-                    });
-                    match prev {
-                        Some(p) if matches!(slots[p].txn.op, TxnOp::Writeback) => {
-                            self.stats.wb_forwarded_reads += 1;
-                            Slot::inert(txn, Path::WbForward)
-                        }
-                        Some(p) => {
-                            self.stats.mshr_merged_reads += 1;
-                            Slot::inert(txn, Path::Alias(p))
-                        }
-                        None => self.classify_read(&txn, kind, &mut crypto, &mut ports, defer),
-                    }
-                }
+                None => self.classify_read(txn, &mut crypto, &mut ports),
             };
             slots.push(slot);
         }
-
-        // Row-first issue pass: release the deferred phase-one accesses
-        // in the fabric's FR-FCFS order — first-ready, row-hit-first,
-        // oldest-first against the live bank state — so row-mates
-        // stream out of one activate without idling a bank behind a
-        // not-yet-ready request.
-        if defer {
-            let pending: Vec<usize> = (0..slots.len())
-                .filter(|&i| slots[i].fetch.is_some())
-                .collect();
-            let reqs: Vec<(u64, u64)> = pending
-                .iter()
-                .map(|&i| {
-                    let (at, _) = slots[i].fetch.expect("pending slot has a fetch");
-                    (at, slots[i].txn.line_addr)
-                })
-                .collect();
-            for k in self.channels.row_first_order(&reqs) {
-                let slot = &mut slots[pending[k]];
-                let (at, class) = slot.fetch.take().expect("pending slot has a fetch");
-                slot.fetched =
-                    self.channels
-                        .demand_read(at, slot.txn.line_addr, class, self.config.line_bytes);
-            }
-        }
+        self.issue_fetches(&mut slots);
 
         // Phase two: sequence-number decrypts claim crypto slots.
         for slot in slots.iter_mut() {
@@ -733,16 +625,10 @@ impl SecureBackend {
             let (path, fetched, crypto_done) =
                 (slots[i].path, slots[i].fetched, slots[i].crypto_done);
             slots[i].done = match path {
-                Path::Posted => 0,
                 Path::Plain => fetched,
                 Path::Fast => fetched.max(crypto_done) + 1,
                 Path::Direct => crypto.issue_block(fetched),
                 Path::Alias(p) => slots[p].done,
-                // The write buffer still holds the line this window
-                // wrote back: one cycle to forward it, no memory or
-                // crypto work (the controller had the plaintext before
-                // it enciphered the writeback).
-                Path::WbForward => slots[i].txn.arrival + 1,
                 Path::SeqFetch => {
                     let seq_ready = crypto_done;
                     let line_fetched = self.channels.demand_read(
@@ -765,17 +651,11 @@ impl SecureBackend {
                 }
             };
         }
-
-        for slot in &slots {
-            if matches!(slot.txn.op, TxnOp::Read(_)) {
-                out.push(slot.done);
-            }
-        }
+        out.extend(slots.iter().map(|slot| slot.done));
 
         // Park the buffers (emptied, ports idled) for the next window.
         slots.clear();
         ports.reset();
-        self.scratch.txns = window;
         self.scratch.slots = slots;
         self.scratch.ports = Some(ports);
     }
@@ -850,67 +730,27 @@ impl SecureBackend {
 }
 
 impl MemoryBackend for SecureBackend {
-    fn line_read(&mut self, now: u64, line_addr: u64, kind: LineKind) -> u64 {
-        self.queue
-            .push_back(MemTxn::read(now, line_addr, kind).with_requestor(self.active_requestor));
-        let mut out = Vec::with_capacity(1);
-        self.drain_window(&mut out);
-        out[0]
-    }
-
-    fn line_read_batch(&mut self, now: u64, reqs: &[(u64, LineKind)]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(reqs.len());
-        for &(line_addr, kind) in reqs {
-            if self.queue.len() >= self.config.max_inflight {
-                self.drain_window(&mut out);
-            }
-            self.queue.push_back(
-                MemTxn::read(now, line_addr, kind).with_requestor(self.active_requestor),
-            );
-        }
-        self.drain_window(&mut out);
-        out
-    }
-
     fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64> {
         let mut out = Vec::with_capacity(reqs.len());
-        for &(at, line_addr, kind) in reqs {
-            if self.queue.len() >= self.config.max_inflight {
-                self.drain_window(&mut out);
-            }
-            self.queue.push_back(
-                MemTxn::read(at, line_addr, kind).with_requestor(self.active_requestor),
-            );
+        for window in reqs.chunks(self.config.max_inflight) {
+            self.drain_window(window, &mut out);
         }
-        self.drain_window(&mut out);
         out
     }
 
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
-        self.queue
-            .push_back(MemTxn::writeback(now, line_addr).with_requestor(self.active_requestor));
-        let mut out = Vec::new();
-        self.drain_window(&mut out);
-        // Writebacks post and drain synchronously, so no later read can
-        // share a window with one through this API — `Path::WbForward`
-        // stays unreachable from the public entry points (see its doc;
-        // the forward logic itself is covered by direct queue injection
-        // in the tests below).
-        debug_assert!(self.queue.is_empty(), "writeback windows drain fully");
+        self.process_writeback(now, line_addr);
     }
 
     fn is_idle(&self, now: u64) -> bool {
-        // Quiescent means the DRAM fabric has gone idle *and* no
-        // transaction still sits in the in-flight queue. Buffered
+        // Quiescent means the DRAM fabric has gone idle. Buffered
         // sequence-number spills (`pending_spills`) are deliberately not
         // counted: they occupy no channel until a full batch packs, so
         // they do not represent overlap an incoming miss could ride.
-        self.queue.is_empty() && self.channels.is_idle(now)
+        self.channels.is_idle(now)
     }
 
     fn drain(&mut self, now: u64) {
-        let mut out = Vec::new();
-        self.drain_window(&mut out);
         self.flush_spills(now);
         // Force residual buffered writebacks out so per-channel
         // LineWrite/SeqWrite counters are exact at window end.
@@ -1251,38 +1091,66 @@ mod tests {
         assert_eq!(b.traffic().get("line_reads"), 2);
     }
 
+    /// Asserts that the trait's provided `line_read_batch` and
+    /// `line_read` give the same cycles and counters as
+    /// `line_read_batch_at` on `stream`, over fresh backends built from
+    /// `cfg` with the even lines of `stream`'s range written.
+    fn assert_provided_reads_match(cfg: &SecureBackendConfig, stream: &[(u64, u64, LineKind)]) {
+        let what = cfg.label();
+        let fresh = || {
+            let mut b = SecureBackend::new(cfg.clone());
+            b.pre_age((0..8u64).map(|i| 0x8000 + i * 256), std::iter::empty());
+            b
+        };
+        let counters = |b: &SecureBackend| {
+            let snc = b.snc().map(|s| s.stats());
+            (b.traffic(), b.controller_stats(), snc)
+        };
+
+        // `line_read_batch`: the stream as one batch arriving at one cycle.
+        let (mut batch, mut batch_at) = (fresh(), fresh());
+        let reqs: Vec<(u64, LineKind)> = stream.iter().map(|&(_, a, k)| (a, k)).collect();
+        let reqs_at: Vec<(u64, u64, LineKind)> = reqs.iter().map(|&(a, k)| (500, a, k)).collect();
+        let dones = batch.line_read_batch(500, &reqs);
+        assert_eq!(dones, batch_at.line_read_batch_at(&reqs_at), "{what}");
+        assert_eq!(counters(&batch), counters(&batch_at), "{what}");
+
+        // `line_read`: the stream one read at a time.
+        let (mut single, mut single_at) = (fresh(), fresh());
+        for &req in stream {
+            let done = single.line_read(req.0, req.1, req.2);
+            assert_eq!(done, single_at.line_read_batch_at(&[req])[0], "{what}");
+        }
+        assert_eq!(counters(&single), counters(&single_at), "{what}");
+    }
+
     #[test]
-    fn same_window_writeback_then_read_forwards_from_the_write_buffer() {
-        // Regression for the same-window aliasing gap: the merge scan
-        // used to match only earlier *read* slots, so a read queued
-        // behind a posted writeback to the same line re-fetched (and
-        // re-decrypted) data the controller had just encrypted. The
-        // public entry points drain writebacks immediately today, so
-        // this drives the queue directly — the shape an adaptive
-        // (idle-triggered) drain will produce once writebacks linger.
-        let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024));
-        b.queue.push_back(MemTxn::writeback(0, 0x8000));
-        b.queue.push_back(MemTxn::read(10, 0x8000, LineKind::Data));
-        b.queue.push_back(MemTxn::read(20, 0x9000, LineKind::Data));
-        let mut out = Vec::new();
-        b.drain_window(&mut out);
-        // The aliased read forwards in one cycle; the unrelated read
-        // still pays its full fast path.
-        assert_eq!(out, vec![11, 20 + 100 + 1]);
-        assert_eq!(b.controller_stats().get("wb_forwarded_reads"), 1);
-        // No memory traffic for the forwarded line: one line fetch
-        // (0x9000) plus the writeback's own (buffered) line write.
-        assert_eq!(b.traffic().get("line_reads"), 1);
-        // A second read behind the forward also forwards rather than
-        // aliasing the forwarded slot.
-        b.queue.push_back(MemTxn::writeback(1_000, 0xa000));
-        b.queue.push_back(MemTxn::read(1_010, 0xa000, LineKind::Data));
-        b.queue.push_back(MemTxn::read(1_020, 0xa000, LineKind::Data));
-        let mut out = Vec::new();
-        b.drain_window(&mut out);
-        assert_eq!(out, vec![1_011, 1_021]);
-        assert_eq!(b.controller_stats().get("wb_forwarded_reads"), 3);
-        assert_eq!(b.controller_stats().get("mshr_merged_reads"), 0);
+    fn provided_reads_match_line_read_batch_at() {
+        use padlock_mem::DrainOrder;
+        // One stream over 16 lines: instruction and data fills, repeats
+        // that merge in windows of 8, half the lines written (clean
+        // bypass vs SNC probe), and a 4-entry SNC that hits and misses.
+        let kinds = [LineKind::Instruction, LineKind::Data, LineKind::Data];
+        let stream: Vec<(u64, u64, LineKind)> = (0..24u64)
+            .map(|i| (i * 7, 0x8000 + (i * 37 % 16) * 128, kinds[i as usize % 3]))
+            .collect();
+        let modes = [
+            SecurityMode::Insecure,
+            SecurityMode::Xom,
+            otp_cfg(SncPolicy::Lru, 4).mode,
+            otp_cfg(SncPolicy::NoReplacement, 4).mode,
+        ];
+        for mode in modes {
+            for inflight in [1, 8] {
+                for order in [DrainOrder::Fifo, DrainOrder::RowFirst] {
+                    let cfg = SecureBackendConfig::paper(mode)
+                        .with_mem_banks(4)
+                        .with_max_inflight(inflight)
+                        .with_drain_order(order);
+                    assert_provided_reads_match(&cfg, &stream);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1376,31 +1244,6 @@ mod tests {
         assert!(d0 > 5000 && d1 > 10_000);
         assert_eq!(b.snc().unwrap().stats().get("query_hits"), 2);
         assert_eq!(b.snc().unwrap().num_shards(), 4);
-    }
-
-    #[test]
-    fn idle_accounts_for_every_compartments_inflight_txns() {
-        // `drain_on_idle` keys on `is_idle`; with several compartments
-        // sharing the backend, a queued transaction from *any*
-        // requestor must keep the fabric non-idle, or one compartment's
-        // adaptive drain would fire under another's in-flight miss.
-        let mut b = SecureBackend::new(otp_cfg(SncPolicy::Lru, 1024).with_max_inflight(8));
-        assert!(b.is_idle(0), "fresh backend is quiescent");
-        b.queue
-            .push_back(MemTxn::read(10, 0x8000, LineKind::Data).with_requestor(0));
-        b.queue
-            .push_back(MemTxn::read(12, (1 << 40) + 0x8000, LineKind::Data).with_requestor(1));
-        assert!(
-            !b.is_idle(u64::MAX),
-            "queued transactions from any compartment must block idle"
-        );
-        let mut out = Vec::new();
-        b.drain_window(&mut out);
-        assert_eq!(out.len(), 2);
-        assert!(
-            b.is_idle(u64::MAX),
-            "after the drain retires every compartment's transactions the fabric is idle"
-        );
     }
 
     #[test]

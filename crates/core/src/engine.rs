@@ -1,9 +1,9 @@
 //! Transaction-engine primitives for the secure memory controller.
 //!
-//! The controller no longer charges each L2 miss in isolation: reads and
-//! writebacks are enqueued as [`MemTxn`] records in a bounded in-flight
-//! queue (MSHR-style) and retired by a drain scheduler that reserves
-//! time on three resources:
+//! The controller does not charge each L2 miss in isolation: a batch of
+//! reads is cut into windows of up to `max_inflight` [`MemTxn`] records
+//! (MSHR-style), and a drain scheduler retires each window against
+//! three resources:
 //!
 //! * the **DRAM fabric** — the persistent per-channel occupancy of the
 //!   [`padlock_mem::ChannelSet`] the seed model already had, plus (when
@@ -16,6 +16,9 @@
 //!   concurrent misses that probe the same shard serialise while misses
 //!   to different shards proceed in parallel.
 //!
+//! Writebacks never enter a window: they are posted straight into the
+//! write buffer, off the read critical path (§3.4).
+//!
 //! Crypto and port timelines are scoped to one drain window: they model
 //! contention *between overlapping transactions*, not state that leaks
 //! across blocking calls. That is what makes the engine collapse to the
@@ -27,61 +30,30 @@
 
 use padlock_cpu::LineKind;
 
-/// What a queued transaction does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnOp {
-    /// An L2 miss fill; the caller waits for the plaintext-ready cycle.
-    Read(LineKind),
-    /// A dirty-victim writeback; posted, nobody waits.
-    Writeback,
-}
-
-/// One in-flight memory transaction (an MSHR entry).
+/// One in-flight read transaction (an MSHR entry): an L2 miss fill the
+/// caller waits on for its plaintext-ready cycle.
 ///
-/// Created by [`crate::SecureBackend`]'s `line_read` /
-/// `line_read_batch` / `line_writeback` entry points and retired by its
-/// drain scheduler.
+/// Built by [`crate::SecureBackend`]'s drain scheduler from each
+/// `(arrival, line_addr, kind)` request of a
+/// `MemoryBackend::line_read_batch_at` window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemTxn {
     /// The L2 line address the transaction concerns.
     pub line_addr: u64,
-    /// Read or writeback.
-    pub op: TxnOp,
-    /// Cycle the request entered the in-flight queue.
+    /// Instruction or data fill.
+    pub kind: LineKind,
+    /// Cycle the miss left L2.
     pub arrival: u64,
-    /// The requestor (compartment/core index) the transaction belongs
-    /// to. Single-core machines leave this at 0; the multi-compartment
-    /// server tags each core's traffic so shared-fabric arbitration
-    /// across compartments stays attributable.
-    pub requestor: u16,
 }
 
 impl MemTxn {
-    /// A read transaction arriving at `arrival` (requestor 0).
+    /// A read transaction arriving at `arrival`.
     pub fn read(arrival: u64, line_addr: u64, kind: LineKind) -> Self {
         Self {
             line_addr,
-            op: TxnOp::Read(kind),
+            kind,
             arrival,
-            requestor: 0,
         }
-    }
-
-    /// A writeback transaction arriving at `arrival` (requestor 0).
-    pub fn writeback(arrival: u64, line_addr: u64) -> Self {
-        Self {
-            line_addr,
-            op: TxnOp::Writeback,
-            arrival,
-            requestor: 0,
-        }
-    }
-
-    /// Tags the transaction with its requestor compartment (builder
-    /// style).
-    pub fn with_requestor(mut self, requestor: u16) -> Self {
-        self.requestor = requestor;
-        self
     }
 }
 
@@ -257,12 +229,8 @@ mod tests {
     #[test]
     fn txn_constructors_record_fields() {
         let r = MemTxn::read(5, 0x4000, LineKind::Data);
-        assert_eq!(r.op, TxnOp::Read(LineKind::Data));
+        assert_eq!(r.kind, LineKind::Data);
         assert_eq!(r.arrival, 5);
-        assert_eq!(r.requestor, 0);
-        let w = MemTxn::writeback(9, 0x8000).with_requestor(3);
-        assert_eq!(w.op, TxnOp::Writeback);
-        assert_eq!(w.line_addr, 0x8000);
-        assert_eq!(w.requestor, 3);
+        assert_eq!(r.line_addr, 0x4000);
     }
 }

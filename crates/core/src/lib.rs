@@ -9,12 +9,14 @@
 //! * [`SecureBackend`] — a [`padlock_cpu::MemoryBackend`] implementing the
 //!   three machines of the paper: the insecure baseline, XOM
 //!   (decrypt-in-series, Fig. 2), and one-time-pad with an SNC (Fig. 4).
-//!   Internally a **transaction engine**: requests become [`MemTxn`]
-//!   records in a bounded in-flight queue (MSHR-style) and a drain
-//!   scheduler retires them against per-resource timelines (DRAM
-//!   channel occupancy, crypto-pipeline issue slots with batched pad
-//!   precomputation, per-shard SNC ports), so batched misses overlap
-//!   their sequence-number fetches and pad generations. With
+//!   Internally a **transaction engine**: a batch of read misses is cut
+//!   into windows of at most `max_inflight` [`MemTxn`] records
+//!   (MSHR-style) and a drain scheduler retires each window against
+//!   per-resource timelines (DRAM channel occupancy, crypto-pipeline
+//!   issue slots with batched pad precomputation, per-shard SNC ports),
+//!   so batched misses overlap their sequence-number fetches and pad
+//!   generations; writebacks are posted straight to the write buffer.
+//!   With
 //!   `max_inflight = 1` and `snc_shards = 1` (the paper defaults) the
 //!   engine reproduces the paper's single-miss latencies bit-exactly —
 //!   the `engine_vs_seed` differential test enforces it;
@@ -64,7 +66,7 @@ pub mod vendor;
 
 pub use config::{SecureBackendConfig, SecurityMode, SeedScheme, SncConfig, SncOrganization, SncPolicy};
 pub use controller::SecureBackend;
-pub use engine::{MemTxn, TxnOp};
+pub use engine::MemTxn;
 pub use machine::{Machine, MachineConfig, Measurement};
 pub use server::{
     CompartmentReport, SecureServer, ServerConfig, ServerMeasurement, ServerSlot,

@@ -130,9 +130,9 @@ impl Machine {
         }
         self.core.reset_stats();
         let stats = self.core.run(workload, measure_ops);
-        // Measurement wrap-up: retire queued transactions and flush the
-        // residual (< one pack) spill buffer so SeqWrite traffic is not
-        // undercounted at window end.
+        // Measurement wrap-up: flush the residual (< one pack) spill
+        // buffer and the buffered writebacks so SeqWrite/LineWrite
+        // traffic is not undercounted at window end.
         let now = self.core.now();
         self.core.hierarchy_mut().backend_mut().drain(now);
         let h = self.core.hierarchy();

@@ -10,9 +10,10 @@
 //!
 //! * each core is a **compartment**: its address stream lives in a
 //!   private stripe selected by the top address bits
-//!   ([`COMPARTMENT_ADDR_BITS`]), its transactions are tagged with its
-//!   requestor id ([`crate::MemTxn::requestor`]), and its register
-//!   file is protected by a per-compartment XOM key
+//!   ([`COMPARTMENT_ADDR_BITS`]), it is the backend's active requestor
+//!   while it steps ([`SecureBackend::set_active_requestor`], so SNC
+//!   entries it evicts from other compartments are charged to it), and
+//!   its register file is protected by a per-compartment XOM key
 //!   ([`crate::compartment::CompartmentManager`]);
 //! * the scheduler steps the unfinished core with the smallest local
 //!   clock (ties to the lowest index), so per-core drain windows
@@ -180,14 +181,6 @@ impl ServerSlot {
 }
 
 impl MemoryBackend for ServerSlot {
-    fn line_read(&mut self, now: u64, line_addr: u64, kind: LineKind) -> u64 {
-        self.get_mut().line_read(now, line_addr, kind)
-    }
-
-    fn line_read_batch(&mut self, now: u64, reqs: &[(u64, LineKind)]) -> Vec<u64> {
-        self.get_mut().line_read_batch(now, reqs)
-    }
-
     fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64> {
         self.get_mut().line_read_batch_at(reqs)
     }
@@ -424,8 +417,8 @@ impl SecureServer {
     }
 
     /// Makes core `c` the owner: captures the previous owner's traffic
-    /// delta, moves the backend into `c`'s slot, and tags subsequent
-    /// transactions with `c`.
+    /// delta, moves the backend into `c`'s slot, and makes `c` the
+    /// backend's active requestor.
     fn install(&mut self, c: usize) {
         if self.attr_owner != Some(c) {
             self.capture_owner_delta();
@@ -555,10 +548,9 @@ impl SecureServer {
         self.per_comp = vec![TrafficTotals::default(); self.config.cores];
         self.context_switches = 0;
         let stats = self.run_phase(workloads, measure_ops);
-        // Measurement wrap-up, as in `Machine::run`: retire queued
-        // transactions and flush residual spill/write buffers so
-        // traffic counters are exact; the tail is attributed to the
-        // last owner.
+        // Measurement wrap-up, as in `Machine::run`: flush residual
+        // spill/write buffers so traffic counters are exact; the tail
+        // is attributed to the last owner.
         let end = self.cores.iter().map(Core::now).max().unwrap_or(0);
         self.backend_mut().drain(end);
         self.capture_owner_delta();

@@ -19,11 +19,8 @@
 //!   with identical pseudorandom read-batch/writeback traces across
 //!   every security mode × SNC policy × channel count × bank count ×
 //!   in-flight depth; every latency and every traffic / controller /
-//!   SNC counter must match. (The public entry points drain a posted
-//!   writeback before any read can queue behind it, so the new
-//!   writeback-forwarding path never fires on seed-reachable traces —
-//!   its semantics are pinned separately by the controller's unit
-//!   tests.)
+//!   SNC counter must match. (The port drains each posted writeback in
+//!   a window of its own; today's controller posts it without one.)
 //! * **machine** — whole `Machine`s prove the knobs collapse on a flat
 //!   fabric: `RowFirst` has no rows to group and `Closed` has no banks
 //!   to precharge at `mem_banks = 1`, so machines differing only in
@@ -31,7 +28,7 @@
 //!   machine with `Closed` (and a banked engine window under
 //!   `RowFirst`) must actually diverge, or the grid proves nothing.
 
-use padlock_core::engine::{CryptoTimeline, MemTxn, SncPorts, TxnOp};
+use padlock_core::engine::{CryptoTimeline, SncPorts};
 use padlock_core::{
     Machine, MachineConfig, SecureBackend, SecureBackendConfig, SecurityMode, SncConfig,
     SncLookup, SncOrganization, SncPolicy, SncShards,
@@ -47,6 +44,39 @@ use std::collections::{BTreeMap, BTreeSet};
 
 fn counters(set: &CounterSet) -> BTreeMap<String, u64> {
     set.iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+// ---- the ported transaction record (reads and writebacks share windows) ----
+
+#[derive(Clone, Copy)]
+enum TxnOp {
+    Read(LineKind),
+    Writeback,
+}
+
+#[derive(Clone, Copy)]
+struct MemTxn {
+    line_addr: u64,
+    op: TxnOp,
+    arrival: u64,
+}
+
+impl MemTxn {
+    fn read(arrival: u64, line_addr: u64, kind: LineKind) -> Self {
+        Self {
+            line_addr,
+            op: TxnOp::Read(kind),
+            arrival,
+        }
+    }
+
+    fn writeback(arrival: u64, line_addr: u64) -> Self {
+        Self {
+            line_addr,
+            op: TxnOp::Writeback,
+            arrival,
+        }
+    }
 }
 
 // ---- layer 1: the PR 4 bank set, ported line for line ----

@@ -37,7 +37,7 @@
 //! across every security mode.
 
 use padlock_cache::{AccessKind, CacheConfig, SetAssocCache};
-use padlock_mem::{ChannelSet, TrafficClass};
+use padlock_mem::TrafficClass;
 use padlock_stats::CounterSet;
 
 pub use padlock_mem::MemoryChannel;
@@ -57,28 +57,30 @@ pub enum LineKind {
 
 /// What sits below the L2 cache.
 ///
-/// `line_read` is called when an L2 miss must be satisfied from memory;
-/// it returns the cycle at which the line's *plaintext* is available to
-/// the processor (for secure modes this includes any decryption that is
-/// on the critical path). `line_writeback` is called when a dirty L2
-/// victim leaves the chip; it is off the critical path.
+/// Every read goes through one method,
+/// [`MemoryBackend::line_read_batch_at`]: it is called when L2 misses
+/// must be satisfied from memory and returns, per miss, the cycle at
+/// which the line's *plaintext* is available to the processor (for
+/// secure modes this includes any decryption that is on the critical
+/// path). `line_read` and `line_read_batch` are defined on it.
+/// `line_writeback` is called when a dirty L2 victim leaves the chip;
+/// it is posted, off the critical path.
 pub trait MemoryBackend {
-    /// Satisfies an L2 read miss; returns the plaintext-available cycle.
-    fn line_read(&mut self, now: u64, line_addr: u64, kind: LineKind) -> u64;
+    /// Satisfies one L2 read miss; returns the plaintext-available
+    /// cycle. A batch of one.
+    fn line_read(&mut self, now: u64, line_addr: u64, kind: LineKind) -> u64 {
+        self.line_read_batch_at(&[(now, line_addr, kind)])[0]
+    }
 
     /// Satisfies many independent L2 read misses issued at `now`,
-    /// returning each request's plaintext-available cycle in order.
-    ///
-    /// This is the memory-level-parallelism surface: backends with an
-    /// in-flight transaction queue overlap the requests' memory and
-    /// crypto work. The default implementation is a compatibility shim
-    /// that serialises through [`MemoryBackend::line_read`], so simple
-    /// backends (and existing single-shot callers) keep working
-    /// unchanged.
+    /// returning each request's plaintext-available cycle in order. A
+    /// batch in which every miss arrives at `now`.
     fn line_read_batch(&mut self, now: u64, reqs: &[(u64, LineKind)]) -> Vec<u64> {
-        reqs.iter()
-            .map(|&(line_addr, kind)| self.line_read(now, line_addr, kind))
-            .collect()
+        let reqs: Vec<(u64, u64, LineKind)> = reqs
+            .iter()
+            .map(|&(line_addr, kind)| (now, line_addr, kind))
+            .collect();
+        self.line_read_batch_at(&reqs)
     }
 
     /// Satisfies many L2 read misses, each with its *own* arrival cycle
@@ -88,23 +90,20 @@ pub trait MemoryBackend {
     /// This is the surface the hierarchy's MSHR file drains through:
     /// misses accumulate while the pipeline runs ahead and are issued
     /// together later, but each transaction's latency is still charged
-    /// from the cycle it originally left L2. The default implementation
-    /// serialises through [`MemoryBackend::line_read`] at each arrival.
-    fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64> {
-        reqs.iter()
-            .map(|&(at, line_addr, kind)| self.line_read(at, line_addr, kind))
-            .collect()
-    }
+    /// from the cycle it originally left L2. Backends with overlapping
+    /// transaction windows overlap the requests' memory and crypto work
+    /// here.
+    fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64>;
 
     /// Accepts a dirty L2 victim for (encryption and) writeback.
     fn line_writeback(&mut self, now: u64, line_addr: u64);
 
     /// Whether the backend's memory fabric is quiescent at `now` — no
-    /// channel bus or bank busy, no transaction queued, no buffered
-    /// writeback awaiting a flush. This is the signal an adaptive MSHR
-    /// drain policy keys on ([`HierarchyConfig::drain_on_idle`]): when
-    /// the fabric is idle, holding a miss back to batch it gains
-    /// nothing, so it may as well issue immediately.
+    /// channel bus or bank busy, no buffered writeback awaiting a
+    /// flush. This is the signal an adaptive MSHR drain policy keys on
+    /// ([`HierarchyConfig::drain_on_idle`]): when the fabric is idle,
+    /// holding a miss back to batch it gains nothing, so it may as well
+    /// issue immediately.
     ///
     /// The default says `true`: a backend with no modelled fabric state
     /// is trivially idle, which degrades drain-on-idle to drain-always
@@ -113,10 +112,9 @@ pub trait MemoryBackend {
         true
     }
 
-    /// Completes deferred background work (queued transactions,
-    /// partially packed spill buffers, buffered writebacks) at
-    /// measurement wrap-up so traffic counters are exact. Default:
-    /// nothing deferred.
+    /// Completes deferred background work (partially packed spill
+    /// buffers, buffered writebacks) at measurement wrap-up so traffic
+    /// counters are exact. Default: nothing deferred.
     fn drain(&mut self, _now: u64) {}
 
     /// Memory traffic statistics (per [`TrafficClass`]), aggregated
@@ -554,174 +552,73 @@ impl<B: MemoryBackend> Hierarchy<B> {
     }
 }
 
-/// The insecure baseline backend: raw DRAM channels, no cryptography.
+/// A raw-DRAM backend with no cryptography: one flat channel of
+/// 128-byte lines, reads issued in request order, writebacks buffered.
 ///
-/// This is the paper's baseline processor against which every slowdown
-/// percentage is computed.
+/// This crate's stand-in below L2, for driving the hierarchy and the
+/// pipeline without the secure controller. The paper's baseline
+/// processor, against which every slowdown percentage is computed, is
+/// `padlock_core`'s `SecureBackend` in `Insecure` mode, which also
+/// carries the channel, bank and drain-order knobs.
 #[derive(Debug, Clone)]
 pub struct InsecureBackend {
-    channels: ChannelSet,
-    line_bytes: u32,
-    mem_latency: u64,
-    occupancy: u64,
-    num_channels: usize,
-    bank_config: padlock_mem::BankConfig,
-    drain_order: padlock_mem::DrainOrder,
+    channel: MemoryChannel,
 }
 
+/// Line size [`InsecureBackend`] accounts its traffic in.
+const INSECURE_LINE_BYTES: u32 = 128;
+
 impl InsecureBackend {
-    /// Creates the baseline backend with the given DRAM latency and
-    /// per-transaction channel occupancy (one flat channel).
+    /// Creates the backend with the given DRAM latency and
+    /// per-transaction channel occupancy.
     pub fn new(mem_latency: u64, occupancy: u64) -> Self {
         Self {
-            channels: ChannelSet::new(1, mem_latency, occupancy, 8, 128),
-            line_bytes: 128,
-            mem_latency,
-            occupancy,
-            num_channels: 1,
-            bank_config: padlock_mem::BankConfig::flat(),
-            drain_order: padlock_mem::DrainOrder::Fifo,
-        }
-    }
-
-    fn rebuild(&mut self) {
-        self.channels = ChannelSet::new(
-            self.num_channels,
-            self.mem_latency,
-            self.occupancy,
-            8,
-            u64::from(self.line_bytes),
-        )
-        .with_banks(self.bank_config);
-    }
-
-    /// Overrides the L2 line size used for traffic accounting and
-    /// channel interleaving.
-    pub fn with_line_bytes(mut self, line_bytes: u32) -> Self {
-        self.line_bytes = line_bytes;
-        self.bank_config.row_bytes = u64::from(line_bytes) * padlock_mem::ROW_LINES;
-        self.rebuild();
-        self
-    }
-
-    /// Spreads traffic over `n` line-interleaved DRAM channels.
-    pub fn with_channels(mut self, n: usize) -> Self {
-        self.num_channels = n;
-        self.rebuild();
-        self
-    }
-
-    /// Adds `n` DRAM banks with row-buffer timing beneath every channel
-    /// (`1` restores the flat uniform-latency model), so the baseline
-    /// machine sees the same memory device physics as the secure ones.
-    /// The page policy set by [`InsecureBackend::with_page_policy`]
-    /// survives.
-    pub fn with_banks(mut self, n: usize) -> Self {
-        let policy = self.bank_config.page_policy;
-        self.bank_config =
-            padlock_mem::BankConfig::banked(n, self.line_bytes).with_page_policy(policy);
-        self.rebuild();
-        self
-    }
-
-    /// Sets the bank page policy (open rows vs auto-precharge), so the
-    /// baseline machine can be swept along the same `--page` axis as
-    /// the secure ones.
-    pub fn with_page_policy(mut self, policy: padlock_mem::PagePolicy) -> Self {
-        self.bank_config.page_policy = policy;
-        self.rebuild();
-        self
-    }
-
-    /// Sets the batch drain order: `RowFirst` issues a batch's reads
-    /// grouped by `(channel, bank, row)` (FR-FCFS style) while still
-    /// returning completions in request order; `Fifo` (the default)
-    /// issues in request order, the seed behaviour.
-    pub fn with_drain_order(mut self, order: padlock_mem::DrainOrder) -> Self {
-        self.drain_order = order;
-        self
-    }
-
-    /// Issues a batch of reads in the configured drain order, returning
-    /// completion cycles in request order.
-    fn issue_batch(&mut self, reqs: &[(u64, u64)]) -> Vec<u64> {
-        match self.drain_order {
-            padlock_mem::DrainOrder::Fifo => reqs
-                .iter()
-                .map(|&(at, addr)| {
-                    self.channels
-                        .demand_read(at, addr, TrafficClass::LineRead, self.line_bytes)
-                })
-                .collect(),
-            padlock_mem::DrainOrder::RowFirst => {
-                let mut out = vec![0u64; reqs.len()];
-                for i in self.channels.row_first_order(reqs) {
-                    let (at, addr) = reqs[i];
-                    out[i] = self
-                        .channels
-                        .demand_read(at, addr, TrafficClass::LineRead, self.line_bytes);
-                }
-                out
-            }
+            channel: MemoryChannel::new(mem_latency, occupancy, 8),
         }
     }
 }
 
 impl MemoryBackend for InsecureBackend {
-    fn line_read(&mut self, now: u64, line_addr: u64, _kind: LineKind) -> u64 {
-        self.channels
-            .demand_read(now, line_addr, TrafficClass::LineRead, self.line_bytes)
-    }
-
-    fn line_read_batch(&mut self, now: u64, reqs: &[(u64, LineKind)]) -> Vec<u64> {
-        // No per-line state below L2: a batch claims occupancy slots on
-        // each line's own channel, in the configured drain order.
-        let reqs: Vec<(u64, u64)> = reqs.iter().map(|&(addr, _)| (now, addr)).collect();
-        self.issue_batch(&reqs)
-    }
-
     fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64> {
-        let reqs: Vec<(u64, u64)> = reqs.iter().map(|&(at, addr, _)| (at, addr)).collect();
-        self.issue_batch(&reqs)
+        // No per-line state below L2: each read claims the channel's
+        // next occupancy slot.
+        reqs.iter()
+            .map(|&(at, line_addr, _)| {
+                self.channel
+                    .demand_read(at, line_addr, TrafficClass::LineRead, INSECURE_LINE_BYTES)
+            })
+            .collect()
     }
 
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
         // No encryption: data is ready immediately.
-        self.channels
-            .enqueue_write(now, now, line_addr, TrafficClass::LineWrite, self.line_bytes);
+        self.channel.enqueue_write(
+            now,
+            now,
+            line_addr,
+            TrafficClass::LineWrite,
+            INSECURE_LINE_BYTES,
+        )
     }
 
     fn is_idle(&self, now: u64) -> bool {
-        self.channels.is_idle(now)
+        self.channel.is_idle(now)
     }
 
     fn drain(&mut self, now: u64) {
-        self.channels.flush_writes(now);
+        self.channel.flush_writes(now);
     }
 
     fn traffic(&self) -> CounterSet {
-        self.channels.stats()
+        self.channel.mem().stats()
     }
 
     fn reset_stats(&mut self) {
-        self.channels.reset_stats();
+        self.channel.reset_stats();
     }
 
     fn label(&self) -> String {
-        let mut label = "baseline".to_string();
-        if self.num_channels > 1 {
-            label.push_str(&format!(" x{}ch", self.num_channels));
-        }
-        if self.bank_config.banks > 1 {
-            label.push_str(&format!(" x{}bk", self.bank_config.banks));
-            if self.bank_config.page_policy == padlock_mem::PagePolicy::Closed {
-                label.push_str("-cp");
-            }
-        }
-        if self.drain_order == padlock_mem::DrainOrder::RowFirst {
-            label.push_str(" frfcfs");
-        }
-        label
+        "baseline".to_string()
     }
 }
 
@@ -741,26 +638,6 @@ mod tests {
             HierarchyConfig::paper_default().with_l2_mshrs(n),
             InsecureBackend::new(100, 8),
         )
-    }
-
-    #[test]
-    fn baseline_backend_supports_banked_dram() {
-        let mut b = InsecureBackend::new(100, 8).with_channels(2).with_banks(4);
-        assert_eq!(b.label(), "baseline x2ch x4bk");
-        // Two reads of the same row on the same channel (lines 0 and 2
-        // both route to channel 0): the second is a row hit.
-        b.line_read(0, 0x0, LineKind::Data);
-        let done = b.line_read(1_000, 0x100, LineKind::Data);
-        assert_eq!(
-            done,
-            1_000 + padlock_mem::DEFAULT_ROW_HIT_CYCLES,
-            "open-row read should cost the hit latency"
-        );
-        assert_eq!(b.traffic().get("row_hits"), 1);
-        // with_banks(1) restores the flat model.
-        let mut flat = InsecureBackend::new(100, 8).with_banks(1);
-        assert_eq!(flat.line_read(0, 0x0, LineKind::Data), 100);
-        assert_eq!(flat.label(), "baseline");
     }
 
     #[test]
@@ -846,60 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn insecure_row_first_batches_group_row_mates() {
-        use padlock_mem::{
-            DrainOrder, ROW_LINES, DEFAULT_ROW_CONFLICT_CYCLES, DEFAULT_ROW_HIT_CYCLES,
-        };
-        let row = 128 * ROW_LINES;
-        // One channel, two banks: rows 0 and 2 share bank 0, and the
-        // arrival order ping-pongs between them.
-        let reqs: Vec<(u64, LineKind)> = [0, 2 * row, 128, 2 * row + 128]
-            .into_iter()
-            .map(|a| (a, LineKind::Data))
-            .collect();
-        let mut fifo = InsecureBackend::new(100, 8).with_banks(2);
-        let mut rowf = InsecureBackend::new(100, 8)
-            .with_banks(2)
-            .with_drain_order(DrainOrder::RowFirst);
-        assert_eq!(rowf.label(), "baseline x2bk frfcfs");
-        let f = fifo.line_read_batch(0, &reqs);
-        let r = rowf.line_read_batch(0, &reqs);
-        assert_eq!(fifo.traffic().get("row_hits"), 0);
-        assert_eq!(rowf.traffic().get("row_hits"), 2);
-        assert_eq!(
-            f.iter().max().unwrap() - r.iter().max().unwrap(),
-            2 * (DEFAULT_ROW_CONFLICT_CYCLES - DEFAULT_ROW_HIT_CYCLES)
-        );
-        // On a flat fabric the reorder degenerates to request order.
-        let mut flat_fifo = InsecureBackend::new(100, 8).with_channels(2);
-        let mut flat_rowf = InsecureBackend::new(100, 8)
-            .with_channels(2)
-            .with_drain_order(DrainOrder::RowFirst);
-        let reqs: Vec<(u64, LineKind)> = (0..12u64)
-            .map(|i| (i % 5 * 128, LineKind::Data))
-            .collect();
-        assert_eq!(
-            flat_fifo.line_read_batch(0, &reqs),
-            flat_rowf.line_read_batch(0, &reqs)
-        );
-    }
-
-    #[test]
-    fn insecure_closed_page_policy_threads_through() {
-        use padlock_mem::{PagePolicy, DEFAULT_ROW_CLOSED_CYCLES};
-        let mut b = InsecureBackend::new(100, 8)
-            .with_page_policy(PagePolicy::Closed)
-            .with_banks(2);
-        assert_eq!(b.label(), "baseline x2bk-cp");
-        // Same-row repeat: still no hit, flat closed-page latency.
-        b.line_read(0, 0x0, LineKind::Data);
-        let done = b.line_read(1_000, 0x100, LineKind::Data);
-        assert_eq!(done, 1_000 + DEFAULT_ROW_CLOSED_CYCLES);
-        assert_eq!(b.traffic().get("row_hits"), 0);
-        assert_eq!(b.traffic().get("row_conflicts"), 2);
-    }
-
-    #[test]
     fn insecure_batch_reads_overlap_on_the_channel() {
         let mut b = InsecureBackend::new(100, 8);
         let reqs: Vec<(u64, LineKind)> =
@@ -907,46 +730,6 @@ mod tests {
         let dones = b.line_read_batch(0, &reqs);
         assert_eq!(dones, vec![100, 108, 116, 124]);
         assert_eq!(b.traffic().get("line_reads"), 4);
-    }
-
-    #[test]
-    fn insecure_channels_spread_batch_reads() {
-        let mut b = InsecureBackend::new(100, 8).with_channels(4);
-        let reqs: Vec<(u64, LineKind)> =
-            (0..4u64).map(|i| (i * 128, LineKind::Data)).collect();
-        // Four lines on four channels: all complete uncontended.
-        assert_eq!(b.line_read_batch(0, &reqs), vec![100, 100, 100, 100]);
-        assert_eq!(b.traffic().get("line_reads"), 4);
-        assert_eq!(b.label(), "baseline x4ch");
-    }
-
-    #[test]
-    fn default_batch_shims_serialise_through_line_read() {
-        // A backend without an engine gets the compatibility shims.
-        #[derive(Debug)]
-        struct Fixed(u64);
-        impl MemoryBackend for Fixed {
-            fn line_read(&mut self, now: u64, _a: u64, _k: LineKind) -> u64 {
-                self.0 += 1;
-                now + 100
-            }
-            fn line_writeback(&mut self, _now: u64, _a: u64) {}
-            fn traffic(&self) -> CounterSet {
-                CounterSet::new("fixed")
-            }
-            fn reset_stats(&mut self) {}
-            fn label(&self) -> String {
-                "fixed".into()
-            }
-        }
-        let mut f = Fixed(0);
-        let dones = f.line_read_batch(7, &[(0, LineKind::Data), (128, LineKind::Data)]);
-        assert_eq!(dones, vec![107, 107]);
-        assert_eq!(f.0, 2);
-        let dones = f.line_read_batch_at(&[(3, 0, LineKind::Data), (9, 128, LineKind::Data)]);
-        assert_eq!(dones, vec![103, 109]);
-        assert_eq!(f.0, 4);
-        f.drain(1_000); // default drain is a no-op
     }
 
     #[test]
@@ -1119,8 +902,8 @@ mod tests {
         #[derive(Debug)]
         struct Fixed;
         impl MemoryBackend for Fixed {
-            fn line_read(&mut self, now: u64, _a: u64, _k: LineKind) -> u64 {
-                now + 100
+            fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64> {
+                reqs.iter().map(|&(at, _, _)| at + 100).collect()
             }
             fn line_writeback(&mut self, _now: u64, _a: u64) {}
             fn traffic(&self) -> CounterSet {

@@ -156,32 +156,6 @@ impl MemoryChannel {
         done
     }
 
-    /// Issues a burst of `count` same-class demand reads of `addr` at
-    /// `now`; returns each read's completion cycle.
-    ///
-    /// The reads claim consecutive occupancy slots ahead of any pending
-    /// writebacks (read-priority scheduling); ready writebacks then
-    /// backfill behind the whole burst. On a banked channel the first
-    /// read of the burst opens the row and the rest stream out of it as
-    /// row hits. A burst of one is exactly [`MemoryChannel::demand_read`].
-    pub fn demand_read_burst(
-        &mut self,
-        now: u64,
-        addr: u64,
-        class: TrafficClass,
-        bytes: u32,
-        count: usize,
-    ) -> Vec<u64> {
-        let done = match &self.banks {
-            None => self.mem.read_burst(now, class, bytes, count),
-            Some(_) => (0..count)
-                .map(|_| self.issue_read(now, addr, class, bytes))
-                .collect(),
-        };
-        self.drain_ready(now);
-        done
-    }
-
     /// Issues a demand (blocking) write of `addr`, e.g. a forced
     /// sequence-number spill; returns the channel-release cycle.
     pub fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
@@ -479,20 +453,6 @@ impl ChannelSet {
         self.channels[ch].demand_read(now, addr, class, bytes)
     }
 
-    /// Issues a burst of `count` same-class demand reads of `addr` on
-    /// its channel; returns each read's completion cycle.
-    pub fn demand_read_burst(
-        &mut self,
-        now: u64,
-        addr: u64,
-        class: TrafficClass,
-        bytes: u32,
-        count: usize,
-    ) -> Vec<u64> {
-        let ch = self.channel_of(addr);
-        self.channels[ch].demand_read_burst(now, addr, class, bytes, count)
-    }
-
     /// Issues a demand (blocking) write on `addr`'s channel; returns
     /// the channel-release cycle.
     pub fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
@@ -561,16 +521,6 @@ mod tests {
         assert_eq!(done, 192);
         let next = ch.demand_read(92, 0x100, TrafficClass::LineRead, 128);
         assert!(next > 200, "second read queues behind the drained write");
-    }
-
-    #[test]
-    fn read_burst_claims_slots_ahead_of_ready_writes() {
-        let mut ch = MemoryChannel::new(100, 8, 8);
-        ch.enqueue_write(0, 50, 0x80, TrafficClass::LineWrite, 128);
-        let dones = ch.demand_read_burst(60, 0x100, TrafficClass::LineRead, 128, 3);
-        assert_eq!(dones, vec![160, 168, 176]);
-        // The ready write backfilled behind the burst.
-        assert_eq!(ch.mem().stats().get("line_writes"), 1);
     }
 
     #[test]

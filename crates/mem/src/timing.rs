@@ -316,24 +316,6 @@ impl MemTimingModel {
         }
     }
 
-    /// Issues `count` back-to-back reads wanted at `now`; returns each
-    /// read's completion cycle.
-    ///
-    /// The burst claims consecutive occupancy slots, so the i-th read
-    /// completes `i * occupancy` cycles after the first — the
-    /// multi-request scheduling a transaction engine leans on: with
-    /// `occupancy` far below `access_latency`, a burst's reads overlap
-    /// almost entirely instead of serialising their full latencies.
-    pub fn read_burst(
-        &mut self,
-        now: u64,
-        class: TrafficClass,
-        bytes: u32,
-        count: usize,
-    ) -> Vec<u64> {
-        (0..count).map(|_| self.read(now, class, bytes)).collect()
-    }
-
     /// Issues a write at `now`; returns the cycle the channel is released
     /// (writes are posted — no one waits for DRAM commit).
     pub fn write(&mut self, now: u64, class: TrafficClass, bytes: u32) -> u64 {
@@ -345,20 +327,6 @@ impl MemTimingModel {
 
     fn record(&mut self, class: TrafficClass, bytes: u32) {
         self.stats.record(class, bytes);
-    }
-
-    /// Total demand transactions (line reads + writes), the denominator of
-    /// the paper's Fig. 9.
-    pub fn line_transactions(&self) -> u64 {
-        self.stats.counts[TrafficClass::LineRead as usize]
-            + self.stats.counts[TrafficClass::LineWrite as usize]
-    }
-
-    /// Total SNC-induced transactions (sequence-number reads + spills),
-    /// the numerator of the paper's Fig. 9.
-    pub fn seq_transactions(&self) -> u64 {
-        self.stats.counts[TrafficClass::SeqRead as usize]
-            + self.stats.counts[TrafficClass::SeqWrite as usize]
     }
 }
 
@@ -385,20 +353,6 @@ mod tests {
         // Second read queues behind the first transfer slot.
         assert_eq!(m.read(0, TrafficClass::LineRead, 128), 108);
         assert_eq!(m.read(0, TrafficClass::LineRead, 128), 116);
-    }
-
-    #[test]
-    fn read_burst_overlaps_latencies_on_occupancy_slots() {
-        let mut m = MemTimingModel::new(100, 8);
-        let dones = m.read_burst(0, TrafficClass::LineRead, 128, 4);
-        assert_eq!(dones, vec![100, 108, 116, 124]);
-        assert_eq!(m.stats().get("line_reads"), 4);
-        // A burst of one behaves exactly like a single read.
-        let mut single = MemTimingModel::new(100, 8);
-        assert_eq!(
-            single.read_burst(5, TrafficClass::SeqRead, 128, 1),
-            vec![105]
-        );
     }
 
     #[test]
@@ -429,8 +383,6 @@ mod tests {
         assert_eq!(m.stats().get("seq_reads"), 1);
         assert_eq!(m.stats().get("seq_writes"), 1);
         assert_eq!(m.stats().get("seq_write_bytes"), 2);
-        assert_eq!(m.line_transactions(), 2);
-        assert_eq!(m.seq_transactions(), 2);
         assert_eq!(m.stats().get("transactions"), 4);
     }
 
