@@ -361,9 +361,7 @@ fn parse_args() -> Args {
 
 fn calibrate(lab: &mut Lab) {
     println!("bench     cpi    l2miss/ki  wb/ki   mispred%");
-    for b in [
-        "ammp", "art", "bzip2", "equake", "gcc", "gzip", "mcf", "mesa", "parser", "vortex", "vpr",
-    ] {
+    for b in padlock_bench::ORDER {
         let m = lab.measure(b, MachineKind::Baseline);
         let ki = m.stats.instructions as f64 / 1000.0;
         println!(
@@ -380,9 +378,7 @@ fn calibrate(lab: &mut Lab) {
 fn snc_diag(lab: &mut Lab, kind: MachineKind) {
     println!("\nSNC diagnostics for {kind}:");
     println!("bench     qhit/ki  qmiss/ki  uhit/ki  umiss/ki  inst/ki  spill/ki");
-    for b in [
-        "ammp", "art", "bzip2", "equake", "gcc", "gzip", "mcf", "mesa", "parser", "vortex", "vpr",
-    ] {
+    for b in padlock_bench::ORDER {
         let m = lab.measure(b, kind);
         let ki = m.stats.instructions as f64 / 1000.0;
         let g = |k: &str| m.snc.get(k) as f64 / ki;

@@ -1,33 +1,6 @@
-//! Cache geometry and policy configuration.
+//! Cache geometry configuration.
 
-use std::fmt;
-
-/// Replacement policy for a set-associative cache.
-///
-/// The paper uses LRU everywhere (and argues for it over no-replacement in
-/// the SNC, §4.1); FIFO and Random exist for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// Least recently used (paper default).
-    #[default]
-    Lru,
-    /// First in, first out.
-    Fifo,
-    /// Pseudo-random (xorshift; deterministic per cache instance).
-    Random,
-}
-
-impl fmt::Display for ReplacementPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ReplacementPolicy::Lru => "LRU",
-            ReplacementPolicy::Fifo => "FIFO",
-            ReplacementPolicy::Random => "Random",
-        })
-    }
-}
-
-/// Geometry and policy of one cache.
+/// Geometry of one LRU cache.
 ///
 /// # Examples
 ///
@@ -45,11 +18,10 @@ pub struct CacheConfig {
     size_bytes: usize,
     line_bytes: usize,
     ways: usize,
-    policy: ReplacementPolicy,
 }
 
 impl CacheConfig {
-    /// Creates a configuration with LRU replacement.
+    /// Creates a configuration.
     ///
     /// # Panics
     ///
@@ -76,14 +48,7 @@ impl CacheConfig {
             size_bytes,
             line_bytes,
             ways,
-            policy: ReplacementPolicy::Lru,
         }
-    }
-
-    /// Sets the replacement policy (builder style).
-    pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// The cache's name (used in stats output).
@@ -104,11 +69,6 @@ impl CacheConfig {
     /// Associativity.
     pub fn ways(&self) -> usize {
         self.ways
-    }
-
-    /// Replacement policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Number of sets.
@@ -142,7 +102,6 @@ mod tests {
         assert_eq!(l2.num_sets(), 512);
         assert_eq!(l2.num_lines(), 2048);
         assert_eq!(l2.ways(), 4);
-        assert_eq!(l2.policy(), ReplacementPolicy::Lru);
     }
 
     #[test]
@@ -167,12 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_policy() {
-        let c = CacheConfig::new("c", 1024, 64, 2).with_policy(ReplacementPolicy::Fifo);
-        assert_eq!(c.policy(), ReplacementPolicy::Fifo);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_line_rejected() {
         let _ = CacheConfig::new("bad", 1024, 48, 2);
@@ -182,12 +135,5 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn zero_ways_rejected() {
         let _ = CacheConfig::new("bad", 1024, 64, 0);
-    }
-
-    #[test]
-    fn policy_display() {
-        assert_eq!(ReplacementPolicy::Lru.to_string(), "LRU");
-        assert_eq!(ReplacementPolicy::Fifo.to_string(), "FIFO");
-        assert_eq!(ReplacementPolicy::Random.to_string(), "Random");
     }
 }

@@ -1,4 +1,5 @@
-//! A fully associative LRU cache with O(1) lookup/insert/evict.
+//! A fully associative LRU cache with O(log n) lookup/insert and O(1)
+//! recency updates and eviction.
 //!
 //! The paper's default SNC is fully associative (§4: "To remove conflict
 //! misses as much as possible, a fully associative cache is desired").
@@ -6,8 +7,6 @@
 //! this implementation pairs an ordered key map with an intrusive doubly
 //! linked list over a slab of nodes.
 
-use crate::stats::CacheStats;
-use padlock_stats::CounterSet;
 use std::collections::BTreeMap;
 
 const NIL: usize = usize::MAX;
@@ -16,38 +15,26 @@ const NIL: usize = usize::MAX;
 struct Node<T> {
     key: u64,
     payload: T,
-    dirty: bool,
     prev: usize,
     next: usize,
-}
-
-/// An entry evicted from a [`FullAssocCache`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FullAssocEvicted<T> {
-    /// The evicted key (line address).
-    pub addr: u64,
-    /// Whether the entry was dirty.
-    pub dirty: bool,
-    /// The evicted payload.
-    pub payload: T,
 }
 
 /// A key-addressed, fixed-capacity, fully associative LRU cache.
 ///
 /// Keys are line addresses (any `u64`); the caller performs line
-/// alignment. Eviction returns the least recently used entry.
+/// alignment. Eviction returns the least recently used `(key, payload)`.
 ///
 /// # Examples
 ///
 /// ```
 /// use padlock_cache::FullAssocCache;
 ///
-/// let mut snc = FullAssocCache::new("SNC", 2);
-/// snc.insert(0x000, 1u16, false);
-/// snc.insert(0x080, 2u16, false);
+/// let mut snc = FullAssocCache::new(2);
+/// snc.insert(0x000, 1u16);
+/// snc.insert(0x080, 2u16);
 /// snc.get(0x000); // refresh
-/// let victim = snc.insert(0x100, 3u16, false).expect("capacity exceeded");
-/// assert_eq!(victim.addr, 0x080);
+/// let victim = snc.insert(0x100, 3u16).expect("capacity exceeded");
+/// assert_eq!(victim, (0x080, 2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FullAssocCache<T> {
@@ -62,8 +49,6 @@ pub struct FullAssocCache<T> {
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
-    name: String,
-    stats: CacheStats,
 }
 
 impl<T> FullAssocCache<T> {
@@ -72,7 +57,7 @@ impl<T> FullAssocCache<T> {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(name: impl Into<String>, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self {
             capacity,
@@ -81,14 +66,7 @@ impl<T> FullAssocCache<T> {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            name: name.into(),
-            stats: CacheStats::default(),
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -104,24 +82,6 @@ impl<T> FullAssocCache<T> {
     /// Whether the cache is at capacity.
     pub fn is_full(&self) -> bool {
         self.map.len() == self.capacity
-    }
-
-    /// Accumulated statistics rendered as a counter set: `hits`,
-    /// `misses`, `evictions`, `writebacks`. The hot path bumps the
-    /// fixed-slot [`CacheStats`] fields; this snapshot is built on
-    /// demand.
-    pub fn stats(&self) -> CounterSet {
-        self.stats.to_counters(&self.name)
-    }
-
-    /// The fixed-slot statistics fields themselves.
-    pub fn raw_stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Resets statistics, keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     fn node(&self, idx: usize) -> &Node<T> {
@@ -165,49 +125,24 @@ impl<T> FullAssocCache<T> {
         }
     }
 
-    /// Looks up `key`, refreshing its recency. Counts a hit or miss.
+    /// Looks up `key`, refreshing its recency.
     pub fn get(&mut self, key: u64) -> Option<&mut T> {
-        match self.map.get(&key).copied() {
-            Some(idx) => {
-                self.stats.hits += 1;
-                self.detach(idx);
-                self.push_front(idx);
-                Some(&mut self.node_mut(idx).payload)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let idx = self.map.get(&key).copied()?;
+        self.detach(idx);
+        self.push_front(idx);
+        Some(&mut self.node_mut(idx).payload)
     }
 
-    /// Looks up `key` without touching recency or stats.
-    pub fn peek(&self, key: u64) -> Option<&T> {
-        self.map.get(&key).map(|&idx| &self.node(idx).payload)
-    }
-
-    /// Whether `key` is resident (no recency/stats side effects).
+    /// Whether `key` is resident (no recency side effects).
     pub fn contains(&self, key: u64) -> bool {
         self.map.contains_key(&key)
     }
 
-    /// Marks `key` dirty if resident; returns whether it was found.
-    pub fn mark_dirty(&mut self, key: u64) -> bool {
-        if let Some(&idx) = self.map.get(&key) {
-            self.node_mut(idx).dirty = true;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Inserts or updates `key`, returning the evicted LRU entry when the
     /// cache was full and `key` was absent.
-    pub fn insert(&mut self, key: u64, payload: T, dirty: bool) -> Option<FullAssocEvicted<T>> {
+    pub fn insert(&mut self, key: u64, payload: T) -> Option<(u64, T)> {
         if let Some(&idx) = self.map.get(&key) {
-            let n = self.node_mut(idx);
-            n.payload = payload;
-            n.dirty |= dirty;
+            self.node_mut(idx).payload = payload;
             self.detach(idx);
             self.push_front(idx);
             return None;
@@ -219,7 +154,6 @@ impl<T> FullAssocCache<T> {
         let node = Node {
             key,
             payload,
-            dirty,
             prev: NIL,
             next: NIL,
         };
@@ -239,67 +173,26 @@ impl<T> FullAssocCache<T> {
     }
 
     /// Evicts the least recently used entry, if any.
-    pub fn evict_lru(&mut self) -> Option<FullAssocEvicted<T>> {
+    fn evict_lru(&mut self) -> Option<(u64, T)> {
         if self.tail == NIL {
             return None;
         }
-        let key = self.node(self.tail).key;
-        self.remove(key)
-    }
-
-    /// Removes `key`, returning its entry.
-    pub fn remove(&mut self, key: u64) -> Option<FullAssocEvicted<T>> {
-        let idx = self.map.remove(&key)?;
+        let idx = self.tail;
         self.detach(idx);
         let node = self.nodes[idx].take().expect("live node");
+        self.map.remove(&node.key);
         self.free.push(idx);
-        self.stats.evictions += 1;
-        if node.dirty {
-            self.stats.writebacks += 1;
-        }
-        Some(FullAssocEvicted {
-            addr: node.key,
-            dirty: node.dirty,
-            payload: node.payload,
-        })
+        Some((node.key, node.payload))
     }
 
     /// Evicts everything, returning entries in LRU-to-MRU order
     /// (models the context-switch SNC flush of the paper's §4.3).
-    pub fn flush(&mut self) -> Vec<FullAssocEvicted<T>> {
+    pub fn flush(&mut self) -> Vec<(u64, T)> {
         let mut out = Vec::with_capacity(self.len());
         while let Some(entry) = self.evict_lru() {
             out.push(entry);
         }
         out
-    }
-
-    /// Iterates over `(key, payload)` pairs in MRU-to-LRU order.
-    pub fn iter(&self) -> FullAssocIter<'_, T> {
-        FullAssocIter {
-            cache: self,
-            cursor: self.head,
-        }
-    }
-}
-
-/// Iterator over a [`FullAssocCache`] in MRU-to-LRU order.
-#[derive(Debug)]
-pub struct FullAssocIter<'a, T> {
-    cache: &'a FullAssocCache<T>,
-    cursor: usize,
-}
-
-impl<'a, T> Iterator for FullAssocIter<'a, T> {
-    type Item = (u64, &'a T);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let node = self.cache.node(self.cursor);
-        self.cursor = node.next;
-        Some((node.key, &node.payload))
     }
 }
 
@@ -309,62 +202,41 @@ mod tests {
 
     #[test]
     fn insert_then_get_hits() {
-        let mut c = FullAssocCache::new("snc", 4);
-        c.insert(1, "a", false);
+        let mut c = FullAssocCache::new(4);
+        c.insert(1, "a");
         assert_eq!(c.get(1), Some(&mut "a"));
-        assert_eq!(c.stats().get("hits"), 1);
         assert_eq!(c.get(2), None);
-        assert_eq!(c.stats().get("misses"), 1);
     }
 
     #[test]
     fn lru_order_is_respected() {
-        let mut c = FullAssocCache::new("snc", 3);
-        c.insert(1, (), false);
-        c.insert(2, (), false);
-        c.insert(3, (), false);
+        let mut c = FullAssocCache::new(3);
+        c.insert(1, ());
+        c.insert(2, ());
+        c.insert(3, ());
         c.get(1); // order now (MRU) 1,3,2 (LRU)
-        let v = c.insert(4, (), false).expect("eviction");
-        assert_eq!(v.addr, 2);
-        let v = c.insert(5, (), false).expect("eviction");
-        assert_eq!(v.addr, 3);
+        let v = c.insert(4, ()).expect("eviction");
+        assert_eq!(v.0, 2);
+        let v = c.insert(5, ()).expect("eviction");
+        assert_eq!(v.0, 3);
     }
 
     #[test]
     fn reinsert_refreshes_without_eviction() {
-        let mut c = FullAssocCache::new("snc", 2);
-        c.insert(1, 10u32, false);
-        c.insert(2, 20, false);
-        assert!(c.insert(1, 11, false).is_none()); // update, refresh
-        let v = c.insert(3, 30, false).expect("eviction");
-        assert_eq!(v.addr, 2);
-        assert_eq!(c.peek(1), Some(&11));
-    }
-
-    #[test]
-    fn dirty_entries_report_writebacks() {
-        let mut c = FullAssocCache::new("snc", 1);
-        c.insert(1, (), true);
-        let v = c.insert(2, (), false).expect("eviction");
-        assert!(v.dirty);
-        assert_eq!(c.stats().get("writebacks"), 1);
-    }
-
-    #[test]
-    fn mark_dirty_after_insert() {
-        let mut c = FullAssocCache::new("snc", 2);
-        c.insert(1, (), false);
-        assert!(c.mark_dirty(1));
-        assert!(!c.mark_dirty(9));
-        let v = c.remove(1).unwrap();
-        assert!(v.dirty);
+        let mut c = FullAssocCache::new(2);
+        c.insert(1, 10u32);
+        c.insert(2, 20);
+        assert!(c.insert(1, 11).is_none()); // update, refresh
+        let v = c.insert(3, 30).expect("eviction");
+        assert_eq!(v, (2, 20));
+        assert_eq!(c.get(1), Some(&mut 11));
     }
 
     #[test]
     fn capacity_is_never_exceeded() {
-        let mut c = FullAssocCache::new("snc", 8);
+        let mut c = FullAssocCache::new(8);
         for k in 0..100u64 {
-            c.insert(k, k, false);
+            c.insert(k, k);
             assert!(c.len() <= 8);
         }
         assert!(c.is_full());
@@ -376,59 +248,40 @@ mod tests {
 
     #[test]
     fn remove_frees_slots_for_reuse() {
-        let mut c = FullAssocCache::new("snc", 2);
-        c.insert(1, "x", false);
-        assert_eq!(c.remove(1).unwrap().payload, "x");
+        let mut c = FullAssocCache::new(2);
+        c.insert(1, "x");
+        assert_eq!(c.evict_lru(), Some((1, "x")));
         assert!(c.is_empty());
-        c.insert(2, "y", false);
-        c.insert(3, "z", false);
+        assert_eq!(c.evict_lru(), None);
+        c.insert(2, "y");
+        c.insert(3, "z");
         assert_eq!(c.len(), 2);
-        assert!(c.remove(99).is_none());
+        assert_eq!(c.nodes.len(), 2, "the freed slot was reused");
     }
 
     #[test]
     fn flush_drains_in_lru_order() {
-        let mut c = FullAssocCache::new("snc", 3);
-        c.insert(1, (), false);
-        c.insert(2, (), true);
-        c.insert(3, (), false);
+        let mut c = FullAssocCache::new(3);
+        c.insert(1, ());
+        c.insert(2, ());
+        c.insert(3, ());
         c.get(1);
         let drained = c.flush();
-        let keys: Vec<u64> = drained.iter().map(|e| e.addr).collect();
+        let keys: Vec<u64> = drained.iter().map(|e| e.0).collect();
         assert_eq!(keys, vec![2, 3, 1]);
         assert!(c.is_empty());
     }
 
     #[test]
-    fn iter_walks_mru_to_lru() {
-        let mut c = FullAssocCache::new("snc", 3);
-        c.insert(1, 'a', false);
-        c.insert(2, 'b', false);
-        c.insert(3, 'c', false);
-        let keys: Vec<u64> = c.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn peek_does_not_disturb_lru() {
-        let mut c = FullAssocCache::new("snc", 2);
-        c.insert(1, (), false);
-        c.insert(2, (), false);
-        c.peek(1);
-        let v = c.insert(3, (), false).expect("eviction");
-        assert_eq!(v.addr, 1, "peek must not refresh recency");
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
-        let _: FullAssocCache<()> = FullAssocCache::new("bad", 0);
+        let _: FullAssocCache<()> = FullAssocCache::new(0);
     }
 
     #[test]
     fn stress_random_ops_maintain_invariants() {
         // Cross-check against a naive model: map + recency Vec.
-        let mut c = FullAssocCache::new("snc", 16);
+        let mut c = FullAssocCache::new(16);
         let mut model: Vec<(u64, u32)> = Vec::new(); // MRU at end
         let mut state = 0x1234_5678u64;
         let mut rnd = || {
@@ -442,13 +295,13 @@ mod tests {
             match rnd() % 3 {
                 0 => {
                     let val = (rnd() % 1000) as u32;
-                    let evicted = c.insert(key, val, false);
+                    let evicted = c.insert(key, val);
                     if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
                         model.remove(pos);
                         assert!(evicted.is_none());
                     } else if model.len() == 16 {
                         let lru = model.remove(0);
-                        assert_eq!(evicted.expect("model evicts").addr, lru.0);
+                        assert_eq!(evicted.expect("model evicts"), lru);
                     } else {
                         assert!(evicted.is_none());
                     }
@@ -468,19 +321,13 @@ mod tests {
                     }
                 }
                 _ => {
-                    let got = c.remove(key).map(|e| e.payload);
-                    let expect = model.iter().position(|(k, _)| *k == key);
-                    match (got, expect) {
-                        (Some(v), Some(pos)) => {
-                            assert_eq!(v, model[pos].1);
-                            model.remove(pos);
-                        }
-                        (None, None) => {}
-                        other => panic!("divergence: {other:?}"),
-                    }
+                    let expect = model.iter().any(|(k, _)| *k == key);
+                    assert_eq!(c.contains(key), expect, "contains {key}");
                 }
             }
             assert_eq!(c.len(), model.len());
         }
+        // Flush empties in LRU-to-MRU order, which the model keeps.
+        assert_eq!(c.flush(), model);
     }
 }

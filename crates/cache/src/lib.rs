@@ -1,13 +1,14 @@
 //! Cache timing models for the `padlock` secure-processor simulator.
 //!
-//! Provides the set-associative cache used for L1I/L1D/L2 (and the 32-way
-//! SNC of the paper's Fig. 7), a hash-map-backed fully associative LRU
-//! cache (the paper's default SNC organisation), and the write buffer that
-//! sits between L2 and memory (Fig. 2/4).
+//! Provides the set-associative LRU cache used for L1I/L1D/L2 (and the
+//! 32-way SNC of the paper's Fig. 7), an ordered-map-backed fully
+//! associative LRU cache (the paper's default SNC organisation), and the
+//! write buffer that sits between L2 and memory (Fig. 2/4).
 //!
-//! These are *timing* models: they track presence, recency, and dirtiness
-//! of line addresses plus an arbitrary per-line payload, not data contents
-//! (functional data lives in `padlock-mem`).
+//! These are *timing* models: they track presence and recency of line
+//! addresses (plus dirtiness in the set-associative cache) and an
+//! arbitrary per-line payload, not data contents (functional data lives
+//! in `padlock-mem`).
 //!
 //! # Examples
 //!
@@ -28,8 +29,7 @@ mod setassoc;
 mod stats;
 mod write_buffer;
 
-pub use config::{CacheConfig, ReplacementPolicy};
+pub use config::CacheConfig;
 pub use fullassoc::FullAssocCache;
 pub use setassoc::{AccessKind, AccessOutcome, Evicted, SetAssocCache};
-pub use stats::CacheStats;
 pub use write_buffer::{WriteBuffer, WriteBufferEntry};

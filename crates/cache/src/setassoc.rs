@@ -1,6 +1,6 @@
 //! The set-associative cache timing model.
 
-use crate::config::{CacheConfig, ReplacementPolicy};
+use crate::config::CacheConfig;
 use crate::stats::CacheStats;
 use padlock_stats::CounterSet;
 
@@ -39,15 +39,14 @@ struct Line<T> {
     /// Line-aligned base address (stores the whole address, not just the
     /// tag, so victims can be reported without reconstructing bits).
     addr: u64,
-    valid: bool,
     dirty: bool,
-    /// Recency stamp (LRU) or insertion stamp (FIFO).
+    /// Recency stamp: the clock value of the line's last touch.
     stamp: u64,
     payload: T,
 }
 
-/// A set-associative, write-back, write-allocate cache with a per-line
-/// payload.
+/// A set-associative, write-back, write-allocate LRU cache with a
+/// per-line payload.
 ///
 /// `T` is arbitrary metadata carried with each line: `()` for the CPU
 /// caches, the stored virtual address for the L2 (paper §4: the L2 keeps
@@ -70,7 +69,6 @@ pub struct SetAssocCache<T> {
     config: CacheConfig,
     sets: Vec<Vec<Line<T>>>,
     clock: u64,
-    rng_state: u64,
     stats: CacheStats,
 }
 
@@ -82,7 +80,6 @@ impl<T: Default> SetAssocCache<T> {
             config,
             sets,
             clock: 0,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
             stats: CacheStats::default(),
         }
     }
@@ -92,67 +89,12 @@ impl<T: Default> SetAssocCache<T> {
     /// Returns whether the access hit and, on miss, any victim that was
     /// evicted to make room.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome<T> {
-        self.access_with(addr, kind, T::default)
-    }
-}
-
-impl<T> SetAssocCache<T> {
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// Accumulated statistics rendered as a counter set: `hits`,
-    /// `misses`, `evictions`, `writebacks`. The hot path bumps the
-    /// fixed-slot [`CacheStats`] fields; this snapshot is built on
-    /// demand (see [`SetAssocCache::raw_stats`] for the fields).
-    pub fn stats(&self) -> CounterSet {
-        self.stats.to_counters(self.config.name())
-    }
-
-    /// The fixed-slot statistics fields themselves.
-    pub fn raw_stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    /// Resets statistics (e.g. after warm-up), keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    fn xorshift(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
-    }
-
-    /// Accesses `addr`, allocating on miss with `make_payload`.
-    pub fn access_with(
-        &mut self,
-        addr: u64,
-        kind: AccessKind,
-        make_payload: impl FnOnce() -> T,
-    ) -> AccessOutcome<T> {
         let line_addr = self.config.line_addr(addr);
         let set_idx = self.config.set_index(addr);
         let stamp = self.tick();
-        let update_on_hit = self.config.policy() == ReplacementPolicy::Lru;
 
-        if let Some(line) = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.valid && l.addr == line_addr)
-        {
-            if update_on_hit {
-                line.stamp = stamp;
-            }
+        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.addr == line_addr) {
+            line.stamp = stamp;
             if kind == AccessKind::Write {
                 line.dirty = true;
             }
@@ -166,31 +108,51 @@ impl<T> SetAssocCache<T> {
         self.stats.misses += 1;
         let new_line = Line {
             addr: line_addr,
-            valid: true,
             dirty: kind == AccessKind::Write,
             stamp,
-            payload: make_payload(),
+            payload: T::default(),
         };
         let victim = self.install(set_idx, new_line);
         AccessOutcome { hit: false, victim }
     }
+}
+
+impl<T> SetAssocCache<T> {
+    /// The cache's configuration.
+    pub fn config(&self) -> &CacheConfig {
+        &self.config
+    }
+
+    /// Accumulated statistics rendered as a counter set: `hits`,
+    /// `misses`, `evictions`, `writebacks`. The hot path bumps the
+    /// fixed-slot `CacheStats` fields; this snapshot is built on
+    /// demand.
+    pub fn stats(&self) -> CounterSet {
+        self.stats.to_counters(self.config.name())
+    }
+
+    /// Resets statistics (e.g. after warm-up), keeping contents.
+    pub fn reset_stats(&mut self) {
+        self.stats.reset();
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
 
     /// Installs a line into its set, returning any evicted victim.
     fn install(&mut self, set_idx: usize, line: Line<T>) -> Option<Evicted<T>> {
-        let ways = self.config.ways();
-        if self.sets[set_idx].len() < ways {
+        if self.sets[set_idx].len() < self.config.ways() {
             self.sets[set_idx].push(line);
             return None;
         }
-        let victim_idx = match self.config.policy() {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.sets[set_idx]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.stamp)
-                .map(|(i, _)| i)
-                .expect("set is full"),
-            ReplacementPolicy::Random => (self.xorshift() % ways as u64) as usize,
-        };
+        let victim_idx = self.sets[set_idx]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.stamp)
+            .map(|(i, _)| i)
+            .expect("set is full");
         let old = std::mem::replace(&mut self.sets[set_idx][victim_idx], line);
         self.stats.evictions += 1;
         if old.dirty {
@@ -209,7 +171,7 @@ impl<T> SetAssocCache<T> {
         let set_idx = self.config.set_index(addr);
         self.sets[set_idx]
             .iter()
-            .find(|l| l.valid && l.addr == line_addr)
+            .find(|l| l.addr == line_addr)
             .map(|l| &l.payload)
     }
 
@@ -218,14 +180,11 @@ impl<T> SetAssocCache<T> {
         let line_addr = self.config.line_addr(addr);
         let set_idx = self.config.set_index(addr);
         let stamp = self.tick();
-        let update = self.config.policy() == ReplacementPolicy::Lru;
         self.sets[set_idx]
             .iter_mut()
-            .find(|l| l.valid && l.addr == line_addr)
+            .find(|l| l.addr == line_addr)
             .map(|l| {
-                if update {
-                    l.stamp = stamp;
-                }
+                l.stamp = stamp;
                 &mut l.payload
             })
     }
@@ -235,25 +194,13 @@ impl<T> SetAssocCache<T> {
         self.probe(addr).is_some()
     }
 
-    /// Whether `addr`'s line is present and dirty.
-    pub fn is_dirty(&self, addr: u64) -> bool {
-        let line_addr = self.config.line_addr(addr);
-        let set_idx = self.config.set_index(addr);
-        self.sets[set_idx]
-            .iter()
-            .any(|l| l.valid && l.addr == line_addr && l.dirty)
-    }
-
     /// Inserts (or overwrites) a line with an explicit payload; returns the
     /// victim if the set overflowed.
     pub fn insert(&mut self, addr: u64, payload: T, dirty: bool) -> Option<Evicted<T>> {
         let line_addr = self.config.line_addr(addr);
         let set_idx = self.config.set_index(addr);
         let stamp = self.tick();
-        if let Some(line) = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.valid && l.addr == line_addr)
-        {
+        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.addr == line_addr) {
             line.payload = payload;
             line.dirty |= dirty;
             line.stamp = stamp;
@@ -261,7 +208,6 @@ impl<T> SetAssocCache<T> {
         }
         let line = Line {
             addr: line_addr,
-            valid: true,
             dirty,
             stamp,
             payload,
@@ -269,23 +215,8 @@ impl<T> SetAssocCache<T> {
         self.install(set_idx, line)
     }
 
-    /// Removes `addr`'s line, returning its payload.
-    pub fn remove(&mut self, addr: u64) -> Option<Evicted<T>> {
-        let line_addr = self.config.line_addr(addr);
-        let set_idx = self.config.set_index(addr);
-        let pos = self.sets[set_idx]
-            .iter()
-            .position(|l| l.valid && l.addr == line_addr)?;
-        let line = self.sets[set_idx].swap_remove(pos);
-        Some(Evicted {
-            addr: line.addr,
-            dirty: line.dirty,
-            payload: line.payload,
-        })
-    }
-
-    /// Evicts everything, returning the victims in unspecified order
-    /// (models the context-switch flush of the paper's §4.3).
+    /// Evicts everything, returning the victims set by set (models the
+    /// context-switch flush of the paper's §4.3).
     pub fn flush(&mut self) -> Vec<Evicted<T>> {
         let mut out = Vec::new();
         for set in &mut self.sets {
@@ -304,12 +235,12 @@ impl<T> SetAssocCache<T> {
         out
     }
 
-    /// Number of valid lines currently resident.
+    /// Number of lines currently resident.
     pub fn occupancy(&self) -> usize {
         self.sets.iter().map(|s| s.len()).sum()
     }
 
-    /// Number of valid lines resident in the set that `addr` maps to
+    /// Number of lines resident in the set that `addr` maps to
     /// (used by the no-replacement SNC to test for a free way).
     pub fn set_occupancy(&self, addr: u64) -> usize {
         self.sets[self.config.set_index(addr)].len()
@@ -359,28 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_recency() {
-        let cfg = CacheConfig::new("t", 256, 64, 2).with_policy(ReplacementPolicy::Fifo);
-        let mut c = SetAssocCache::<()>::new(cfg);
-        c.access(0x000, AccessKind::Read);
-        c.access(0x100, AccessKind::Read);
-        c.access(0x000, AccessKind::Read); // does not refresh under FIFO
-        let out = c.access(0x200, AccessKind::Read);
-        assert_eq!(out.victim.expect("eviction").addr, 0x000);
-    }
-
-    #[test]
-    fn random_policy_evicts_something() {
-        let cfg = CacheConfig::new("t", 256, 64, 2).with_policy(ReplacementPolicy::Random);
-        let mut c = SetAssocCache::<()>::new(cfg);
-        c.access(0x000, AccessKind::Read);
-        c.access(0x100, AccessKind::Read);
-        let out = c.access(0x200, AccessKind::Read);
-        let v = out.victim.expect("eviction").addr;
-        assert!(v == 0x000 || v == 0x100);
-    }
-
-    #[test]
     fn writes_mark_dirty_and_dirty_victims_report_writebacks() {
         let mut c = small();
         c.access(0x000, AccessKind::Write);
@@ -398,7 +307,7 @@ mod tests {
         let mut c = small();
         c.access(0x000, AccessKind::Write);
         c.access(0x000, AccessKind::Read);
-        assert!(c.is_dirty(0x000));
+        assert!(c.flush()[0].dirty);
     }
 
     #[test]
@@ -416,9 +325,10 @@ mod tests {
         assert!(c.insert(0x000, 7, true).is_none());
         assert_eq!(c.probe(0x000), Some(&7));
         *c.probe_mut(0x000).unwrap() = 9;
-        let removed = c.remove(0x000).unwrap();
-        assert_eq!(removed.payload, 9);
-        assert!(removed.dirty);
+        let removed = c.flush();
+        assert_eq!(removed.len(), 1);
+        assert_eq!(removed[0].payload, 9);
+        assert!(removed[0].dirty);
         assert!(!c.contains(0x000));
     }
 

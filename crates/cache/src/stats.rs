@@ -1,4 +1,4 @@
-//! Fixed-slot statistics shared by the cache timing models.
+//! Fixed-slot statistics of the set-associative cache.
 
 use padlock_stats::CounterSet;
 

@@ -128,10 +128,18 @@ pub enum SeedScheme {
 
 impl SeedScheme {
     /// Computes the 64-bit base seed for a line.
-    pub fn seed(self, line_va: u64, seq: u16) -> u64 {
+    ///
+    /// `seq` is the line's full write count: its low 16 bits are the
+    /// on-chip sequence number and the bits above count 16-bit
+    /// wraparounds (epochs). Vendor packages are encrypted at `seq = 0`.
+    pub fn seed(self, line_va: u64, seq: u64) -> u64 {
         match self {
-            SeedScheme::PaperAdditive => line_va.wrapping_add(u64::from(seq)),
-            SeedScheme::Structured => (line_va & 0x0000_FFFF_FFFF_FFFF) | (u64::from(seq) << 48),
+            SeedScheme::PaperAdditive => line_va.wrapping_add(seq),
+            SeedScheme::Structured => {
+                let base = (line_va & 0x0000_FFFF_FFFF_FFFF) | ((seq & 0xFFFF) << 48);
+                // Epochs beyond 16 bits mix into the low half.
+                base ^ (seq >> 16).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            }
         }
     }
 }

@@ -80,8 +80,7 @@
 
 use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy};
 use crate::engine::{CryptoTimeline, MemTxn, SncPorts};
-use crate::snc::SncLookup;
-use crate::snc_shards::SncShards;
+use crate::snc::{SequenceNumberCache, SncLookup};
 use padlock_cpu::{LineKind, MemoryBackend};
 use padlock_mem::{ChannelSet, DrainOrder, TrafficClass};
 use padlock_stats::CounterSet;
@@ -148,7 +147,7 @@ impl ControllerStats {
 pub struct SecureBackend {
     config: SecureBackendConfig,
     channels: ChannelSet,
-    snc: Option<SncShards>,
+    snc: Option<SequenceNumberCache>,
     /// Lines that have ever been written back (their in-memory copy is
     /// OTP-dynamic or, under a full no-replacement SNC, direct-encrypted).
     written: BTreeSet<u64>,
@@ -257,7 +256,7 @@ impl SecureBackend {
         )
         .with_banks(config.bank_config());
         let snc = match config.mode {
-            SecurityMode::Otp { snc } => Some(SncShards::new(snc, config.snc_shards)),
+            SecurityMode::Otp { snc } => Some(SequenceNumberCache::new(snc, config.snc_shards)),
             _ => None,
         };
         Self {
@@ -407,8 +406,8 @@ impl SecureBackend {
         &self.config
     }
 
-    /// The sharded SNC, when the mode has one.
-    pub fn snc(&self) -> Option<&SncShards> {
+    /// The SNC, when the mode has one.
+    pub fn snc(&self) -> Option<&SequenceNumberCache> {
         self.snc.as_ref()
     }
 

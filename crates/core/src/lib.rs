@@ -22,8 +22,8 @@
 //!   the `engine_vs_seed` differential test enforces it;
 //! * [`SequenceNumberCache`] — the on-chip SNC in both organisations
 //!   (fully associative / set-associative) and both management policies
-//!   (no-replacement / LRU); [`SncShards`] interleaves N of them by
-//!   line address for multi-controller configurations;
+//!   (no-replacement / LRU), split into N line-interleaved shards for
+//!   multi-controller configurations (one shard is the paper's SNC);
 //! * [`Machine`] — a configured core + hierarchy + backend, with a
 //!   warm-up-then-measure runner.
 //!
@@ -61,7 +61,6 @@ mod machine;
 mod secure_mem;
 pub mod server;
 mod snc;
-mod snc_shards;
 pub mod vendor;
 
 pub use config::{SecureBackendConfig, SecurityMode, SeedScheme, SncConfig, SncOrganization, SncPolicy};
@@ -76,7 +75,6 @@ pub use secure_mem::{
     SecureMemoryError,
 };
 pub use snc::{EvictedSeq, SequenceNumberCache, SncLookup};
-pub use snc_shards::SncShards;
 
 // The sweep executor moves whole machines and their results across
 // worker threads (`padlock_exec::SweepPool`); these compile-time bounds

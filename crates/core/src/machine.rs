@@ -62,7 +62,7 @@ pub struct Measurement {
     /// Controller event snapshot.
     pub controller: CounterSet,
     /// L2 MSHR file snapshot (`allocations`, `merges`, `full_drains`,
-    /// `forced_drains`, `idle_drains`).
+    /// `idle_drains`).
     pub mshr: CounterSet,
     /// SNC event snapshot (empty counters in non-OTP modes).
     pub snc: CounterSet,

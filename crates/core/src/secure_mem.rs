@@ -213,17 +213,6 @@ impl fmt::Display for MapRegionError {
 impl std::error::Error for MapRegionError {}
 
 impl SecureMemory {
-    fn wide_seed(&self, line_va: u64, seq: u64) -> u64 {
-        match self.seed_scheme {
-            SeedScheme::PaperAdditive => line_va.wrapping_add(seq),
-            SeedScheme::Structured => {
-                let base = (line_va & 0x0000_FFFF_FFFF_FFFF) | ((seq & 0xFFFF) << 48);
-                // Epochs beyond 16 bits mix into the low half.
-                base ^ (seq >> 16).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            }
-        }
-    }
-
     fn check_aligned(&self, addr: u64) -> Result<(), SecureMemoryError> {
         if !addr.is_multiple_of(self.line_bytes as u64) {
             Err(SecureMemoryError::Misaligned { addr })
@@ -350,7 +339,7 @@ impl SecureMemory {
         let ct = match self.protection_at(addr) {
             LineProtection::Plaintext => plaintext.to_vec(),
             LineProtection::OtpStatic => {
-                let seed = self.wide_seed(addr, 0);
+                let seed = self.seed_scheme.seed(addr, 0);
                 self.otp.encrypt(seed, plaintext)
             }
             LineProtection::OtpDynamic => {
@@ -359,7 +348,7 @@ impl SecureMemory {
                     *e += 1;
                     *e
                 };
-                let seed = self.wide_seed(addr, seq);
+                let seed = self.seed_scheme.seed(addr, seq);
                 self.otp.encrypt(seed, plaintext)
             }
         };
@@ -382,12 +371,12 @@ impl SecureMemory {
         Ok(match self.protection_at(addr) {
             LineProtection::Plaintext => ct,
             LineProtection::OtpStatic => {
-                let seed = self.wide_seed(addr, 0);
+                let seed = self.seed_scheme.seed(addr, 0);
                 self.otp.decrypt(seed, &ct)
             }
             LineProtection::OtpDynamic => {
                 let seq = self.seqs.get(&addr).copied().unwrap_or(0);
-                let seed = self.wide_seed(addr, seq);
+                let seed = self.seed_scheme.seed(addr, seq);
                 self.otp.decrypt(seed, &ct)
             }
         })

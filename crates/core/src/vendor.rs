@@ -210,13 +210,6 @@ impl Vendor {
         }
     }
 
-    fn wide_seed(&self, line_va: u64) -> u64 {
-        match self.seed_scheme {
-            SeedScheme::PaperAdditive => line_va,
-            SeedScheme::Structured => line_va & 0x0000_FFFF_FFFF_FFFF,
-        }
-    }
-
     /// Packages `segments` (plaintext) for the processor owning
     /// `target`; returns the shippable package.
     ///
@@ -265,7 +258,7 @@ impl Vendor {
                 let addr = base + (i * self.line_bytes) as u64;
                 let bytes = match kind {
                     SegmentKind::Plain => line.to_vec(),
-                    _ => otp.encrypt(self.wide_seed(addr), line),
+                    _ => otp.encrypt(self.seed_scheme.seed(addr, 0), line),
                 };
                 macs.push((addr, mac.tag(addr, &bytes)));
                 shipped.extend_from_slice(&bytes);

@@ -104,13 +104,16 @@ proptest! {
             SncOrganization::SetAssociative(2)
         };
         let capacity = 16usize; // entries
-        let mut snc = SequenceNumberCache::new(SncConfig {
-            capacity_bytes: capacity * 2,
-            entry_bytes: 2,
-            organization,
-            policy: SncPolicy::Lru,
-            covered_line_bytes: 128,
-        });
+        let mut snc = SequenceNumberCache::new(
+            SncConfig {
+                capacity_bytes: capacity * 2,
+                entry_bytes: 2,
+                organization,
+                policy: SncPolicy::Lru,
+                covered_line_bytes: 128,
+            },
+            1,
+        );
         // Reference: map line -> seq; recency only checked for the fully
         // associative case (set-assoc recency is per-set).
         let mut model: BTreeMap<u64, u16> = BTreeMap::new();

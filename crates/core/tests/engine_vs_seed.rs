@@ -42,7 +42,7 @@ impl SeedBackend {
             config.write_buffer_entries,
         );
         let snc = match config.mode {
-            SecurityMode::Otp { snc } => Some(SequenceNumberCache::new(snc)),
+            SecurityMode::Otp { snc } => Some(SequenceNumberCache::new(snc, 1)),
             _ => None,
         };
         Self {

@@ -30,8 +30,8 @@
 
 use padlock_core::engine::{CryptoTimeline, SncPorts};
 use padlock_core::{
-    Machine, MachineConfig, SecureBackend, SecureBackendConfig, SecurityMode, SncConfig,
-    SncLookup, SncOrganization, SncPolicy, SncShards,
+    Machine, MachineConfig, SecureBackend, SecureBackendConfig, SecurityMode, SequenceNumberCache,
+    SncConfig, SncLookup, SncOrganization, SncPolicy,
 };
 use padlock_cpu::{LineKind, MemoryBackend, StrideWorkload};
 use padlock_mem::{
@@ -204,7 +204,7 @@ struct SeedSlot {
 struct SeedEngine {
     config: SecureBackendConfig,
     channels: ChannelSet,
-    snc: Option<SncShards>,
+    snc: Option<SequenceNumberCache>,
     written: BTreeSet<u64>,
     pending_spills: u32,
     queue: Vec<MemTxn>,
@@ -222,7 +222,7 @@ impl SeedEngine {
         )
         .with_banks(config.bank_config());
         let snc = match config.mode {
-            SecurityMode::Otp { snc } => Some(SncShards::new(snc, config.snc_shards)),
+            SecurityMode::Otp { snc } => Some(SequenceNumberCache::new(snc, config.snc_shards)),
             _ => None,
         };
         Self {

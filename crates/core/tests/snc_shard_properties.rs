@@ -2,17 +2,19 @@
 //!
 //! The load-bearing claim: under a **per-shard-balanced** address
 //! stream (every logical operation replicated once per shard, round
-//! robin), an `N`-sharded fully associative LRU SNC is
-//! hit/miss-equivalent to a single fully associative LRU SNC of the
-//! same total capacity. The argument is the symmetry of recency: the
-//! interleaved stream keeps every shard's sub-stream identical modulo
-//! the address offset, so the single cache's most-recent `capacity`
-//! distinct lines are exactly the union of each shard's most-recent
-//! `capacity / N` — and hits depend only on contents. The tests below
-//! check it op-by-op for random streams and any shard count, plus the
-//! per-shard LRU-vs-no-replacement behaviours.
+//! robin), a [`SequenceNumberCache`] built with `N` shards, fully
+//! associative and LRU, is hit/miss-equivalent to one built with a
+//! single shard (the paper's one-structure SNC, "monolithic" in the
+//! test names) of the same total capacity. The argument is the symmetry
+//! of recency: the interleaved stream keeps every shard's sub-stream
+//! identical modulo the address offset, so the single shard's
+//! most-recent `capacity` distinct lines are exactly the union of each
+//! shard's most-recent `capacity / N` — and hits depend only on
+//! contents. The tests below check it op-by-op for random streams and
+//! any shard count, plus the per-shard LRU-vs-no-replacement
+//! behaviours.
 
-use padlock_core::{SequenceNumberCache, SncConfig, SncOrganization, SncPolicy, SncShards};
+use padlock_core::{SequenceNumberCache, SncConfig, SncOrganization, SncPolicy};
 use proptest::prelude::*;
 
 /// One logical operation on a per-shard line id; the harness replays it
@@ -63,8 +65,8 @@ proptest! {
     ) {
         let per_shard_entries = 8usize;
         let total = per_shard_entries * shards;
-        let mut sharded = SncShards::new(cfg(total, SncPolicy::Lru), shards);
-        let mut single = SequenceNumberCache::new(cfg(total, SncPolicy::Lru));
+        let mut sharded = SequenceNumberCache::new(cfg(total, SncPolicy::Lru), shards);
+        let mut single = SequenceNumberCache::new(cfg(total, SncPolicy::Lru), 1);
         let n = shards as u64;
         for op in &ops {
             for s in 0..n {
@@ -108,7 +110,7 @@ proptest! {
         lines in proptest::collection::vec(0u64..64, 1..200),
         shards in prop::sample::select(vec![2usize, 4, 8]),
     ) {
-        let mut snc = SncShards::new(cfg(2 * shards, SncPolicy::Lru), shards);
+        let mut snc = SequenceNumberCache::new(cfg(2 * shards, SncPolicy::Lru), shards);
         for line in lines {
             let a = line * 128;
             let installing_shard = snc.shard_of(a);
@@ -127,7 +129,8 @@ proptest! {
         shards in prop::sample::select(vec![2usize, 3, 4]),
     ) {
         let per_shard = 4usize;
-        let mut snc = SncShards::new(cfg(per_shard * shards, SncPolicy::NoReplacement), shards);
+        let mut snc =
+            SequenceNumberCache::new(cfg(per_shard * shards, SncPolicy::NoReplacement), shards);
         let mut resident: Vec<std::collections::BTreeSet<u64>> =
             vec![Default::default(); shards];
         for line in lines {
@@ -145,27 +148,16 @@ proptest! {
             if accepted {
                 resident[s].insert(a);
             }
+            // Every modelled line is resident and nothing else is, so
+            // each shard holds exactly its modelled set.
+            for &line in resident.iter().flatten() {
+                prop_assert!(snc.contains(line), "line {:#x} lost", line);
+            }
             prop_assert_eq!(
-                snc.shards()[s].occupancy(),
-                resident[s].len().min(per_shard)
+                snc.occupancy(),
+                resident.iter().map(|r| r.len()).sum::<usize>()
             );
         }
         prop_assert_eq!(snc.stats().get("spills"), 0);
     }
-}
-
-/// A shard count of one is the degenerate case and must equal the
-/// plain SNC exactly, including victim identities.
-#[test]
-fn one_shard_is_the_monolithic_snc() {
-    let mut sharded = SncShards::new(cfg(8, SncPolicy::Lru), 1);
-    let mut single = SequenceNumberCache::new(cfg(8, SncPolicy::Lru));
-    for line in [0u64, 5, 2, 0, 9, 14, 2, 5, 21, 3, 9, 0, 30, 31, 1] {
-        let a = line * 128;
-        assert_eq!(sharded.query(a), single.query(a));
-        assert_eq!(sharded.install(a, line as u16 + 1), single.install(a, line as u16 + 1));
-        assert_eq!(sharded.increment(a), single.increment(a));
-    }
-    assert_eq!(sharded.occupancy(), single.occupancy());
-    assert_eq!(sharded.flush().len(), single.flush().len());
 }

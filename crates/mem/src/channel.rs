@@ -221,9 +221,10 @@ impl MemoryChannel {
 /// transactions to lines on different channels proceed in parallel and
 /// only same-channel traffic queues. Line `i` (at
 /// `addr / interleave_bytes`) lives on channel `i % N`, the same
-/// interleaving `padlock_core`'s `SncShards` uses — pairing shard `k`
-/// with channel `k` in an `N = N` configuration makes each
-/// (shard, channel) pair an independent lock-step memory controller.
+/// interleaving the shards of `padlock_core`'s `SequenceNumberCache`
+/// use — pairing shard `k` with channel `k` in an `N = N`
+/// configuration makes each (shard, channel) pair an independent
+/// lock-step memory controller.
 ///
 /// With `N = 1` every operation forwards to the single channel
 /// untouched, so a one-channel set is bit-identical to a bare
