@@ -13,7 +13,7 @@
 //! hierarchy/backend — the `fastforward_vs_seed` differential proves
 //! them bit-exact, so the gap between the ids in `baseline.json` is
 //! purely run-loop mechanics: the O(|ROB|) issue/advance rescans the
-//! calendar + incremental ready sets replace. The seed loop already
+//! calendar + incremental ready bitmaps replace. The seed loop already
 //! event-skips (its `forced_steps` stays 0), so the matched-backend gap
 //! is structural but bounded; the
 //! end-to-end win of this PR additionally includes the fixed-slot

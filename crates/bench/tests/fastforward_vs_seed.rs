@@ -4,7 +4,8 @@
 //! and the same value for every cache, traffic, controller, MSHR, and
 //! SNC counter — over the full structural grid (security mode ×
 //! channels × banks × MSHRs × in-flight bound) on recorded bfs/rstride
-//! traces plus the figure workloads. The two cores share one hierarchy
+//! traces plus the figure workloads, and over ROB sizes on and off the
+//! power-of-two grid. The two cores share one hierarchy
 //! implementation, so any divergence is a calendar bug: an event
 //! skipped, a readiness edge missed, or a drain trigger firing on a
 //! different cycle. CI runs this on every push.
@@ -59,6 +60,30 @@ fn run_both(trace: &E2eTrace, config: MachineConfig) -> (Measurement, Measuremen
     );
     let mut player = trace.clone_player();
     let ff_m = ff.run(&mut player, trace.warmup_ops(), trace.measure_ops());
+    (seed_m, ff_m)
+}
+
+/// Runs one benchmark profile through both cores and returns
+/// `(seed, fast_forward)` measurements.
+fn run_both_profile(bench: &str, config: &MachineConfig) -> (Measurement, Measurement) {
+    let mut seed_workload = SpecWorkload::new(benchmark_profile(bench));
+    let ancient: Vec<u64> = seed_workload.ancient_line_addrs().collect();
+    let active: Vec<u64> = seed_workload.active_line_addrs().collect();
+
+    let mut seed = SeedMachine::new(config.clone());
+    seed.core_mut()
+        .hierarchy_mut()
+        .backend_mut()
+        .pre_age(ancient.iter().copied(), active.iter().copied());
+    let seed_m = seed.run(&mut seed_workload, WARMUP, MEASURE);
+
+    let mut ff_workload = SpecWorkload::new(benchmark_profile(bench));
+    let mut ff = Machine::new(config.clone());
+    ff.core_mut()
+        .hierarchy_mut()
+        .backend_mut()
+        .pre_age(ancient.iter().copied(), active.iter().copied());
+    let ff_m = ff.run(&mut ff_workload, WARMUP, MEASURE);
     (seed_m, ff_m)
 }
 
@@ -129,26 +154,31 @@ fn figure_workloads_match_across_security_modes() {
     ];
     for bench in ["gzip", "mcf", "equake"] {
         for (name, config) in &machines {
-            let mut seed_workload = SpecWorkload::new(benchmark_profile(bench));
-            let ancient: Vec<u64> = seed_workload.ancient_line_addrs().collect();
-            let active: Vec<u64> = seed_workload.active_line_addrs().collect();
+            let (seed, ff) = run_both_profile(bench, config);
+            assert_bit_exact(&format!("{bench}/{name}"), &seed, &ff);
+        }
+    }
+}
 
-            let mut seed = SeedMachine::new(config.clone());
-            seed.core_mut()
-                .hierarchy_mut()
-                .backend_mut()
-                .pre_age(ancient.iter().copied(), active.iter().copied());
-            let seed_m = seed.run(&mut seed_workload, WARMUP, MEASURE);
-
-            let mut ff_workload = SpecWorkload::new(benchmark_profile(bench));
-            let mut ff = Machine::new(config.clone());
-            ff.core_mut()
-                .hierarchy_mut()
-                .backend_mut()
-                .pre_age(ancient.iter().copied(), active.iter().copied());
-            let ff_m = ff.run(&mut ff_workload, WARMUP, MEASURE);
-
-            assert_bit_exact(&format!("{bench}/{name}"), &seed_m, &ff_m);
+#[test]
+fn rob_sizes_off_the_power_of_two_grid_match() {
+    // Every other cell runs a ROB of 16, 128 or 2048 entries, all
+    // powers of two. The fast-forward core keeps its ROB in a ring of
+    // the next power of two, so these sizes leave ring positions the
+    // ROB never fills (1 and 64 fill it exactly).
+    let trace = E2eTrace::record("bfs", WARMUP, MEASURE);
+    let deep = e2e_machine_config(E2eParams::new(4, 2, 2, inflight_for(4)));
+    let xom = MachineConfig::paper(SecurityMode::Xom);
+    for rob_size in [1usize, 3, 24, 63, 64, 65, 100, 200] {
+        let mut config = deep.clone();
+        config.pipeline.rob_size = rob_size;
+        let (seed, ff) = run_both(&trace, config);
+        assert_bit_exact(&format!("bfs rob={rob_size}"), &seed, &ff);
+        for bench in ["gzip", "mcf"] {
+            let mut config = xom.clone();
+            config.pipeline.rob_size = rob_size;
+            let (seed, ff) = run_both_profile(bench, &config);
+            assert_bit_exact(&format!("{bench}/xom rob={rob_size}"), &seed, &ff);
         }
     }
 }

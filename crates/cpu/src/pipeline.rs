@@ -21,13 +21,27 @@
 //!   the list of its in-ROB consumers. When a producer's completion
 //!   cycle becomes known (at issue, or when an L2 miss resolves), its
 //!   consumers' outstanding-dependence counts are decremented and each
-//!   newly unblocked consumer is filed either into the *ready sets*
-//!   (two `BTreeSet`s in program order, memory vs. non-memory ops) or
-//!   into a *ready calendar* keyed by the cycle its last producer
-//!   completes. Issue then merge-walks the two ready sets oldest-first,
-//!   reproducing the seed scan's order exactly: the overall issue-width
-//!   cap stops the walk, while the memory-port cap skips memory ops but
-//!   lets younger non-memory ops through.
+//!   newly unblocked consumer is filed either into a *ready bitmap*
+//!   (one per port class, memory vs. non-memory ops) or into a *ready
+//!   calendar*, a min-heap of `(ready_at, seq)` pairs keyed by the
+//!   cycle its last producer completes. Issue then walks the two
+//!   bitmaps together oldest-first, reproducing the seed scan's order
+//!   exactly: the overall issue-width cap stops the walk, while the
+//!   memory-port cap drops the memory bitmap from the walk but lets
+//!   younger non-memory ops through. The walk never looks back: an op
+//!   made ready by an issue is that op's consumer, so it is younger.
+//!
+//! The ROB is a ring of `rob_size.next_power_of_two()` slots, and the
+//! op with sequence number `seq` sits at position `seq & mask` from
+//! dispatch to commit. At most `rob_size` ops are in flight, so live
+//! positions never collide and walking the ring from the head slot
+//! (the oldest op's) visits ops in program order. Each ready bitmap
+//! holds one bit per ring position; the oldest ready op is the first
+//! set bit from the head position on, found a 64-bit word at a time
+//! with `trailing_zeros`, and each bitmap counts its set bits so an
+//! empty class answers without a scan. A slot keeps its consumer
+//! vector across reuse, so dispatch stops allocating once every ring
+//! position has held a producer.
 //!
 //! Readiness cycles never need their own calendar events: a consumer's
 //! `ready_at` equals some producer's completion cycle, which is already
@@ -44,7 +58,7 @@ use crate::bpred::{BimodalPredictor, BranchPredictor};
 use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend};
 use crate::op::{OpClass, Workload};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Pipeline widths and structure sizes.
 ///
@@ -165,55 +179,88 @@ struct Slot {
     /// Memory op (load/store): subject to the memory-port cap.
     is_mem: bool,
     /// Absolute sequence numbers of in-ROB consumers to notify when
-    /// this slot's completion cycle becomes known.
+    /// this slot's completion cycle becomes known. Empty whenever the
+    /// ring position is free; its buffer is reused by the next op.
     consumers: Vec<u64>,
 }
 
-/// Notifies `rob[p_idx]`'s registered consumers that its completion
-/// cycle is `done`: decrements their outstanding-dependence counts and
-/// files newly unblocked slots into the ready sets (ready now) or the
-/// ready calendar (ready at a future cycle).
-#[allow(clippy::too_many_arguments)]
-fn complete_producer(
-    rob: &mut VecDeque<Slot>,
-    base: u64,
-    now: u64,
-    p_idx: usize,
-    done: u64,
-    ready_mem: &mut BTreeSet<u64>,
-    ready_alu: &mut BTreeSet<u64>,
-    ready_cal: &mut BTreeMap<u64, Vec<u64>>,
-    pool: &mut Vec<Vec<u64>>,
-) {
-    if rob[p_idx].consumers.is_empty() {
-        return;
-    }
-    let mut consumers = std::mem::take(&mut rob[p_idx].consumers);
-    for &c in &consumers {
-        // Consumers are strictly younger than their producer and cannot
-        // commit before it, so they are still in the ROB.
-        let idx = (c - base) as usize;
-        let s = &mut rob[idx];
-        s.ready_at = s.ready_at.max(done);
-        s.unresolved -= 1;
-        if s.unresolved == 0 {
-            let (ready_at, is_mem) = (s.ready_at, s.is_mem);
-            if ready_at <= now {
-                if is_mem {
-                    ready_mem.insert(c);
-                } else {
-                    ready_alu.insert(c);
-                }
-            } else {
-                ready_cal
-                    .entry(ready_at)
-                    .or_insert_with(|| pool.pop().unwrap_or_default())
-                    .push(c);
-            }
+impl Slot {
+    fn vacant() -> Self {
+        Self {
+            kind: SlotKind::Fixed(0),
+            issued: false,
+            complete_at: NOT_ISSUED,
+            ready_at: 0,
+            unresolved: 0,
+            is_mem: false,
+            consumers: Vec::new(),
         }
     }
-    consumers.clear();
-    pool.push(consumers);
+}
+
+/// A set of ROB ring positions, one bit each, with a count of its
+/// members so an empty set answers without a scan.
+#[derive(Debug)]
+struct ReadyBits {
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl ReadyBits {
+    fn new(ring: usize) -> Self {
+        Self {
+            words: vec![0; ring.div_ceil(64)],
+            count: 0,
+        }
+    }
+
+    fn insert(&mut self, pos: usize) {
+        debug_assert_eq!(
+            self.words[pos / 64] >> (pos % 64) & 1,
+            0,
+            "slot filed twice"
+        );
+        self.words[pos / 64] |= 1 << (pos % 64);
+        self.count += 1;
+    }
+
+    fn remove(&mut self, pos: usize) {
+        self.words[pos / 64] &= !(1 << (pos % 64));
+        self.count -= 1;
+    }
+
+    /// The first position set here or in `with`, walking a ring of
+    /// `ring` positions (a power of two) from `start` for at most
+    /// `span` positions and wrapping past the end. Walking from the ROB
+    /// head over the occupied span finds the oldest member.
+    fn first_from(
+        &self,
+        with: Option<&ReadyBits>,
+        ring: usize,
+        start: usize,
+        span: usize,
+    ) -> Option<usize> {
+        let with = with.filter(|w| w.count > 0);
+        if self.count == 0 && with.is_none() {
+            return None;
+        }
+        let (mut pos, mut left) = (start, span);
+        while left > 0 {
+            let bit = pos % 64;
+            let take = left.min(64 - bit).min(ring - pos);
+            let mut word = self.words[pos / 64] | with.map_or(0, |w| w.words[pos / 64]);
+            word >>= bit;
+            if take < 64 {
+                word &= (1 << take) - 1;
+            }
+            if word != 0 {
+                return Some(pos + word.trailing_zeros() as usize);
+            }
+            left -= take;
+            pos = (pos + take) & (ring - 1);
+        }
+        None
+    }
 }
 
 /// The out-of-order core: a [`Hierarchy`] plus the execution engine.
@@ -238,6 +285,10 @@ pub struct Core<B> {
 
 impl<B: MemoryBackend> Core<B> {
     /// Creates a core with the paper's cache hierarchy over `backend`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Core::with_hierarchy`].
     pub fn new(config: PipelineConfig, backend: B) -> Self {
         Self::with_hierarchy(
             config,
@@ -246,7 +297,18 @@ impl<B: MemoryBackend> Core<B> {
     }
 
     /// Creates a core over an explicit hierarchy (custom cache geometry).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rob_size`, `fetch_width`, `issue_width`,
+    /// `commit_width` or `mem_ports` is zero: such a core could never
+    /// dispatch, issue or commit, and its run would not terminate.
     pub fn with_hierarchy(config: PipelineConfig, hierarchy: Hierarchy<B>) -> Self {
+        assert!(config.rob_size > 0, "rob_size must be positive");
+        assert!(config.fetch_width > 0, "fetch_width must be positive");
+        assert!(config.issue_width > 0, "issue_width must be positive");
+        assert!(config.commit_width > 0, "commit_width must be positive");
+        assert!(config.mem_ports > 0, "mem_ports must be positive");
         let bpred = BimodalPredictor::new(config.bpred_entries);
         Self {
             config,
@@ -304,21 +366,21 @@ impl<B: MemoryBackend> Core<B> {
     /// [`Core::finish_run`].
     pub fn begin_run(&mut self, n_ops: u64) -> RunSession {
         let rob_size = self.config.rob_size;
+        let ring = rob_size.next_power_of_two();
         RunSession {
             stats: RunStats::default(),
             start_cycle: self.now,
             n_ops,
-            rob: VecDeque::with_capacity(rob_size),
+            rob: (0..ring).map(|_| Slot::vacant()).collect(),
             base: 0,
             dispatched: 0,
             committed: 0,
-            pending_loads: BTreeMap::new(),
+            pending_loads: Vec::new(),
             resolved_buf: Vec::new(),
             completions: BinaryHeap::with_capacity(rob_size * 2),
-            ready_mem: BTreeSet::new(),
-            ready_alu: BTreeSet::new(),
-            ready_cal: BTreeMap::new(),
-            vec_pool: Vec::new(),
+            ready_mem: ReadyBits::new(ring),
+            ready_alu: ReadyBits::new(ring),
+            ready_cal: BinaryHeap::new(),
             fetch_ready_at: 0,
             redirect_pending: false,
             fetch_resume_at: 0,
@@ -345,29 +407,17 @@ impl<B: MemoryBackend> Core<B> {
         // forced stall-on-use drain below) resolves pending loads to
         // their real completion cycles.
         self.hierarchy.take_resolutions(&mut s.resolved_buf);
-        for (token, done) in s.resolved_buf.drain(..) {
-            let Some(seq) = s.pending_loads.remove(&token) else {
+        for i in 0..s.resolved_buf.len() {
+            let (token, done) = s.resolved_buf[i];
+            let Some(k) = s.pending_loads.iter().position(|&(t, _)| t == token) else {
                 continue; // fire-and-forget store fill
             };
+            let (_, seq) = s.pending_loads.swap_remove(k);
             if seq >= s.base {
-                let idx = (seq - s.base) as usize;
-                s.rob[idx].complete_at = done;
-                if done > now {
-                    s.completions.push(Reverse(done));
-                }
-                complete_producer(
-                    &mut s.rob,
-                    s.base,
-                    now,
-                    idx,
-                    done,
-                    &mut s.ready_mem,
-                    &mut s.ready_alu,
-                    &mut s.ready_cal,
-                    &mut s.vec_pool,
-                );
+                s.complete(now, seq, done);
             }
         }
+        s.resolved_buf.clear();
 
         // ---- Stall on use ----
         // The oldest op is a load still waiting on an in-flight
@@ -376,9 +426,9 @@ impl<B: MemoryBackend> Core<B> {
         // charged from its own arrival) — and this cycle re-runs
         // with the resolved completion cycles.
         if self.hierarchy.pending_misses() > 0
-            && s.rob
-                .front()
-                .is_some_and(|slot| slot.issued && slot.complete_at == PENDING)
+            && s.base < s.dispatched
+            && s.slot(s.base).issued
+            && s.slot(s.base).complete_at == PENDING
         {
             self.hierarchy.drain_pending();
             return true;
@@ -386,76 +436,59 @@ impl<B: MemoryBackend> Core<B> {
 
         // ---- Commit ----
         let mut commits = 0;
-        while commits < self.config.commit_width {
-            match s.rob.front() {
-                Some(slot) if slot.issued && slot.complete_at <= now => {
-                    debug_assert!(
-                        slot.consumers.is_empty(),
-                        "committed slot with unnotified consumers"
-                    );
-                    if let Some(mut slot) = s.rob.pop_front() {
-                        slot.consumers.clear();
-                        s.vec_pool.push(slot.consumers);
-                    }
-                    s.base += 1;
-                    s.committed += 1;
-                    commits += 1;
-                    progress = true;
-                    if s.committed >= s.n_ops {
-                        break;
-                    }
-                }
-                _ => break,
+        while commits < self.config.commit_width && s.base < s.dispatched {
+            let head = s.slot(s.base);
+            if !(head.issued && head.complete_at <= now) {
+                break;
             }
-        }
-        if s.committed >= s.n_ops {
-            return false;
+            debug_assert!(
+                head.consumers.is_empty(),
+                "committed slot with unnotified consumers"
+            );
+            s.base += 1;
+            s.committed += 1;
+            commits += 1;
+            progress = true;
+            if s.committed >= s.n_ops {
+                return false;
+            }
         }
 
-        // ---- Issue (oldest first, from the ready sets) ----
+        // ---- Issue (oldest first, from the ready bitmaps) ----
         // Promote slots whose readiness cycle has arrived.
-        while s.ready_cal.first_key_value().is_some_and(|(&t, _)| t <= now) {
-            let Some((_, seqs)) = s.ready_cal.pop_first() else {
+        while let Some(&Reverse((ready_at, seq))) = s.ready_cal.peek() {
+            if ready_at > now {
                 break;
-            };
-            for &seq in &seqs {
-                let idx = (seq - s.base) as usize;
-                if s.rob[idx].is_mem {
-                    s.ready_mem.insert(seq);
-                } else {
-                    s.ready_alu.insert(seq);
-                }
             }
-            let mut seqs = seqs;
-            seqs.clear();
-            s.vec_pool.push(seqs);
+            s.ready_cal.pop();
+            s.mark_ready(seq);
         }
-        // Merge-walk the two ready sets in program order: the
+        // Walk both bitmaps from the head in program order: the
         // issue-width cap ends the walk, the memory-port cap skips
         // memory ops while younger non-memory ops still issue —
         // exactly the seed scan's behaviour.
+        let ring = s.rob.len();
+        let head = s.pos(s.base);
+        let occupied = (s.dispatched - s.base) as usize;
+        let mut from = 0;
         let mut issues = 0;
         let mut mem_issues = 0;
         while issues < self.config.issue_width {
-            let mem_head = if mem_issues < self.config.mem_ports {
-                s.ready_mem.first().copied()
-            } else {
-                None
+            let with_mem = (mem_issues < self.config.mem_ports).then_some(&s.ready_mem);
+            let Some(pos) =
+                s.ready_alu
+                    .first_from(with_mem, ring, (head + from) & (ring - 1), occupied - from)
+            else {
+                break;
             };
-            let alu_head = s.ready_alu.first().copied();
-            let seq = match (mem_head, alu_head) {
-                (Some(m), Some(a)) => m.min(a),
-                (Some(m), None) => m,
-                (None, Some(a)) => a,
-                (None, None) => break,
-            };
-            let idx = (seq - s.base) as usize;
-            let kind = s.rob[idx].kind;
-            let is_mem = s.rob[idx].is_mem;
+            let dist = pos.wrapping_sub(head) & (ring - 1);
+            from = dist + 1;
+            let seq = s.base + dist as u64;
+            let Slot { kind, is_mem, .. } = s.rob[pos];
             if is_mem {
-                s.ready_mem.remove(&seq);
+                s.ready_mem.remove(pos);
             } else {
-                s.ready_alu.remove(&seq);
+                s.ready_alu.remove(pos);
             }
             let complete_at = match kind {
                 SlotKind::Fixed(lat) => now + lat,
@@ -464,7 +497,7 @@ impl<B: MemoryBackend> Core<B> {
                     Access::Pending(token) => {
                         // The miss sits in the MSHR file; the slot
                         // completes when a drain resolves it.
-                        s.pending_loads.insert(token, seq);
+                        s.pending_loads.push((token, seq));
                         PENDING
                     }
                 },
@@ -482,43 +515,28 @@ impl<B: MemoryBackend> Core<B> {
                     done
                 }
             };
-            {
-                let slot = &mut s.rob[idx];
-                slot.issued = true;
-                slot.complete_at = complete_at;
+            s.rob[pos].issued = true;
+            if complete_at == PENDING {
+                s.rob[pos].complete_at = PENDING;
+            } else {
+                s.complete(now, seq, complete_at);
             }
             issues += 1;
             if is_mem {
                 mem_issues += 1;
             }
-            if complete_at != PENDING {
-                if complete_at > now {
-                    s.completions.push(Reverse(complete_at));
-                }
-                complete_producer(
-                    &mut s.rob,
-                    s.base,
-                    now,
-                    idx,
-                    complete_at,
-                    &mut s.ready_mem,
-                    &mut s.ready_alu,
-                    &mut s.ready_cal,
-                    &mut s.vec_pool,
-                );
-            }
             progress = true;
         }
 
         // ---- Fetch / dispatch ----
-        let rob_size = self.config.rob_size;
+        let rob_size = self.config.rob_size as u64;
         let mut fetched = 0;
         while fetched < self.config.fetch_width
-            && s.rob.len() < rob_size
+            && s.dispatched - s.base < rob_size
             && !s.redirect_pending
             && now >= s.fetch_resume_at
             && now >= s.fetch_ready_at
-            && s.dispatched < s.n_ops + rob_size as u64
+            && s.dispatched < s.n_ops + rob_size
         {
             let op = match s.pending_op.take() {
                 Some(op) => op,
@@ -581,7 +599,7 @@ impl<B: MemoryBackend> Core<B> {
                 if dep == NO_DEP || dep < s.base {
                     continue;
                 }
-                let p = &mut s.rob[(dep - s.base) as usize];
+                let p = s.slot_mut(dep);
                 if p.issued && p.complete_at != PENDING {
                     ready_at = ready_at.max(p.complete_at);
                 } else {
@@ -589,28 +607,16 @@ impl<B: MemoryBackend> Core<B> {
                     unresolved += 1;
                 }
             }
-            s.rob.push_back(Slot {
-                kind,
-                issued: false,
-                complete_at: NOT_ISSUED,
-                ready_at,
-                unresolved,
-                is_mem,
-                consumers: s.vec_pool.pop().unwrap_or_default(),
-            });
+            let slot = s.slot_mut(seq);
+            debug_assert!(slot.consumers.is_empty(), "ring slot reused while live");
+            slot.kind = kind;
+            slot.issued = false;
+            slot.complete_at = NOT_ISSUED;
+            slot.ready_at = ready_at;
+            slot.unresolved = unresolved;
+            slot.is_mem = is_mem;
             if unresolved == 0 {
-                if ready_at <= now {
-                    if is_mem {
-                        s.ready_mem.insert(seq);
-                    } else {
-                        s.ready_alu.insert(seq);
-                    }
-                } else {
-                    s.ready_cal
-                        .entry(ready_at)
-                        .or_insert_with(|| s.vec_pool.pop().unwrap_or_default())
-                        .push(seq);
-                }
+                s.file_ready(now, seq);
             }
             s.dispatched += 1;
             fetched += 1;
@@ -656,7 +662,9 @@ impl<B: MemoryBackend> Core<B> {
             debug_assert!(
                 next != u64::MAX,
                 "stalled with no future event: rob={:?}",
-                s.rob
+                (s.base..s.dispatched)
+                    .map(|q| s.slot(q))
+                    .collect::<Vec<_>>()
             );
             if next == u64::MAX {
                 s.stats.forced_steps += 1;
@@ -692,29 +700,28 @@ pub struct RunSession {
     stats: RunStats,
     start_cycle: u64,
     n_ops: u64,
-    rob: VecDeque<Slot>,
-    base: u64, // sequence number of rob.front()
+    // The ROB: a ring whose length is a power of two, at least the
+    // ROB size. The op with sequence number `seq` sits at
+    // `rob[seq & (len - 1)]` while `base <= seq < dispatched`.
+    rob: Vec<Slot>,
+    base: u64, // sequence number of the oldest op in the ROB
     dispatched: u64,
     committed: u64,
-    // Loads waiting on in-flight L2 misses: MSHR token -> absolute
-    // ROB sequence number of the load's slot.
-    // BTreeMap (padlock-lint D1): token -> ROB slot bookkeeping must
-    // stay deterministic if it is ever iterated or debugged.
-    pending_loads: BTreeMap<AccessToken, u64>,
+    // Loads waiting on in-flight L2 misses: MSHR token and the absolute
+    // sequence number of the load's slot. Never longer than the MSHR
+    // file's waiter list.
+    pending_loads: Vec<(AccessToken, u64)>,
     resolved_buf: Vec<(AccessToken, u64)>,
     // Event calendar: future completion cycles of issued ops (and
     // resolved misses). The min drives the no-progress time jump.
     completions: BinaryHeap<Reverse<u64>>,
-    // Ready tracking: slots whose producers are all known-complete,
-    // split by port class, in program order (BTreeSet: padlock-lint
-    // D1, and the merge walk needs ordered iteration anyway).
-    ready_mem: BTreeSet<u64>,
-    ready_alu: BTreeSet<u64>,
-    // Slots unblocked but not ready until a future cycle.
-    ready_cal: BTreeMap<u64, Vec<u64>>,
-    // Recycled consumer/calendar vectors (keeps the hot loop off the
-    // allocator).
-    vec_pool: Vec<Vec<u64>>,
+    // Ready tracking: ring positions of slots whose producers are all
+    // known-complete, split by port class.
+    ready_mem: ReadyBits,
+    ready_alu: ReadyBits,
+    // Slots unblocked but not ready until a future cycle, as
+    // `(ready_at, seq)`.
+    ready_cal: BinaryHeap<Reverse<(u64, u64)>>,
     // Front-end state.
     fetch_ready_at: u64, // I-miss stall
     redirect_pending: bool, // mispredict: blocked until resolve
@@ -733,6 +740,67 @@ impl RunSession {
     /// The window's commit target.
     pub fn target_ops(&self) -> u64 {
         self.n_ops
+    }
+
+    /// Ring position of the op with sequence number `seq`.
+    fn pos(&self, seq: u64) -> usize {
+        (seq & (self.rob.len() as u64 - 1)) as usize
+    }
+
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.rob[self.pos(seq)]
+    }
+
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        let pos = self.pos(seq);
+        &mut self.rob[pos]
+    }
+
+    /// Adds slot `seq` to its port class's ready bitmap.
+    fn mark_ready(&mut self, seq: u64) {
+        let pos = self.pos(seq);
+        if self.rob[pos].is_mem {
+            self.ready_mem.insert(pos);
+        } else {
+            self.ready_alu.insert(pos);
+        }
+    }
+
+    /// Files slot `seq`, whose producers are all known-complete: into a
+    /// ready bitmap if its `ready_at` has arrived, else into the ready
+    /// calendar.
+    fn file_ready(&mut self, now: u64, seq: u64) {
+        let ready_at = self.slot(seq).ready_at;
+        if ready_at <= now {
+            self.mark_ready(seq);
+        } else {
+            self.ready_cal.push(Reverse((ready_at, seq)));
+        }
+    }
+
+    /// Records that slot `seq` completes at `done`: enters the cycle in
+    /// the completion calendar, then notifies the slot's registered
+    /// consumers, decrementing their outstanding-dependence counts and
+    /// filing each newly unblocked one.
+    fn complete(&mut self, now: u64, seq: u64, done: u64) {
+        let pos = self.pos(seq);
+        self.rob[pos].complete_at = done;
+        if done > now {
+            self.completions.push(Reverse(done));
+        }
+        let mut consumers = std::mem::take(&mut self.rob[pos].consumers);
+        for &c in &consumers {
+            // Consumers are strictly younger than their producer and
+            // cannot commit before it, so they are still in the ROB.
+            let s = self.slot_mut(c);
+            s.ready_at = s.ready_at.max(done);
+            s.unresolved -= 1;
+            if s.unresolved == 0 {
+                self.file_ready(now, c);
+            }
+        }
+        consumers.clear();
+        self.rob[pos].consumers = consumers;
     }
 }
 
@@ -930,6 +998,95 @@ mod tests {
         let cpi = stats.cpi();
         assert!((0.95..1.15).contains(&cpi), "cpi {cpi}");
         assert_eq!(stats.forced_steps, 0);
+    }
+
+    #[test]
+    fn ready_bitmap_search_matches_a_naive_ring_scan() {
+        for ring in [1usize, 2, 16, 64, 128, 2048] {
+            let mask = ring - 1;
+            // Members at both ends of the ring (either side of the wrap
+            // point), either side of every 64-bit word boundary, a
+            // scatter, and every position.
+            let patterns: [Vec<usize>; 7] = [
+                vec![],
+                vec![0],
+                vec![mask],
+                vec![0, mask],
+                (64..ring).step_by(64).flat_map(|b| [b - 1, b]).collect(),
+                (0..ring).filter(|p| (p * 37 + 11) % 7 == 0).collect(),
+                (0..ring).collect(),
+            ];
+            for mut members in patterns {
+                members.dedup();
+                // Alternate members between the two bitmaps so the
+                // union search sees both.
+                let mut alu = ReadyBits::new(ring);
+                let mut mem = ReadyBits::new(ring);
+                let mut in_alu = vec![false; ring];
+                let mut in_any = vec![false; ring];
+                for (i, &p) in members.iter().enumerate() {
+                    if i % 2 == 0 {
+                        alu.insert(p);
+                        in_alu[p] = true;
+                    } else {
+                        mem.insert(p);
+                    }
+                    in_any[p] = true;
+                }
+                for start in 0..ring {
+                    for span in [ring, ring / 2 + 1, 1, 0] {
+                        let naive =
+                            |hit: &[bool]| (0..span).map(|d| (start + d) & mask).find(|&p| hit[p]);
+                        assert_eq!(
+                            alu.first_from(None, ring, start, span),
+                            naive(&in_alu),
+                            "ring {ring} start {start} span {span} members {members:?}"
+                        );
+                        assert_eq!(
+                            alu.first_from(Some(&mem), ring, start, span),
+                            naive(&in_any),
+                            "union: ring {ring} start {start} span {span} members {members:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn core_with(edit: impl FnOnce(&mut PipelineConfig)) -> Core<InsecureBackend> {
+        let mut config = PipelineConfig::paper_default();
+        edit(&mut config);
+        Core::new(config, InsecureBackend::new(100, 0))
+    }
+
+    #[test]
+    #[should_panic(expected = "rob_size must be positive")]
+    fn zero_rob_size_rejected() {
+        core_with(|c| c.rob_size = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "fetch_width must be positive")]
+    fn zero_fetch_width_rejected() {
+        core_with(|c| c.fetch_width = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "issue_width must be positive")]
+    fn zero_issue_width_rejected() {
+        core_with(|c| c.issue_width = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "commit_width must be positive")]
+    fn zero_commit_width_rejected() {
+        core_with(|c| c.commit_width = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mem_ports must be positive")]
+    fn zero_mem_ports_rejected() {
+        core_with(|c| c.mem_ports = 0);
     }
 
     #[test]

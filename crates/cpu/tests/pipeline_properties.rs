@@ -103,4 +103,21 @@ proptest! {
             true
         );
     }
+
+    /// Any ROB size, on or off the power-of-two grid, and any memory
+    /// port count terminates with exactly `n` ops committed and never
+    /// forces a time step.
+    #[test]
+    fn any_rob_size_commits_exactly_without_forced_steps(
+        ops in proptest::collection::vec(op_strategy(), 1..64),
+        rob_size in 1usize..=300,
+        mem_ports in 1u32..=3,
+    ) {
+        let config = PipelineConfig { rob_size, mem_ports, ..PipelineConfig::paper_default() };
+        let mut c = Core::new(config, InsecureBackend::new(100, 8));
+        let n = 3_000u64;
+        let stats = c.run(&mut Arbitrary { ops, i: 0 }, n);
+        prop_assert_eq!(stats.instructions, n);
+        prop_assert_eq!(stats.forced_steps, 0);
+    }
 }
