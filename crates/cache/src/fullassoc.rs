@@ -1,13 +1,15 @@
-//! A fully associative LRU cache with O(log n) lookup/insert and O(1)
-//! recency updates and eviction.
+//! A fully associative LRU cache with expected O(1) lookup, insert,
+//! recency update and eviction.
 //!
 //! The paper's default SNC is fully associative (§4: "To remove conflict
 //! misses as much as possible, a fully associative cache is desired").
 //! With 32K entries a linear LRU scan would dominate simulation time, so
-//! this implementation pairs an ordered key map with an intrusive doubly
-//! linked list over a slab of nodes.
+//! this implementation pairs a hashed key index with an intrusive doubly
+//! linked list over a slab of nodes. Recency, eviction and flush order
+//! live entirely in the list, so the index's layout never shows.
 
-use std::collections::BTreeMap;
+use crate::line_hash::BuildLineHasher;
+use std::collections::HashMap; // lint: sorted the key index is point-queried, never iterated
 
 const NIL: usize = usize::MAX;
 
@@ -39,11 +41,11 @@ struct Node<T> {
 #[derive(Debug, Clone)]
 pub struct FullAssocCache<T> {
     capacity: usize,
-    // BTreeMap, not HashMap (padlock-lint D1): recency lives in the
-    // intrusive list, so the map is only ever point-queried — but a
-    // deterministic structure keeps every future iteration safe and
-    // Debug output stable across runs.
-    map: BTreeMap<u64, usize>,
+    // Key -> slab index, only ever point-queried: eviction and flush
+    // walk the intrusive list. Keys are simulated line addresses, so the
+    // fixed `LineHasher` needs no collision resistance, and its lack of
+    // a seed keeps the layout and Debug output the same run to run.
+    map: HashMap<u64, usize, BuildLineHasher>, // lint: sorted never iterated (see above)
     /// Slab of nodes; `None` marks a slot on the free list.
     nodes: Vec<Option<Node<T>>>,
     free: Vec<usize>,
@@ -61,7 +63,10 @@ impl<T> FullAssocCache<T> {
         assert!(capacity > 0, "capacity must be positive");
         Self {
             capacity,
-            map: BTreeMap::new(),
+            // Sized once, so filling the cache never rehashes or holds
+            // an old and a new table at the same time.
+            // lint: sorted never iterated (see the field)
+            map: HashMap::with_capacity_and_hasher(capacity, BuildLineHasher::default()),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -278,10 +283,11 @@ mod tests {
         let _: FullAssocCache<()> = FullAssocCache::new(0);
     }
 
-    #[test]
-    fn stress_random_ops_maintain_invariants() {
-        // Cross-check against a naive model: map + recency Vec.
-        let mut c = FullAssocCache::new(16);
+    /// Runs 10,000 seeded random inserts, gets and probes over `keys`
+    /// distinct keys (`key_of(0..keys)`) against a naive model, a
+    /// recency-ordered `Vec`, then checks the flush order.
+    fn check_against_model(capacity: usize, keys: u64, key_of: impl Fn(u64) -> u64) {
+        let mut c = FullAssocCache::new(capacity);
         let mut model: Vec<(u64, u32)> = Vec::new(); // MRU at end
         let mut state = 0x1234_5678u64;
         let mut rnd = || {
@@ -291,7 +297,7 @@ mod tests {
             state
         };
         for _ in 0..10_000 {
-            let key = rnd() % 40;
+            let key = key_of(rnd() % keys);
             match rnd() % 3 {
                 0 => {
                     let val = (rnd() % 1000) as u32;
@@ -299,7 +305,7 @@ mod tests {
                     if let Some(pos) = model.iter().position(|(k, _)| *k == key) {
                         model.remove(pos);
                         assert!(evicted.is_none());
-                    } else if model.len() == 16 {
+                    } else if model.len() == capacity {
                         let lru = model.remove(0);
                         assert_eq!(evicted.expect("model evicts"), lru);
                     } else {
@@ -322,12 +328,26 @@ mod tests {
                 }
                 _ => {
                     let expect = model.iter().any(|(k, _)| *k == key);
-                    assert_eq!(c.contains(key), expect, "contains {key}");
+                    assert_eq!(c.contains(key), expect, "contains {key:#x}");
                 }
             }
             assert_eq!(c.len(), model.len());
         }
         // Flush empties in LRU-to-MRU order, which the model keeps.
         assert_eq!(c.flush(), model);
+    }
+
+    #[test]
+    fn stress_random_ops_maintain_invariants() {
+        check_against_model(16, 40, |k| k);
+    }
+
+    #[test]
+    fn stress_random_ops_on_line_address_keys() {
+        // 128-byte-line addresses as the SNC sees them: seven zero low
+        // bits, and in the second case the secure server's base for
+        // compartment 3 (bit 40 and up).
+        check_against_model(64, 160, |k| 0x7000_0000 + k * 128);
+        check_against_model(64, 160, |k| (3 << 40) + k * 128);
     }
 }

@@ -81,10 +81,10 @@
 use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy};
 use crate::engine::{CryptoTimeline, MemTxn, SncPorts};
 use crate::snc::{SequenceNumberCache, SncLookup};
+use padlock_cache::LineSet;
 use padlock_cpu::{LineKind, MemoryBackend};
 use padlock_mem::{ChannelSet, DrainOrder, TrafficClass};
 use padlock_stats::CounterSet;
-use std::collections::BTreeSet;
 
 /// Fixed-slot controller event counters, bumped as plain fields on
 /// the classify hot paths and rendered as a [`CounterSet`] on demand.
@@ -150,7 +150,10 @@ pub struct SecureBackend {
     snc: Option<SequenceNumberCache>,
     /// Lines that have ever been written back (their in-memory copy is
     /// OTP-dynamic or, under a full no-replacement SNC, direct-encrypted).
-    written: BTreeSet<u64>,
+    /// A hashed membership set: every OTP data miss and writeback
+    /// point-queries it and nothing iterates it, so its fixed-hasher
+    /// layout never reaches a result.
+    written: LineSet,
     /// Evicted sequence numbers awaiting spill; 64 two-byte entries pack
     /// into one line-sized memory transaction.
     pending_spills: u32,
@@ -240,8 +243,9 @@ impl SecureBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `max_inflight` or `snc_shards` is zero, or (in OTP
-    /// mode) if the shard count does not evenly divide the SNC entries.
+    /// Panics if `max_inflight`, `snc_shards`, `mem_channels` or
+    /// `mem_banks` is zero, or (in OTP mode) if the shard count does not
+    /// evenly divide the SNC entries.
     pub fn new(config: SecureBackendConfig) -> Self {
         assert!(config.max_inflight > 0, "max_inflight must be positive");
         assert!(config.snc_shards > 0, "snc_shards must be positive");
@@ -263,7 +267,7 @@ impl SecureBackend {
             config,
             channels,
             snc,
-            written: BTreeSet::new(),
+            written: LineSet::default(),
             pending_spills: 0,
             stats: ControllerStats::default(),
             scratch: WindowScratch::default(),
@@ -338,6 +342,10 @@ impl SecureBackend {
                         Box::new(active.into_iter()),
                     ],
                 };
+                // Size the set once for both feeds, so aging never holds
+                // an old and a grown table at the same time.
+                self.written
+                    .reserve(feeds.iter().map(|f| f.size_hint().0).sum::<usize>());
                 for feed in feeds {
                     for line in feed {
                         self.written.insert(line);
@@ -846,6 +854,41 @@ mod tests {
         b.line_writeback(0, 0x8000);
         assert_eq!(b.line_read(1000, 0x8000, LineKind::Data), 1101);
         assert_eq!(b.snc().unwrap().stats().get("query_hits"), 1);
+    }
+
+    #[test]
+    fn pre_age_keeps_the_feed_each_policy_retains() {
+        // An 8-entry SNC aged with 12 ancient and 4 active lines.
+        let ancient: Vec<u64> = (0..12u64).map(|i| 0x8000 + i * 128).collect();
+        let active: Vec<u64> = (0..4u64).map(|i| 0x4_0000 + i * 128).collect();
+        let fed: Vec<u64> = ancient.iter().chain(&active).copied().collect();
+        // LRU ages ancient then active and keeps the last 8; no-replacement
+        // installs active first and fills the rest from the ancient feed.
+        let lru: Vec<u64> = fed[8..].to_vec();
+        let norepl: Vec<u64> = active.iter().chain(&ancient[..4]).copied().collect();
+        for (policy, resident) in [(SncPolicy::Lru, lru), (SncPolicy::NoReplacement, norepl)] {
+            let mut b = SecureBackend::new(otp_cfg(policy, 8));
+            b.pre_age(ancient.iter().copied(), active.iter().copied());
+            let snc = b.snc().expect("OTP mode has an SNC");
+            for &line in &fed {
+                let expect = resident.contains(&line);
+                assert_eq!(snc.contains(line), expect, "{policy:?} {line:#x}");
+            }
+            assert_eq!(snc.occupancy(), 8, "{policy:?}");
+            let zero = |set: CounterSet| set.iter().all(|(_, n)| n == 0);
+            assert!(zero(snc.stats()), "{policy:?}");
+            assert!(zero(b.controller_stats()), "{policy:?}");
+
+            // Every fed line counts as written: none takes the clean
+            // bypass, resident or not. An unfed line does.
+            let bypasses = |b: &SecureBackend| b.controller_stats().get("clean_bypass_reads");
+            for (i, &line) in (0u64..).zip(&fed) {
+                b.line_read(i * 1000, line, LineKind::Data);
+                assert_eq!(bypasses(&b), 0, "{policy:?} {line:#x}");
+            }
+            b.line_read(100_000, 0x10_0000, LineKind::Data);
+            assert_eq!(bypasses(&b), 1, "{policy:?}");
+        }
     }
 
     #[test]
