@@ -2,6 +2,14 @@
 
 /// Geometry of one LRU cache.
 ///
+/// Line size and set count are powers of two, so the configuration
+/// computes once the shift and mask that map an address to its set:
+/// [`CacheConfig::set_index`] is `(addr >> log2(line_bytes)) &
+/// (num_sets - 1)`, with no division. [`SetAssocCache`] stores its
+/// lines set-major, so a set's ways start at `set_index(addr) * ways`.
+///
+/// [`SetAssocCache`]: crate::SetAssocCache
+///
 /// # Examples
 ///
 /// ```
@@ -18,6 +26,11 @@ pub struct CacheConfig {
     size_bytes: usize,
     line_bytes: usize,
     ways: usize,
+    /// `log2(line_bytes)`: an address shifted right by it is its line
+    /// number.
+    line_shift: u32,
+    /// `num_sets() - 1`: a line number masked with it is its set.
+    set_mask: u64,
 }
 
 impl CacheConfig {
@@ -48,6 +61,8 @@ impl CacheConfig {
             size_bytes,
             line_bytes,
             ways,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: sets as u64 - 1,
         }
     }
 
@@ -86,9 +101,10 @@ impl CacheConfig {
         addr & !(self.line_bytes as u64 - 1)
     }
 
-    /// The set index for `addr`.
+    /// The set index for `addr`: its line number modulo the set count,
+    /// taken as a shift and a mask.
     pub fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes as u64) % self.num_sets() as u64) as usize
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 }
 
@@ -123,6 +139,22 @@ mod tests {
         assert_eq!(c.set_index(0), 0);
         assert_eq!(c.set_index(64), 1);
         assert_eq!(c.set_index(64 * 8), 0);
+        // The shift and mask agree with `addr / line % sets` everywhere.
+        for c in [
+            c,
+            CacheConfig::new("L2", 384 * 1024, 128, 6),
+            CacheConfig::new("snc", 4096 * 128, 128, 32),
+            CacheConfig::new("one", 64, 64, 1),
+        ] {
+            let (line, sets) = (c.line_bytes() as u64, c.num_sets() as u64);
+            for addr in (0..5_000u64).map(|i| i * 97).chain([u64::MAX, 1 << 63]) {
+                assert_eq!(
+                    c.set_index(addr) as u64,
+                    addr / line % sets,
+                    "{c:?} {addr:#x}"
+                );
+            }
+        }
     }
 
     #[test]

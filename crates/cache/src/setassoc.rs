@@ -34,17 +34,6 @@ pub struct AccessOutcome<T> {
     pub victim: Option<Evicted<T>>,
 }
 
-#[derive(Debug, Clone)]
-struct Line<T> {
-    /// Line-aligned base address (stores the whole address, not just the
-    /// tag, so victims can be reported without reconstructing bits).
-    addr: u64,
-    dirty: bool,
-    /// Recency stamp: the clock value of the line's last touch.
-    stamp: u64,
-    payload: T,
-}
-
 /// A set-associative, write-back, write-allocate LRU cache with a
 /// per-line payload.
 ///
@@ -52,6 +41,19 @@ struct Line<T> {
 /// caches, the stored virtual address for the L2 (paper §4: the L2 keeps
 /// each line's VA to index the SNC on writeback), or a sequence number
 /// for a set-associative SNC.
+///
+/// # Layout
+///
+/// The lines live in flat set-major arrays: way `w` of set `s` is entry
+/// `s * ways + w` of a tag array (the line address, scanned by a
+/// lookup), a recency-stamp array, a dirty-bit array and a payload
+/// array. The stamp is the cache clock at the line's last touch; every
+/// touch ticks the clock first, so stamps start at 1 and stamp 0 marks
+/// a free way. A set fills its ways in order and only
+/// [`SetAssocCache::flush`] frees them, so the resident lines of a set
+/// are always a prefix of its ways. The victim of an allocation is the
+/// first way with the smallest stamp: the first free way while one is
+/// left, else the least recently used line.
 ///
 /// # Examples
 ///
@@ -67,7 +69,16 @@ struct Line<T> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T> {
     config: CacheConfig,
-    sets: Vec<Vec<Line<T>>>,
+    /// Line-aligned base address per way (the whole address, not just
+    /// the tag bits, so victims are reported without reconstruction).
+    /// Meaningless in a free way.
+    tags: Vec<u64>,
+    /// Recency stamp per way; 0 in a free way.
+    stamps: Vec<u64>,
+    /// Dirty bit per way. Meaningless in a free way.
+    dirty: Vec<bool>,
+    /// Payload per way; a free way holds a leftover value.
+    payloads: Vec<T>,
     clock: u64,
     stats: CacheStats,
 }
@@ -75,10 +86,13 @@ pub struct SetAssocCache<T> {
 impl<T: Default> SetAssocCache<T> {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = (0..config.num_sets()).map(|_| Vec::new()).collect();
+        let lines = config.num_lines();
         Self {
             config,
-            sets,
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
+            payloads: (0..lines).map(|_| T::default()).collect(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -89,15 +103,13 @@ impl<T: Default> SetAssocCache<T> {
     /// Returns whether the access hit and, on miss, any victim that was
     /// evicted to make room.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome<T> {
-        let line_addr = self.config.line_addr(addr);
-        let set_idx = self.config.set_index(addr);
+        let (set, line_addr) = self.locate(addr);
         let stamp = self.tick();
+        let write = kind == AccessKind::Write;
 
-        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.addr == line_addr) {
-            line.stamp = stamp;
-            if kind == AccessKind::Write {
-                line.dirty = true;
-            }
+        if let Some(way) = self.find(set, line_addr) {
+            self.stamps[way] = stamp;
+            self.dirty[way] |= write;
             self.stats.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -106,14 +118,32 @@ impl<T: Default> SetAssocCache<T> {
         }
 
         self.stats.misses += 1;
-        let new_line = Line {
-            addr: line_addr,
-            dirty: kind == AccessKind::Write,
-            stamp,
-            payload: T::default(),
-        };
-        let victim = self.install(set_idx, new_line);
+        let victim = self.install(set, line_addr, write, stamp, T::default());
         AccessOutcome { hit: false, victim }
+    }
+
+    /// Evicts everything, returning the victims set by set, each set's
+    /// in way order (models the context-switch flush of the paper's
+    /// §4.3).
+    pub fn flush(&mut self) -> Vec<Evicted<T>> {
+        let mut out = Vec::new();
+        for way in 0..self.stamps.len() {
+            if self.stamps[way] == 0 {
+                continue;
+            }
+            self.stamps[way] = 0;
+            let dirty = self.dirty[way];
+            if dirty {
+                self.stats.writebacks += 1;
+            }
+            self.stats.evictions += 1;
+            out.push(Evicted {
+                addr: self.tags[way],
+                dirty,
+                payload: std::mem::take(&mut self.payloads[way]),
+            });
+        }
+        out
     }
 }
 
@@ -141,52 +171,73 @@ impl<T> SetAssocCache<T> {
         self.clock
     }
 
-    /// Installs a line into its set, returning any evicted victim.
-    fn install(&mut self, set_idx: usize, line: Line<T>) -> Option<Evicted<T>> {
-        if self.sets[set_idx].len() < self.config.ways() {
-            self.sets[set_idx].push(line);
-            return None;
-        }
-        let victim_idx = self.sets[set_idx]
+    /// The first way of `addr`'s set, and `addr`'s line address.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        (
+            self.config.set_index(addr) * self.config.ways(),
+            self.config.line_addr(addr),
+        )
+    }
+
+    /// The way of the set starting at `set` that holds `line_addr`.
+    fn find(&self, set: usize, line_addr: u64) -> Option<usize> {
+        let ways = &self.tags[set..set + self.config.ways()];
+        let way = set + ways.iter().position(|&tag| tag == line_addr)?;
+        // Resident lines precede the free ways, so a first match in a
+        // free way (a leftover tag) means the line is absent.
+        (self.stamps[way] != 0).then_some(way)
+    }
+
+    /// Installs a line into the set starting at `set`, over its first
+    /// least-recently-stamped way, returning the evicted victim if that
+    /// way was resident.
+    fn install(
+        &mut self,
+        set: usize,
+        line_addr: u64,
+        dirty: bool,
+        stamp: u64,
+        payload: T,
+    ) -> Option<Evicted<T>> {
+        let stamps = &self.stamps[set..set + self.config.ways()];
+        let (victim, _) = stamps
             .iter()
             .enumerate()
-            .min_by_key(|(_, l)| l.stamp)
-            .map(|(i, _)| i)
-            .expect("set is full");
-        let old = std::mem::replace(&mut self.sets[set_idx][victim_idx], line);
+            .min_by_key(|&(_, &s)| s)
+            .expect("a set has at least one way");
+        let way = set + victim;
+        let was_resident = self.stamps[way] != 0;
+        let old_addr = std::mem::replace(&mut self.tags[way], line_addr);
+        let old_dirty = std::mem::replace(&mut self.dirty[way], dirty);
+        let old_payload = std::mem::replace(&mut self.payloads[way], payload);
+        self.stamps[way] = stamp;
+        if !was_resident {
+            return None;
+        }
         self.stats.evictions += 1;
-        if old.dirty {
+        if old_dirty {
             self.stats.writebacks += 1;
         }
         Some(Evicted {
-            addr: old.addr,
-            dirty: old.dirty,
-            payload: old.payload,
+            addr: old_addr,
+            dirty: old_dirty,
+            payload: old_payload,
         })
     }
 
     /// Looks up `addr` without allocating or disturbing recency.
     pub fn probe(&self, addr: u64) -> Option<&T> {
-        let line_addr = self.config.line_addr(addr);
-        let set_idx = self.config.set_index(addr);
-        self.sets[set_idx]
-            .iter()
-            .find(|l| l.addr == line_addr)
-            .map(|l| &l.payload)
+        let (set, line_addr) = self.locate(addr);
+        self.find(set, line_addr).map(|way| &self.payloads[way])
     }
 
     /// Mutable payload access without allocating; refreshes LRU recency.
     pub fn probe_mut(&mut self, addr: u64) -> Option<&mut T> {
-        let line_addr = self.config.line_addr(addr);
-        let set_idx = self.config.set_index(addr);
+        let (set, line_addr) = self.locate(addr);
         let stamp = self.tick();
-        self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.addr == line_addr)
-            .map(|l| {
-                l.stamp = stamp;
-                &mut l.payload
-            })
+        let way = self.find(set, line_addr)?;
+        self.stamps[way] = stamp;
+        Some(&mut self.payloads[way])
     }
 
     /// Whether `addr`'s line is present.
@@ -197,53 +248,30 @@ impl<T> SetAssocCache<T> {
     /// Inserts (or overwrites) a line with an explicit payload; returns the
     /// victim if the set overflowed.
     pub fn insert(&mut self, addr: u64, payload: T, dirty: bool) -> Option<Evicted<T>> {
-        let line_addr = self.config.line_addr(addr);
-        let set_idx = self.config.set_index(addr);
+        let (set, line_addr) = self.locate(addr);
         let stamp = self.tick();
-        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.addr == line_addr) {
-            line.payload = payload;
-            line.dirty |= dirty;
-            line.stamp = stamp;
+        if let Some(way) = self.find(set, line_addr) {
+            self.payloads[way] = payload;
+            self.dirty[way] |= dirty;
+            self.stamps[way] = stamp;
             return None;
         }
-        let line = Line {
-            addr: line_addr,
-            dirty,
-            stamp,
-            payload,
-        };
-        self.install(set_idx, line)
-    }
-
-    /// Evicts everything, returning the victims set by set (models the
-    /// context-switch flush of the paper's §4.3).
-    pub fn flush(&mut self) -> Vec<Evicted<T>> {
-        let mut out = Vec::new();
-        for set in &mut self.sets {
-            for line in set.drain(..) {
-                if line.dirty {
-                    self.stats.writebacks += 1;
-                }
-                self.stats.evictions += 1;
-                out.push(Evicted {
-                    addr: line.addr,
-                    dirty: line.dirty,
-                    payload: line.payload,
-                });
-            }
-        }
-        out
+        self.install(set, line_addr, dirty, stamp, payload)
     }
 
     /// Number of lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.stamps.iter().filter(|&&s| s != 0).count()
     }
 
     /// Number of lines resident in the set that `addr` maps to
     /// (used by the no-replacement SNC to test for a free way).
     pub fn set_occupancy(&self, addr: u64) -> usize {
-        self.sets[self.config.set_index(addr)].len()
+        let (set, _) = self.locate(addr);
+        self.stamps[set..set + self.config.ways()]
+            .iter()
+            .filter(|&&s| s != 0)
+            .count()
     }
 }
 

@@ -123,13 +123,15 @@ impl ServerConfig {
 
 /// The per-core seat for the shared backend: holds the one
 /// [`SecureBackend`] only while its core is the scheduled owner, and
-/// delegates the whole [`MemoryBackend`] surface to it.
+/// delegates the whole [`MemoryBackend`] surface to it. The backend is
+/// boxed, so moving it between seats moves a pointer, not the
+/// controller.
 ///
 /// A core is only ever stepped with the backend installed in its slot,
 /// so the `expect`s below encode the scheduler invariant, not a
 /// recoverable condition.
 #[derive(Debug, Default)]
-pub struct ServerSlot(Option<SecureBackend>);
+pub struct ServerSlot(Option<Box<SecureBackend>>);
 
 impl ServerSlot {
     /// An empty seat (the scheduler has not installed the backend).
@@ -143,7 +145,7 @@ impl ServerSlot {
     ///
     /// Panics if the seat is already occupied — the backend would be
     /// duplicated.
-    pub fn put(&mut self, backend: SecureBackend) {
+    pub fn put(&mut self, backend: Box<SecureBackend>) {
         assert!(self.0.is_none(), "the shared backend is already seated");
         self.0 = Some(backend);
     }
@@ -153,7 +155,7 @@ impl ServerSlot {
     /// # Panics
     ///
     /// Panics if the seat is empty.
-    pub fn take(&mut self) -> SecureBackend {
+    pub fn take(&mut self) -> Box<SecureBackend> {
         self.0.take().expect("the shared backend is seated here")
     }
 
@@ -164,7 +166,7 @@ impl ServerSlot {
     /// Panics if the seat is empty.
     pub fn get(&self) -> &SecureBackend {
         self.0
-            .as_ref()
+            .as_deref()
             .expect("the scheduler seats the backend before this core runs")
     }
 
@@ -175,7 +177,7 @@ impl ServerSlot {
     /// Panics if the seat is empty.
     pub fn get_mut(&mut self) -> &mut SecureBackend {
         self.0
-            .as_mut()
+            .as_deref_mut()
             .expect("the scheduler seats the backend before this core runs")
     }
 }
@@ -285,7 +287,7 @@ pub struct SecureServer {
     config: ServerConfig,
     cores: Vec<Core<ServerSlot>>,
     /// The shared backend when no core holds it (before the first step).
-    parked: Option<SecureBackend>,
+    parked: Option<Box<SecureBackend>>,
     /// Which core's slot currently seats the backend.
     holder: Option<usize>,
     /// The compartment the *next* traffic delta is attributed to.
@@ -332,7 +334,9 @@ impl SecureServer {
         let next_switch = config.switch_interval.unwrap_or(u64::MAX);
         let per_comp = vec![TrafficTotals::default(); config.cores];
         let frames = (0..config.cores).map(|_| None).collect();
-        let parked = Some(SecureBackend::new(config.machine.security.clone()));
+        let parked = Some(Box::new(SecureBackend::new(
+            config.machine.security.clone(),
+        )));
         Self {
             config,
             cores,
@@ -373,7 +377,7 @@ impl SecureServer {
             Some(c) => self.cores[c].hierarchy().backend().get(),
             None => self
                 .parked
-                .as_ref()
+                .as_deref()
                 .expect("the shared backend is parked when no core holds it"),
         }
     }
@@ -383,7 +387,7 @@ impl SecureServer {
             Some(c) => self.cores[c].hierarchy_mut().backend_mut().get_mut(),
             None => self
                 .parked
-                .as_mut()
+                .as_deref_mut()
                 .expect("the shared backend is parked when no core holds it"),
         }
     }

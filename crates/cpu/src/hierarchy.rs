@@ -261,6 +261,9 @@ pub struct Hierarchy<B> {
     l2: SetAssocCache<()>,
     backend: B,
     mshrs: Vec<MshrEntry>,
+    /// The request batch a drain hands the backend, kept across drains
+    /// so draining does not allocate it.
+    drain_reqs: Vec<(u64, u64, LineKind)>,
     waiters: Vec<Waiter>,
     resolutions: Vec<(AccessToken, u64)>,
     next_token: u64,
@@ -285,6 +288,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
             l2,
             backend,
             mshrs: Vec::new(),
+            drain_reqs: Vec::new(),
             waiters: Vec::new(),
             resolutions: Vec::new(),
             next_token: 0,
@@ -381,12 +385,10 @@ impl<B: MemoryBackend> Hierarchy<B> {
         if self.mshrs.is_empty() {
             return;
         }
-        let reqs: Vec<(u64, u64, LineKind)> = self
-            .mshrs
-            .iter()
-            .map(|m| (m.issue_at, m.line_addr, m.kind))
-            .collect();
-        let dones = self.backend.line_read_batch_at(&reqs);
+        self.drain_reqs.clear();
+        self.drain_reqs
+            .extend(self.mshrs.iter().map(|m| (m.issue_at, m.line_addr, m.kind)));
+        let dones = self.backend.line_read_batch_at(&self.drain_reqs);
         for w in self.waiters.drain(..) {
             self.resolutions.push((w.token, dones[w.mshr].max(w.floor)));
         }

@@ -40,6 +40,7 @@ mod bpred;
 mod hierarchy;
 mod op;
 mod pipeline;
+mod wheel;
 
 pub use bpred::{BimodalPredictor, BranchPredictor, GsharePredictor};
 pub use hierarchy::{

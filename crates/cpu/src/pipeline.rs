@@ -9,12 +9,18 @@
 //! module and the `fastforward_vs_seed` differential proves the two
 //! produce bit-exact cycles and counters):
 //!
-//! * **Completion calendar** — a min-heap of future completion cycles.
-//!   Every issue and every miss resolution pushes the op's completion
-//!   cycle; when no fetch/dispatch/issue/commit can occur, `now` jumps
-//!   straight to the earliest future event (folding in the fetch gates
-//!   and [`Hierarchy::next_completion`]) instead of scanning the ROB.
-//!   Stale entries (cycles the clock has passed) are popped lazily.
+//! * **Completion calendar** — a 64-cycle timing wheel (see the
+//!   `wheel` module). Every issue and every miss resolution enters the
+//!   op's completion cycle; when no fetch/dispatch/issue/commit can
+//!   occur, `now` jumps straight to the earliest future event (folding
+//!   in the fetch gates and [`Hierarchy::next_completion`]) instead of
+//!   scanning the ROB. A completion within 63 cycles is one bit of a
+//!   mask, so the earliest one is a rotate and a `trailing_zeros`; one
+//!   further out (an L2 miss) waits in a small heap until the clock
+//!   nears it. Every completion stays a wake-up, not only the ROB
+//!   head's: MSHR resolutions that an instruction-fetch drain queued
+//!   already due are collected by the next step, and that step's cycle
+//!   decides when the load's consumers issue.
 //!
 //! * **Incremental issue readiness** — instead of re-testing every
 //!   un-issued slot's dependences each cycle, each producer slot keeps
@@ -22,10 +28,11 @@
 //!   cycle becomes known (at issue, or when an L2 miss resolves), its
 //!   consumers' outstanding-dependence counts are decremented and each
 //!   newly unblocked consumer is filed either into a *ready bitmap*
-//!   (one per port class, memory vs. non-memory ops) or into a *ready
-//!   calendar*, a min-heap of `(ready_at, seq)` pairs keyed by the
-//!   cycle its last producer completes. Issue then walks the two
-//!   bitmaps together oldest-first, reproducing the seed scan's order
+//!   (one per port class, memory vs. non-memory ops) or onto the
+//!   wheel's list for the cycle its last producer completes; each step
+//!   first advances the wheel to `now`, moving the slots whose cycle
+//!   has come into the bitmaps. Issue then walks the two bitmaps
+//!   together oldest-first, reproducing the seed scan's order
 //!   exactly: the overall issue-width cap stops the walk, while the
 //!   memory-port cap drops the memory bitmap from the walk but lets
 //!   younger non-memory ops through. The walk never looks back: an op
@@ -43,7 +50,7 @@
 //! vector across reuse, so dispatch stops allocating once every ring
 //! position has held a producer.
 //!
-//! Readiness cycles never need their own calendar events: a consumer's
+//! Readiness cycles never need their own wake-ups: a consumer's
 //! `ready_at` equals some producer's completion cycle, which is already
 //! in the completion calendar (a producer whose completion is still in
 //! the future cannot have committed).
@@ -57,8 +64,7 @@
 use crate::bpred::{BimodalPredictor, BranchPredictor};
 use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend};
 use crate::op::{OpClass, Workload};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::wheel::TimingWheel;
 
 /// Pipeline widths and structure sizes.
 ///
@@ -365,8 +371,7 @@ impl<B: MemoryBackend> Core<B> {
     /// it with [`Core::step_run`] and close it with
     /// [`Core::finish_run`].
     pub fn begin_run(&mut self, n_ops: u64) -> RunSession {
-        let rob_size = self.config.rob_size;
-        let ring = rob_size.next_power_of_two();
+        let ring = self.config.rob_size.next_power_of_two();
         RunSession {
             stats: RunStats::default(),
             start_cycle: self.now,
@@ -377,10 +382,10 @@ impl<B: MemoryBackend> Core<B> {
             committed: 0,
             pending_loads: Vec::new(),
             resolved_buf: Vec::new(),
-            completions: BinaryHeap::with_capacity(rob_size * 2),
+            calendar: TimingWheel::new(self.now),
+            due_buf: Vec::new(),
             ready_mem: ReadyBits::new(ring),
             ready_alu: ReadyBits::new(ring),
-            ready_cal: BinaryHeap::new(),
             fetch_ready_at: 0,
             redirect_pending: false,
             fetch_resume_at: 0,
@@ -400,6 +405,16 @@ impl<B: MemoryBackend> Core<B> {
         }
         let now = self.now;
         let mut progress = false;
+
+        // ---- Advance the calendar ----
+        // Completions at or before `now` are past; slots whose
+        // readiness cycle has arrived join the ready bitmaps.
+        s.calendar.advance(now, &mut s.due_buf);
+        for i in 0..s.due_buf.len() {
+            let seq = s.due_buf[i];
+            s.mark_ready(seq);
+        }
+        s.due_buf.clear();
 
         // ---- Collect resolved fills ----
         // A hierarchy drain (MSHR-file exhaustion inside an access, a
@@ -455,14 +470,6 @@ impl<B: MemoryBackend> Core<B> {
         }
 
         // ---- Issue (oldest first, from the ready bitmaps) ----
-        // Promote slots whose readiness cycle has arrived.
-        while let Some(&Reverse((ready_at, seq))) = s.ready_cal.peek() {
-            if ready_at > now {
-                break;
-            }
-            s.ready_cal.pop();
-            s.mark_ready(seq);
-        }
         // Walk both bitmaps from the head in program order: the
         // issue-width cap ends the walk, the memory-port cap skips
         // memory ops while younger non-memory ops still issue —
@@ -634,10 +641,7 @@ impl<B: MemoryBackend> Core<B> {
             // Parked loads have no completion cycle yet; they are
             // excluded here and force a drain when nothing else can
             // run.
-            while s.completions.peek().is_some_and(|&Reverse(t)| t <= now) {
-                s.completions.pop();
-            }
-            let mut next = s.completions.peek().map_or(u64::MAX, |&Reverse(t)| t);
+            let mut next = s.calendar.next_done().unwrap_or(u64::MAX);
             if s.fetch_ready_at > now {
                 next = next.min(s.fetch_ready_at);
             }
@@ -712,16 +716,17 @@ pub struct RunSession {
     // file's waiter list.
     pending_loads: Vec<(AccessToken, u64)>,
     resolved_buf: Vec<(AccessToken, u64)>,
-    // Event calendar: future completion cycles of issued ops (and
-    // resolved misses). The min drives the no-progress time jump.
-    completions: BinaryHeap<Reverse<u64>>,
+    // Event calendar, kept at the clock: future completion cycles of
+    // issued ops and resolved misses (the earliest drives the
+    // no-progress time jump), and slots unblocked but not ready until a
+    // future cycle.
+    calendar: TimingWheel,
+    // Slots the calendar hands out as ready at the current cycle.
+    due_buf: Vec<u64>,
     // Ready tracking: ring positions of slots whose producers are all
     // known-complete, split by port class.
     ready_mem: ReadyBits,
     ready_alu: ReadyBits,
-    // Slots unblocked but not ready until a future cycle, as
-    // `(ready_at, seq)`.
-    ready_cal: BinaryHeap<Reverse<(u64, u64)>>,
     // Front-end state.
     fetch_ready_at: u64, // I-miss stall
     redirect_pending: bool, // mispredict: blocked until resolve
@@ -767,14 +772,14 @@ impl RunSession {
     }
 
     /// Files slot `seq`, whose producers are all known-complete: into a
-    /// ready bitmap if its `ready_at` has arrived, else into the ready
+    /// ready bitmap if its `ready_at` has arrived, else into the
     /// calendar.
     fn file_ready(&mut self, now: u64, seq: u64) {
         let ready_at = self.slot(seq).ready_at;
         if ready_at <= now {
             self.mark_ready(seq);
         } else {
-            self.ready_cal.push(Reverse((ready_at, seq)));
+            self.calendar.push_ready(ready_at, seq);
         }
     }
 
@@ -786,7 +791,7 @@ impl RunSession {
         let pos = self.pos(seq);
         self.rob[pos].complete_at = done;
         if done > now {
-            self.completions.push(Reverse(done));
+            self.calendar.push_done(done);
         }
         let mut consumers = std::mem::take(&mut self.rob[pos].consumers);
         for &c in &consumers {
@@ -986,7 +991,7 @@ mod tests {
         // A multiply (latency 3) feeding an ALU op (latency 1) exercises
         // the future-readiness path: the consumer's ready cycle is known
         // at the producer's issue but lies ahead of `now`, so it must
-        // wait in the ready calendar without being lost or issued early.
+        // wait on the calendar without being lost or issued early.
         let mut c = core();
         let ops = vec![
             MicroOp::new(0x1000, OpClass::IntMul).with_deps(3, 0),

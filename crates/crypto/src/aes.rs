@@ -3,7 +3,8 @@
 //! The S-box is *derived* (multiplicative inverse in GF(2⁸) followed by the
 //! affine transform) rather than transcribed, which removes a whole class
 //! of table-typo bugs; the FIPS 197 Appendix C vector in the tests pins the
-//! result to the standard.
+//! result to the standard. The derivation is a `const fn` evaluated once,
+//! at compile time, so building a cipher only expands its key.
 
 use crate::block::BlockCipher;
 
@@ -11,9 +12,10 @@ const NB: usize = 4; // columns per state
 const NR: usize = 10; // rounds for AES-128
 
 /// Multiplies two elements of GF(2⁸) modulo x⁸+x⁴+x³+x+1.
-fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
-    for _ in 0..8 {
+    let mut bit = 0;
+    while bit < 8 {
         if b & 1 != 0 {
             p ^= a;
         }
@@ -23,12 +25,13 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
             a ^= 0x1B;
         }
         b >>= 1;
+        bit += 1;
     }
     p
 }
 
 /// Multiplicative inverse in GF(2⁸); 0 maps to 0.
-fn gf_inv(a: u8) -> u8 {
+const fn gf_inv(a: u8) -> u8 {
     if a == 0 {
         return 0;
     }
@@ -47,10 +50,11 @@ fn gf_inv(a: u8) -> u8 {
 }
 
 /// Builds the forward and inverse S-boxes from first principles.
-fn build_sboxes() -> ([u8; 256], [u8; 256]) {
+const fn build_sboxes() -> ([u8; 256], [u8; 256]) {
     let mut sbox = [0u8; 256];
     let mut inv = [0u8; 256];
-    for (x, slot) in sbox.iter_mut().enumerate() {
+    let mut x = 0;
+    while x < 256 {
         let b = gf_inv(x as u8);
         // Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
         let s = b
@@ -59,11 +63,17 @@ fn build_sboxes() -> ([u8; 256], [u8; 256]) {
             ^ b.rotate_left(3)
             ^ b.rotate_left(4)
             ^ 0x63;
-        *slot = s;
+        sbox[x] = s;
         inv[s as usize] = x as u8;
+        x += 1;
     }
     (sbox, inv)
 }
+
+/// The forward and inverse S-boxes, derived once at compile time.
+const SBOXES: ([u8; 256], [u8; 256]) = build_sboxes();
+static SBOX: [u8; 256] = SBOXES.0;
+static INV_SBOX: [u8; 256] = SBOXES.1;
 
 /// AES with a 128-bit key.
 ///
@@ -82,8 +92,6 @@ fn build_sboxes() -> ([u8; 256], [u8; 256]) {
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; NR + 1],
-    sbox: [u8; 256],
-    inv_sbox: [u8; 256],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -96,7 +104,6 @@ impl std::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Creates an AES-128 instance and expands the key schedule.
     pub fn new(key: &[u8; 16]) -> Self {
-        let (sbox, inv_sbox) = build_sboxes();
         let mut words = [[0u8; 4]; 4 * (NR + 1)];
         for (i, w) in words.iter_mut().take(4).enumerate() {
             w.copy_from_slice(&key[4 * i..4 * i + 4]);
@@ -107,7 +114,7 @@ impl Aes128 {
             if i % 4 == 0 {
                 temp.rotate_left(1);
                 for b in &mut temp {
-                    *b = sbox[*b as usize];
+                    *b = SBOX[*b as usize];
                 }
                 temp[0] ^= rcon;
                 rcon = gf_mul(rcon, 2);
@@ -122,11 +129,7 @@ impl Aes128 {
                 rk[4 * c..4 * c + 4].copy_from_slice(&words[4 * r + c]);
             }
         }
-        Self {
-            round_keys,
-            sbox,
-            inv_sbox,
-        }
+        Self { round_keys }
     }
 
     fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -135,15 +138,15 @@ impl Aes128 {
         }
     }
 
-    fn sub_bytes(&self, state: &mut [u8; 16]) {
+    fn sub_bytes(state: &mut [u8; 16]) {
         for b in state.iter_mut() {
-            *b = self.sbox[*b as usize];
+            *b = SBOX[*b as usize];
         }
     }
 
-    fn inv_sub_bytes(&self, state: &mut [u8; 16]) {
+    fn inv_sub_bytes(state: &mut [u8; 16]) {
         for b in state.iter_mut() {
-            *b = self.inv_sbox[*b as usize];
+            *b = INV_SBOX[*b as usize];
         }
     }
 
@@ -207,12 +210,12 @@ impl BlockCipher for Aes128 {
         let state: &mut [u8; 16] = block.try_into().expect("16-byte AES block");
         Self::add_round_key(state, &self.round_keys[0]);
         for round in 1..NR {
-            self.sub_bytes(state);
+            Self::sub_bytes(state);
             Self::shift_rows(state);
             Self::mix_columns(state);
             Self::add_round_key(state, &self.round_keys[round]);
         }
-        self.sub_bytes(state);
+        Self::sub_bytes(state);
         Self::shift_rows(state);
         Self::add_round_key(state, &self.round_keys[NR]);
     }
@@ -222,12 +225,12 @@ impl BlockCipher for Aes128 {
         Self::add_round_key(state, &self.round_keys[NR]);
         for round in (1..NR).rev() {
             Self::inv_shift_rows(state);
-            self.inv_sub_bytes(state);
+            Self::inv_sub_bytes(state);
             Self::add_round_key(state, &self.round_keys[round]);
             Self::inv_mix_columns(state);
         }
         Self::inv_shift_rows(state);
-        self.inv_sub_bytes(state);
+        Self::inv_sub_bytes(state);
         Self::add_round_key(state, &self.round_keys[0]);
     }
 
