@@ -55,6 +55,10 @@ impl SweepRate {
     }
 }
 
+/// The paper's evaluation figures in paper order: what a bare `repro`
+/// renders, and the only values `--figure` accepts.
+const FIGURES: [u32; 7] = [3, 5, 6, 7, 8, 9, 10];
+
 struct Args {
     figure: Option<u32>,
     scale: RunScale,
@@ -72,7 +76,6 @@ struct Args {
     page: PagePolicy,
     trace: String,
     jobs: Option<usize>,
-    idle_drain: bool,
     jsonl: Option<PathBuf>,
     seed_core: bool,
 }
@@ -187,7 +190,6 @@ fn parse_args() -> Args {
         page: PagePolicy::Open,
         trace: "bfs".to_string(),
         jobs: None,
-        idle_drain: false,
         jsonl: None,
         seed_core: false,
     };
@@ -196,10 +198,15 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--figure" | "-f" => {
                 let v = iter.next().unwrap_or_else(|| usage_error("--figure needs a number"));
-                args.figure = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| usage_error(&format!("--figure expects a number, got {v:?}"))),
-                );
+                let n = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--figure expects a number, got {v:?}"))
+                });
+                if !FIGURES.contains(&n) {
+                    usage_error(&format!(
+                        "no figure {n} in the paper's evaluation ({FIGURES:?})"
+                    ));
+                }
+                args.figure = Some(n);
             }
             "--quick" => args.scale = RunScale::Quick,
             "--smoke" => args.scale = RunScale::Smoke,
@@ -212,7 +219,7 @@ fn parse_args() -> Args {
                     "usage: repro [--figure N] [--quick|--smoke] [--csv DIR] [--jobs N]\n\
                      \x20      [--calibrate [--snc]]\n\
                      \x20      [--mlp [--channels A,B,..] [--mshrs A,B,..] [--banks A,B,..]\n\
-                     \x20       [--order fifo|row-first] [--page open|closed] [--idle-drain]\n\
+                     \x20       [--order fifo|row-first] [--page open|closed]\n\
                      \x20       [--trace BENCH] [--jsonl FILE] [--seed-core]]\n\
                      \x20      [--server [--cores A,B,..] [--switch A,B,..]\n\
                      \x20       [--channels A,B,..] [--trace BENCH|mix]]\n\
@@ -235,12 +242,11 @@ fn parse_args() -> Args {
                      row-buffer timing (values must divide the 16-line row),\n\
                      comparing the chosen trace against the row-conflict-bound\n\
                      rstride walk and printing the fifo vs row-first\n\
-                     row-hit-delta table plus the idle-drain on/off delta;\n\
+                     row-hit-delta table;\n\
                      --order picks the drain scheduler's issue order (fifo =\n\
                      arrival order, row-first = FR-FCFS grouping of same-row\n\
                      misses); --page picks the bank page policy (open rows vs\n\
-                     closed-page auto-precharge); --idle-drain enables the\n\
-                     idle-keyed MSHR drain trigger on every sweep cell;\n\
+                     closed-page auto-precharge);\n\
                      --server sweeps the N-compartment secure server instead:\n\
                      cores x channels x context-switch quanta over one shared\n\
                      fabric (small LRU SNC), printing mean CPI, the slowdown vs\n\
@@ -292,7 +298,6 @@ fn parse_args() -> Args {
                 }
                 args.jobs = Some(jobs);
             }
-            "--idle-drain" => args.idle_drain = true,
             "--seed-core" => args.seed_core = true,
             "--jsonl" => {
                 let v = iter.next().unwrap_or_else(|| usage_error("--jsonl needs a file path"));
@@ -440,7 +445,6 @@ fn mlp(args: &Args, pool: &SweepPool, jsonl: Option<(&Path, File)>) {
         &args.channels,
         args.order,
         args.page,
-        args.idle_drain,
         args.seed_core,
     );
     println!("{}", table.render_text());
@@ -473,19 +477,12 @@ fn mlp(args: &Args, pool: &SweepPool, jsonl: Option<(&Path, File)>) {
             rstride = E2eTrace::record("rstride", warmup, measure);
             traces = vec![&trace, &rstride];
         }
-        // Each (banks, trace, order, idle) machine is simulated exactly
-        // once: the grid of the selected knobs feeds the bank table and
-        // one side of each delta table; only the other drain order and
-        // the flipped idle-drain setting run fresh.
-        let selected = padlock_bench::banked_grid(
-            pool,
-            &traces,
-            bank_axis,
-            channels,
-            args.order,
-            args.page,
-            args.idle_drain,
-        );
+        // Each (banks, trace, order) machine is simulated exactly once:
+        // the grid of the selected order feeds the bank table and one
+        // side of the delta table; only the other drain order runs
+        // fresh.
+        let selected =
+            padlock_bench::banked_grid(pool, &traces, bank_axis, channels, args.order, args.page);
         let table = padlock_bench::bank_table_from(&traces, bank_axis, &selected);
         println!("{}", table.render_text());
         rate.lap("bank sweep");
@@ -508,15 +505,8 @@ fn mlp(args: &Args, pool: &SweepPool, jsonl: Option<(&Path, File)>) {
             DrainOrder::Fifo => DrainOrder::RowFirst,
             DrainOrder::RowFirst => DrainOrder::Fifo,
         };
-        let other = padlock_bench::banked_grid(
-            pool,
-            &traces,
-            bank_axis,
-            channels,
-            other_order,
-            args.page,
-            args.idle_drain,
-        );
+        let other =
+            padlock_bench::banked_grid(pool, &traces, bank_axis, channels, other_order, args.page);
         let (fifo, rowf) = match args.order {
             DrainOrder::Fifo => (&selected, &other),
             DrainOrder::RowFirst => (&other, &selected),
@@ -524,33 +514,6 @@ fn mlp(args: &Args, pool: &SweepPool, jsonl: Option<(&Path, File)>) {
         let table = padlock_bench::order_delta_table_from(&traces, bank_axis, fifo, rowf);
         println!("{}", table.render_text());
         rate.lap("row-order delta sweep");
-
-        println!(
-            "\n== Idle-drain delta — drain_on_idle off vs on on the same machines =="
-        );
-        println!(
-            "(the idle-keyed MSHR drain trigger releases a partial batch as soon as\n\
-             the channel fabric goes idle instead of waiting for the file to fill;\n\
-             cells are the enabled run's idle-drain count and the CPI movement)\n"
-        );
-        let flipped = padlock_bench::banked_grid(
-            pool,
-            &traces,
-            bank_axis,
-            channels,
-            args.order,
-            args.page,
-            !args.idle_drain,
-        );
-        let (off_grid, on_grid) = if args.idle_drain {
-            (&flipped, &selected)
-        } else {
-            (&selected, &flipped)
-        };
-        let table =
-            padlock_bench::idle_delta_table_from(&traces, bank_axis, off_grid, on_grid);
-        println!("{}", table.render_text());
-        rate.lap("idle-drain delta sweep");
     }
 }
 
@@ -645,7 +608,7 @@ fn main() {
     }
     let wanted: Vec<u32> = match args.figure {
         Some(n) => vec![n],
-        None => vec![3, 5, 6, 7, 8, 9, 10],
+        None => FIGURES.to_vec(),
     };
     if let Some(dir) = &args.csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, &e));
@@ -672,10 +635,7 @@ fn main() {
             8 => lab.figure8(),
             9 => lab.figure9(),
             10 => lab.figure10(),
-            other => {
-                eprintln!("no figure {other} in the paper's evaluation (3,5..10)");
-                std::process::exit(2);
-            }
+            other => unreachable!("--figure {other} is checked against FIGURES"),
         };
         println!("== {} — {} [{}] ==", fig.id, fig.title, fig.unit);
         println!("{}", fig.table().render_text());

@@ -205,19 +205,6 @@ impl Lab {
             series,
         )
     }
-
-    /// Every figure, in paper order.
-    pub fn all_figures(&mut self) -> Vec<FigureResult> {
-        vec![
-            self.figure3(),
-            self.figure5(),
-            self.figure6(),
-            self.figure7(),
-            self.figure8(),
-            self.figure9(),
-            self.figure10(),
-        ]
-    }
 }
 
 /// The machines figure `n` measures — including the insecure baseline

@@ -289,7 +289,7 @@ impl E2eTrace {
 /// One end-to-end grid cell's machine parameters: the structural axes
 /// (MSHRs × channels × banks × in-flight bound) plus the scheduling
 /// knobs, which default to the paper configuration (arrival-order
-/// drains, open-page banks, no idle-keyed drains).
+/// drains, open-page banks).
 #[derive(Debug, Clone, Copy)]
 pub struct E2eParams {
     /// Hierarchy MSHR depth.
@@ -304,8 +304,6 @@ pub struct E2eParams {
     pub order: DrainOrder,
     /// Bank page policy (open vs closed).
     pub page: PagePolicy,
-    /// Idle-keyed MSHR drain trigger.
-    pub drain_on_idle: bool,
 }
 
 impl E2eParams {
@@ -323,7 +321,6 @@ impl E2eParams {
             max_inflight,
             order: DrainOrder::Fifo,
             page: PagePolicy::Open,
-            drain_on_idle: false,
         }
     }
 
@@ -336,12 +333,6 @@ impl E2eParams {
     /// Sets the page policy.
     pub fn with_page(mut self, page: PagePolicy) -> Self {
         self.page = page;
-        self
-    }
-
-    /// Sets the idle-keyed drain trigger.
-    pub fn with_drain_on_idle(mut self, on: bool) -> Self {
-        self.drain_on_idle = on;
         self
     }
 }
@@ -365,9 +356,6 @@ pub struct E2ePoint {
     pub row_hits: u64,
     /// Row-buffer conflicts observed in the measured window.
     pub row_conflicts: u64,
-    /// Idle-keyed MSHR drains in the measured window (0 unless the run
-    /// enabled `drain_on_idle`).
-    pub idle_drains: u64,
 }
 
 impl E2ePoint {
@@ -383,7 +371,7 @@ impl E2ePoint {
         format!(
             "{{\"kind\":\"e2e\",\"trace\":\"{}\",\"mshrs\":{},\"channels\":{},\
              \"banks\":{},\"inflight\":{},\"cycles\":{},\"instructions\":{},\
-             \"row_hits\":{},\"row_conflicts\":{},\"idle_drains\":{}}}",
+             \"row_hits\":{},\"row_conflicts\":{}}}",
             trace,
             self.l2_mshrs,
             self.mem_channels,
@@ -392,8 +380,7 @@ impl E2ePoint {
             self.cycles,
             self.instructions,
             self.row_hits,
-            self.row_conflicts,
-            self.idle_drains
+            self.row_conflicts
         )
     }
 }
@@ -410,7 +397,6 @@ pub fn e2e_machine_config(params: E2eParams) -> MachineConfig {
     let mut cfg = MachineConfig::paper(SecurityMode::Otp { snc });
     cfg.pipeline.rob_size = 128;
     cfg.hierarchy.l2_mshrs = params.l2_mshrs;
-    cfg.hierarchy.drain_on_idle = params.drain_on_idle;
     cfg.security = cfg
         .security
         .with_max_inflight(params.max_inflight)
@@ -464,7 +450,6 @@ fn point_from(params: E2eParams, m: &padlock_core::Measurement) -> E2ePoint {
         instructions: m.stats.instructions,
         row_hits: m.traffic.get("row_hits"),
         row_conflicts: m.traffic.get("row_conflicts"),
-        idle_drains: m.mshr.get("idle_drains"),
     }
 }
 
@@ -480,13 +465,12 @@ pub fn inflight_for(l2_mshrs: usize) -> usize {
 /// The full end-to-end sweep as a rendered table: one row per MSHR
 /// depth, one column per channel count, each cell
 /// `CPI (speedup vs the 1-MSHR 1-channel paper machine)`. The drain
-/// order, page policy, and idle-drain trigger apply to every cell (on
-/// this flat `mem_banks = 1` grid the bank knobs are inert — the knob
-/// is exercised, the numbers match Fifo/Open exactly). All cells fan
+/// order and page policy apply to every cell (on this flat
+/// `mem_banks = 1` grid the bank knobs are inert — the knob is
+/// exercised, the numbers match Fifo/Open exactly). All cells fan
 /// across `pool`. `seed_core` swaps every cell onto the seed run loop
 /// ([`run_e2e_point_seed`]); the `fastforward_vs_seed` differential
 /// makes the two tables byte-identical, and CI checks it end to end.
-#[allow(clippy::too_many_arguments)]
 pub fn e2e_table(
     pool: &SweepPool,
     trace: &E2eTrace,
@@ -494,14 +478,9 @@ pub fn e2e_table(
     channel_counts: &[usize],
     order: DrainOrder,
     page: PagePolicy,
-    drain_on_idle: bool,
     seed_core: bool,
 ) -> Table {
-    let knobs = |p: E2eParams| {
-        p.with_order(order)
-            .with_page(page)
-            .with_drain_on_idle(drain_on_idle)
-    };
+    let knobs = |p: E2eParams| p.with_order(order).with_page(page);
     let mut cells = vec![knobs(E2eParams::new(1, 1, 1, 1))];
     for &mshrs in mshr_counts {
         for &channels in channel_counts {
@@ -569,7 +548,6 @@ pub fn banked_grid(
     channels: usize,
     order: DrainOrder,
     page: PagePolicy,
-    drain_on_idle: bool,
 ) -> Vec<Vec<E2ePoint>> {
     assert!(!bank_counts.is_empty(), "bank axis cannot be empty");
     let cells: Vec<(usize, usize)> = bank_counts
@@ -580,8 +558,7 @@ pub fn banked_grid(
     let flat = pool.sweep(&cells, |&(bank_index, trace_index)| {
         let params = E2eParams::new(8, channels, bank_counts[bank_index], 32)
             .with_order(order)
-            .with_page(page)
-            .with_drain_on_idle(drain_on_idle);
+            .with_page(page);
         run_e2e_point(traces[trace_index], params)
     });
     let mut rows = flat.into_iter();
@@ -644,7 +621,7 @@ pub fn bank_table(
     order: DrainOrder,
     page: PagePolicy,
 ) -> Table {
-    let grid = banked_grid(pool, traces, bank_counts, channels, order, page, false);
+    let grid = banked_grid(pool, traces, bank_counts, channels, order, page);
     bank_table_from(traces, bank_counts, &grid)
 }
 
@@ -704,62 +681,13 @@ pub fn order_delta_table(
     channels: usize,
     page: PagePolicy,
 ) -> Table {
-    let grid = |order| banked_grid(pool, traces, bank_counts, channels, order, page, false);
+    let grid = |order| banked_grid(pool, traces, bank_counts, channels, order, page);
     order_delta_table_from(
         traces,
         bank_counts,
         &grid(DrainOrder::Fifo),
         &grid(DrainOrder::RowFirst),
     )
-}
-
-/// The idle-drain-delta table: the same machines with the idle-keyed
-/// MSHR drain trigger off vs on, one row per bank count, one column
-/// per trace. Each cell reports the enabled run's idle-drain count and
-/// the CPI movement — the measurement half of scheduler follow-on (a),
-/// whose knob (`HierarchyConfig::drain_on_idle`) landed default-off.
-/// `off` and `on` are [`banked_grid`]s of the two settings over the
-/// same traces and axis.
-pub fn idle_delta_table_from(
-    traces: &[&E2eTrace],
-    bank_counts: &[usize],
-    off: &[Vec<E2ePoint>],
-    on: &[Vec<E2ePoint>],
-) -> Table {
-    let mut header = vec!["banks".to_string()];
-    for t in traces {
-        header.push(format!("{} (idle-drain off -> on)", t.name()));
-    }
-    let mut table = Table::new(header);
-    for (bank_index, &banks) in bank_counts.iter().enumerate() {
-        let mut row = vec![banks.to_string()];
-        for trace_index in 0..traces.len() {
-            let (f, n) = (&off[bank_index][trace_index], &on[bank_index][trace_index]);
-            row.push(format!(
-                "{} idle drains, {:5.2} -> {:5.2} CPI ({:4.2}x)",
-                n.idle_drains,
-                f.cpi(),
-                n.cpi(),
-                f.cycles as f64 / n.cycles as f64,
-            ));
-        }
-        table.push_row(row);
-    }
-    table
-}
-
-/// [`idle_delta_table_from`] over two freshly simulated grids.
-pub fn idle_delta_table(
-    pool: &SweepPool,
-    traces: &[&E2eTrace],
-    bank_counts: &[usize],
-    channels: usize,
-    order: DrainOrder,
-    page: PagePolicy,
-) -> Table {
-    let off = banked_grid(pool, traces, bank_counts, channels, order, page, false);
-    let on = banked_grid(pool, traces, bank_counts, channels, order, page, true);
-    idle_delta_table_from(traces, bank_counts, &off, &on)
 }
 
 #[cfg(test)]
@@ -905,7 +833,6 @@ mod tests {
             DrainOrder::Fifo,
             PagePolicy::Open,
             false,
-            false,
         );
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.col_count(), 3);
@@ -920,7 +847,6 @@ mod tests {
             &[1, 4],
             DrainOrder::Fifo,
             PagePolicy::Open,
-            false,
             true,
         );
         assert_eq!(text, seed.render_text(), "seed-core table diverged");
@@ -1096,39 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_drain_knob_counts_only_when_enabled() {
-        // The counter is windowed with the other stats, and the knob is
-        // fully off by default: zero idle drains unless enabled.
-        let trace = E2eTrace::record("bfs", 5_000, 20_000);
-        let off = run_e2e_point(&trace, E2eParams::new(8, 4, 4, 32));
-        let on = run_e2e_point(
-            &trace,
-            E2eParams::new(8, 4, 4, 32).with_drain_on_idle(true),
-        );
-        assert_eq!(off.idle_drains, 0, "default-off knob counted idle drains");
-        assert_eq!(off.instructions, on.instructions);
-    }
-
-    #[test]
-    fn idle_delta_table_reports_the_knob() {
-        let bfs = E2eTrace::record("bfs", 5_000, 20_000);
-        let t = idle_delta_table(
-            &SweepPool::new(2),
-            &[&bfs],
-            &[4],
-            4,
-            DrainOrder::Fifo,
-            PagePolicy::Open,
-        );
-        assert_eq!(t.row_count(), 1);
-        assert_eq!(t.col_count(), 2);
-        let text = t.render_text();
-        assert!(text.contains("idle-drain off -> on"), "{text}");
-        assert!(text.contains("idle drains"), "{text}");
-        assert!(text.contains("CPI"), "{text}");
-    }
-
-    #[test]
     fn jsonl_lines_are_deterministic_json_records() {
         let p = mlp_point(4, 1, 2, 1, 64);
         let line = p.jsonl();
@@ -1138,7 +1031,8 @@ mod tests {
         let e = e2e_point(&trace, 2, 1, 1, 8);
         let eline = e.jsonl(trace.name());
         assert!(eline.contains("\"trace\":\"bfs\""), "{eline}");
-        assert!(eline.contains("\"idle_drains\":0"), "{eline}");
+        let tail = format!("\"row_conflicts\":{}}}", e.row_conflicts);
+        assert!(eline.ends_with(&tail), "{eline}");
         assert_eq!(eline, e2e_point(&trace, 2, 1, 1, 8).jsonl(trace.name()));
     }
 }

@@ -26,8 +26,8 @@
 
 use padlock_core::{MachineConfig, Measurement, SecureBackend};
 use padlock_cpu::{
-    Access, AccessToken, BimodalPredictor, BranchPredictor, Hierarchy, MemoryBackend, MicroOp,
-    OpClass, PipelineConfig, RunStats, Workload,
+    Access, AccessToken, BimodalPredictor, Hierarchy, MemoryBackend, MicroOp, OpClass,
+    PipelineConfig, RunStats, Workload,
 };
 use padlock_stats::CounterSet;
 use std::collections::{BTreeMap, VecDeque};

@@ -113,15 +113,14 @@ fn recorded_traces_match_over_the_structural_grid() {
 fn scheduling_knobs_match_at_the_deep_point() {
     // The structural grid above runs paper-default scheduling; this
     // re-runs the deepest cell under every scheduler variant the sweep
-    // exposes (FR-FCFS, closed page, idle-keyed drains), plus the
-    // benchmark's `mlp-traces` machine (8 MSHRs, 4 channels, 2 banks,
-    // 32 in flight, 2048-entry ROB) under both drain orders.
+    // exposes (FR-FCFS, closed page), plus the benchmark's `mlp-traces`
+    // machine (8 MSHRs, 4 channels, 2 banks, 32 in flight, 2048-entry
+    // ROB) under both drain orders.
     let trace = E2eTrace::record("bfs", WARMUP, MEASURE);
     let deep = E2eParams::new(4, 2, 2, inflight_for(4));
-    let variants: [(&str, E2eParams); 3] = [
+    let variants: [(&str, E2eParams); 2] = [
         ("row-first", deep.with_order(DrainOrder::RowFirst)),
         ("closed-page", deep.with_page(PagePolicy::Closed)),
-        ("idle-drain", deep.with_drain_on_idle(true)),
     ];
     for (name, params) in variants {
         let (seed, ff) = run_both(&trace, e2e_machine_config(params));

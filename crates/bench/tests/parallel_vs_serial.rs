@@ -8,8 +8,8 @@
 //! suite exists to catch. CI runs it on every push.
 
 use padlock_bench::{
-    bank_table, banked_grid, e2e_table, figure_machines, grid_jsonl, idle_delta_table, mlp_table,
-    order_delta_table, E2eTrace, Lab, RunScale, ORDER,
+    bank_table, banked_grid, e2e_table, figure_machines, grid_jsonl, mlp_table, order_delta_table,
+    E2eTrace, Lab, RunScale, ORDER,
 };
 use padlock_exec::SweepPool;
 use padlock_mem::{DrainOrder, PagePolicy};
@@ -30,15 +30,14 @@ fn mlp_table_is_byte_identical_across_jobs() {
 #[test]
 fn e2e_table_is_byte_identical_across_jobs() {
     let trace = E2eTrace::record("bfs", WARMUP, MEASURE);
-    for idle in [false, true] {
+    for order in [DrainOrder::Fifo, DrainOrder::RowFirst] {
         let serial = e2e_table(
             &SweepPool::serial(),
             &trace,
             &[1, 2],
             &[1, 2],
-            DrainOrder::Fifo,
+            order,
             PagePolicy::Open,
-            idle,
             false,
         )
         .render_text();
@@ -47,13 +46,12 @@ fn e2e_table_is_byte_identical_across_jobs() {
             &trace,
             &[1, 2],
             &[1, 2],
-            DrainOrder::Fifo,
+            order,
             PagePolicy::Open,
-            idle,
             false,
         )
         .render_text();
-        assert_eq!(serial, pooled, "e2e table diverged (idle drain {idle})");
+        assert_eq!(serial, pooled, "e2e table diverged ({order} drain order)");
     }
 }
 
@@ -74,33 +72,11 @@ fn bank_and_delta_tables_and_jsonl_are_byte_identical_across_jobs() {
         order_delta_table(&serial, &traces, &banks, 2, PagePolicy::Open).render_text(),
         order_delta_table(&pooled, &traces, &banks, 2, PagePolicy::Open).render_text(),
     );
-    assert_eq!(
-        idle_delta_table(&serial, &traces, &banks, 2, DrainOrder::Fifo, PagePolicy::Open)
-            .render_text(),
-        idle_delta_table(&pooled, &traces, &banks, 2, DrainOrder::Fifo, PagePolicy::Open)
-            .render_text(),
-    );
 
-    // Idle drain on: the idle-drain counts in the JSON lines must be as
-    // deterministic across jobs as the cycles.
-    let grid_serial = banked_grid(
-        &serial,
-        &traces,
-        &banks,
-        2,
-        DrainOrder::Fifo,
-        PagePolicy::Open,
-        true,
-    );
-    let grid_pooled = banked_grid(
-        &pooled,
-        &traces,
-        &banks,
-        2,
-        DrainOrder::Fifo,
-        PagePolicy::Open,
-        true,
-    );
+    // The row-buffer counts in the JSON lines must be as deterministic
+    // across jobs as the cycles.
+    let grid = |pool| banked_grid(pool, &traces, &banks, 2, DrainOrder::Fifo, PagePolicy::Open);
+    let (grid_serial, grid_pooled) = (grid(&serial), grid(&pooled));
     assert_eq!(
         grid_jsonl(&traces, &grid_serial),
         grid_jsonl(&traces, &grid_pooled),

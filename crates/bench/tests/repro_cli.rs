@@ -159,6 +159,40 @@ fn unwritable_csv_dir_fails_before_the_figures() {
 }
 
 #[test]
+fn figures_outside_the_paper_are_rejected_while_parsing() {
+    // The paper evaluates figures 3 and 5-10; any other number fails
+    // before the CSV directory is created or a sweep starts.
+    let dir = std::env::temp_dir().join(format!("repro-no-figure-4-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    for bad in ["4", "0", "11"] {
+        let out = repro(&["--figure", bad, "--smoke", "--csv", dir_arg]);
+        assert_eq!(out.status.code(), Some(2), "--figure {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("no figure {bad}")) && stderr.contains("(try --help)"),
+            "--figure {bad}: unexpected message {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "--figure {bad} printed output");
+        assert!(!dir.exists(), "--figure {bad} created the CSV directory");
+    }
+}
+
+#[test]
+fn idle_drain_is_an_unknown_argument() {
+    // The idle-keyed MSHR drain trigger is gone; its flag is rejected
+    // like any other unknown argument.
+    let out = repro(&["--mlp", "--smoke", "--banks", "1,4", "--idle-drain"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument \"--idle-drain\""),
+        "unexpected message {stderr:?}"
+    );
+    assert!(out.stdout.is_empty(), "--idle-drain printed output");
+}
+
+#[test]
 fn help_documents_the_scheduling_flags() {
     let out = repro(&["--help"]);
     assert!(out.status.success());
@@ -171,7 +205,6 @@ fn help_documents_the_scheduling_flags() {
         "--banks",
         "--jobs",
         "byte-identical",
-        "--idle-drain",
         "--jsonl",
         "--server",
         "--cores",

@@ -7,7 +7,6 @@
 //! what remains observable is bus traffic and the rare full-buffer stall,
 //! both of which this model captures.
 
-use padlock_stats::CounterSet;
 use std::collections::VecDeque;
 
 /// One pending writeback.
@@ -21,16 +20,6 @@ pub struct WriteBufferEntry {
     /// Size of the transfer in bytes (a full line, or a sequence-number
     /// spill).
     pub bytes: u32,
-}
-
-/// Fixed-slot buffer event counters, bumped as plain fields on the
-/// push/pop hot paths and rendered as a [`CounterSet`] on demand, so
-/// the hot paths never touch the heap for statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct WriteBufferStats {
-    pushes: u64,
-    drains: u64,
-    full_stalls: u64,
 }
 
 /// A fixed-capacity FIFO write buffer.
@@ -50,7 +39,6 @@ struct WriteBufferStats {
 pub struct WriteBuffer {
     capacity: usize,
     entries: VecDeque<WriteBufferEntry>,
-    stats: WriteBufferStats,
 }
 
 impl WriteBuffer {
@@ -64,13 +52,7 @@ impl WriteBuffer {
         Self {
             capacity,
             entries: VecDeque::with_capacity(capacity),
-            stats: WriteBufferStats::default(),
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current occupancy.
@@ -88,37 +70,14 @@ impl WriteBuffer {
         self.entries.len() == self.capacity
     }
 
-    /// Statistics: `pushes`, `drains`, `full_stalls`. Built on demand
-    /// from the fixed slots; only touched counters appear.
-    pub fn stats(&self) -> CounterSet {
-        let mut set = CounterSet::new("write_buffer");
-        for (name, n) in [
-            ("pushes", self.stats.pushes),
-            ("drains", self.stats.drains),
-            ("full_stalls", self.stats.full_stalls),
-        ] {
-            if n > 0 {
-                set.add(name, n);
-            }
-        }
-        set
-    }
-
-    /// Resets statistics, keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = WriteBufferStats::default();
-    }
-
     /// Enqueues a writeback that becomes drainable at `ready_at`.
     ///
-    /// Returns `false` (and counts a `full_stalls`) when the buffer is
-    /// full; the caller models the stall and retries.
+    /// Returns `false` when the buffer is full; the caller models the
+    /// stall and retries.
     pub fn push(&mut self, addr: u64, ready_at: u64, bytes: u32) -> bool {
         if self.is_full() {
-            self.stats.full_stalls += 1;
             return false;
         }
-        self.stats.pushes += 1;
         self.entries.push_back(WriteBufferEntry {
             addr,
             ready_at,
@@ -132,24 +91,10 @@ impl WriteBuffer {
     /// younger ready entries, matching a simple hardware FIFO).
     pub fn pop_ready(&mut self, now: u64) -> Option<WriteBufferEntry> {
         if self.entries.front()?.ready_at <= now {
-            self.stats.drains += 1;
             self.entries.pop_front()
         } else {
             None
         }
-    }
-
-    /// The earliest cycle at which the head entry becomes drainable.
-    pub fn next_ready_at(&self) -> Option<u64> {
-        self.entries.front().map(|e| e.ready_at)
-    }
-
-    /// Drains everything unconditionally (context-switch flush), returning
-    /// entries in FIFO order.
-    pub fn drain_all(&mut self) -> Vec<WriteBufferEntry> {
-        let out: Vec<_> = self.entries.drain(..).collect();
-        self.stats.drains += out.len() as u64;
-        out
     }
 }
 
@@ -172,7 +117,6 @@ mod tests {
         let mut wb = WriteBuffer::new(4);
         wb.push(1, 50, 128);
         assert!(wb.pop_ready(49).is_none());
-        assert_eq!(wb.next_ready_at(), Some(50));
         assert!(wb.pop_ready(50).is_some());
     }
 
@@ -189,23 +133,12 @@ mod tests {
 
     #[test]
     fn full_buffer_rejects_and_counts_stalls() {
+        // Each rejected push is a stall the caller models.
         let mut wb = WriteBuffer::new(2);
-        assert!(wb.push(1, 0, 128));
-        assert!(wb.push(2, 0, 128));
-        assert!(!wb.push(3, 0, 128));
-        assert_eq!(wb.stats().get("full_stalls"), 1);
+        let stalls = (1..=3).filter(|&addr| !wb.push(addr, 0, 128)).count();
+        assert_eq!(stalls, 1);
+        assert!(wb.is_full());
         assert_eq!(wb.len(), 2);
-    }
-
-    #[test]
-    fn drain_all_empties_buffer() {
-        let mut wb = WriteBuffer::new(4);
-        wb.push(1, 10, 128);
-        wb.push(2, 20, 64);
-        let drained = wb.drain_all();
-        assert_eq!(drained.len(), 2);
-        assert!(wb.is_empty());
-        assert_eq!(wb.stats().get("drains"), 2);
     }
 
     #[test]

@@ -749,14 +749,6 @@ impl MemoryBackend for SecureBackend {
         self.process_writeback(now, line_addr);
     }
 
-    fn is_idle(&self, now: u64) -> bool {
-        // Quiescent means the DRAM fabric has gone idle. Buffered
-        // sequence-number spills (`pending_spills`) are deliberately not
-        // counted: they occupy no channel until a full batch packs, so
-        // they do not represent overlap an incoming miss could ride.
-        self.channels.is_idle(now)
-    }
-
     fn drain(&mut self, now: u64) {
         self.flush_spills(now);
         // Force residual buffered writebacks out so per-channel

@@ -61,8 +61,7 @@ pub struct Measurement {
     pub traffic: CounterSet,
     /// Controller event snapshot.
     pub controller: CounterSet,
-    /// L2 MSHR file snapshot (`allocations`, `merges`, `full_drains`,
-    /// `idle_drains`).
+    /// L2 MSHR file snapshot (`allocations`, `merges`, `full_drains`).
     pub mshr: CounterSet,
     /// SNC event snapshot (empty counters in non-OTP modes).
     pub snc: CounterSet,

@@ -100,12 +100,6 @@ impl ServerConfig {
         self
     }
 
-    /// Builder: set the number of cores.
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = cores;
-        self
-    }
-
     /// The server's report label: the machine label plus ` x{N}core`
     /// when more than one core shares the fabric and ` sw{K}` when a
     /// context-switch quantum is active.
@@ -189,10 +183,6 @@ impl MemoryBackend for ServerSlot {
 
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
         self.get_mut().line_writeback(now, line_addr);
-    }
-
-    fn is_idle(&self, now: u64) -> bool {
-        self.get().is_idle(now)
     }
 
     fn drain(&mut self, now: u64) {

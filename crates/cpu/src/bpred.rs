@@ -1,17 +1,7 @@
-//! Branch direction predictors.
+//! Branch direction prediction.
 //!
 //! SimpleScalar's default (used by the paper's baseline) is a bimodal
-//! table of 2-bit saturating counters; gshare is provided for the
-//! ablation benches.
-
-/// A branch direction predictor.
-pub trait BranchPredictor {
-    /// Predicts the direction of the branch at `pc`.
-    fn predict(&self, pc: u64) -> bool;
-
-    /// Updates state with the architectural outcome.
-    fn update(&mut self, pc: u64, taken: bool);
-}
+//! table of 2-bit saturating counters.
 
 /// 2-bit saturating counter helper: 0,1 = not taken; 2,3 = taken.
 #[inline]
@@ -28,7 +18,7 @@ fn bump(counter: u8, taken: bool) -> u8 {
 /// # Examples
 ///
 /// ```
-/// use padlock_cpu::{BimodalPredictor, BranchPredictor};
+/// use padlock_cpu::BimodalPredictor;
 ///
 /// let mut p = BimodalPredictor::new(2048);
 /// p.update(0x40, true);
@@ -59,73 +49,16 @@ impl BimodalPredictor {
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) & self.mask) as usize
     }
-}
 
-impl BranchPredictor for BimodalPredictor {
-    fn predict(&self, pc: u64) -> bool {
+    /// Predicts the direction of the branch at `pc`.
+    pub fn predict(&self, pc: u64) -> bool {
         self.table[self.index(pc)] >= 2
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
+    /// Updates state with the architectural outcome.
+    pub fn update(&mut self, pc: u64, taken: bool) {
         let i = self.index(pc);
         self.table[i] = bump(self.table[i], taken);
-    }
-}
-
-/// A gshare predictor: global history XOR PC indexes the counter table.
-///
-/// # Examples
-///
-/// ```
-/// use padlock_cpu::{BranchPredictor, GsharePredictor};
-///
-/// let mut p = GsharePredictor::new(4096, 8);
-/// for _ in 0..4 {
-///     let taken = p.predict(0x80); // alternating pattern trains history
-///     p.update(0x80, !taken);
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct GsharePredictor {
-    table: Vec<u8>,
-    mask: u64,
-    history: u64,
-    history_mask: u64,
-}
-
-impl GsharePredictor {
-    /// Creates a gshare predictor with `entries` counters and
-    /// `history_bits` bits of global history.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `entries` is a power of two and
-    /// `history_bits <= 32`.
-    pub fn new(entries: usize, history_bits: u32) -> Self {
-        assert!(entries.is_power_of_two(), "entries must be a power of two");
-        assert!(history_bits <= 32, "history too long");
-        Self {
-            table: vec![1u8; entries],
-            mask: entries as u64 - 1,
-            history: 0,
-            history_mask: (1u64 << history_bits) - 1,
-        }
-    }
-
-    fn index(&self, pc: u64) -> usize {
-        (((pc >> 2) ^ self.history) & self.mask) as usize
-    }
-}
-
-impl BranchPredictor for GsharePredictor {
-    fn predict(&self, pc: u64) -> bool {
-        self.table[self.index(pc)] >= 2
-    }
-
-    fn update(&mut self, pc: u64, taken: bool) {
-        let i = self.index(pc);
-        self.table[i] = bump(self.table[i], taken);
-        self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
     }
 }
 
@@ -180,29 +113,6 @@ mod tests {
         }
         let acc = f64::from(correct) / 10_000.0;
         assert!(acc > 0.80, "accuracy {acc}");
-    }
-
-    #[test]
-    fn gshare_learns_an_alternating_pattern_bimodal_cannot() {
-        let mut g = GsharePredictor::new(4096, 8);
-        let mut b = BimodalPredictor::new(4096);
-        let mut g_correct = 0u32;
-        let mut b_correct = 0u32;
-        for i in 0..2_000u64 {
-            let taken = i % 2 == 0;
-            if g.predict(0x40) == taken {
-                g_correct += 1;
-            }
-            if b.predict(0x40) == taken {
-                b_correct += 1;
-            }
-            g.update(0x40, taken);
-            b.update(0x40, taken);
-        }
-        assert!(
-            g_correct > b_correct + 300,
-            "gshare {g_correct} vs bimodal {b_correct}"
-        );
     }
 
     #[test]

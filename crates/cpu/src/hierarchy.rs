@@ -22,10 +22,9 @@
 //! * the allocation fills the file,
 //! * the caller forces a drain ([`Hierarchy::drain_pending`], the
 //!   pipeline's stall-on-use when the ROB head waits on a pending load),
+//!   or
 //! * a blocking caller needs a result now ([`Hierarchy::resolve`], an
-//!   instruction fetch), or
-//! * [`HierarchyConfig::drain_on_idle`] is on and the backend reports
-//!   its fabric idle ([`MemoryBackend::is_idle`]).
+//!   instruction fetch).
 //!
 //! Every drain empties the whole file, so entries only ever leave it
 //! together and waiters key on their entry's index in the file.
@@ -98,16 +97,10 @@ pub trait MemoryBackend {
     /// Accepts a dirty L2 victim for (encryption and) writeback.
     fn line_writeback(&mut self, now: u64, line_addr: u64);
 
-    /// Whether the backend's memory fabric is quiescent at `now` — no
-    /// channel bus or bank busy, no buffered writeback awaiting a
-    /// flush. This is the signal an adaptive MSHR drain policy keys on
-    /// ([`HierarchyConfig::drain_on_idle`]): when the fabric is idle,
-    /// holding a miss back to batch it gains nothing, so it may as well
-    /// issue immediately.
-    ///
-    /// The default says `true`: a backend with no modelled fabric state
-    /// is trivially idle, which degrades drain-on-idle to drain-always
-    /// — exactly the blocking behaviour such backends already have.
+    /// Always `true`, and nothing calls it: the MSHR file drains only
+    /// on its own triggers, never on fabric idleness. It remains only so
+    /// that backends outside this workspace which still override it
+    /// keep compiling; do not add callers.
     fn is_idle(&self, _now: u64) -> bool {
         true
     }
@@ -146,13 +139,6 @@ pub struct HierarchyConfig {
     /// to the backend. `1` models the paper's blocking memory system
     /// exactly (every miss resolves synchronously).
     pub l2_mshrs: usize,
-    /// When `true`, a newly allocated L2 miss drains the MSHR file
-    /// immediately if the backend reports its fabric idle
-    /// ([`MemoryBackend::is_idle`]) — batching is only worth the wait
-    /// when there is in-flight work to overlap with. Default `false`:
-    /// misses accumulate until the file fills or a caller forces a
-    /// drain, the seed behaviour, bit-exact with every differential.
-    pub drain_on_idle: bool,
 }
 
 impl HierarchyConfig {
@@ -167,7 +153,6 @@ impl HierarchyConfig {
             l1_latency: 1,
             l2_latency: 6,
             l2_mshrs: 1,
-            drain_on_idle: false,
         }
     }
 
@@ -183,13 +168,6 @@ impl HierarchyConfig {
     /// Builder: set the number of L2 MSHRs (non-blocking load depth).
     pub fn with_l2_mshrs(mut self, n: usize) -> Self {
         self.l2_mshrs = n;
-        self
-    }
-
-    /// Builder: drain newly allocated misses immediately whenever the
-    /// backend's fabric is idle (see [`HierarchyConfig::drain_on_idle`]).
-    pub fn with_drain_on_idle(mut self, on: bool) -> Self {
-        self.drain_on_idle = on;
         self
     }
 }
@@ -327,8 +305,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
         self.l2.stats()
     }
 
-    /// MSHR file statistics: `allocations`, `merges`, `full_drains`,
-    /// `idle_drains`.
+    /// MSHR file statistics: `allocations`, `merges`, `full_drains`.
     pub fn mshr_stats(&self) -> &CounterSet {
         &self.mshr_stats
     }
@@ -529,17 +506,6 @@ impl<B: MemoryBackend> Hierarchy<B> {
                 .expect("own miss resolves in this drain");
             return Access::Ready(done);
         }
-        if self.config.drain_on_idle && self.backend.is_idle(t2) {
-            // Adaptive drain: the fabric below has nothing in flight, so
-            // batching this miss with later ones buys no overlap — issue
-            // the file now and return this access resolved.
-            self.mshr_stats.incr("idle_drains");
-            self.drain_pending();
-            let done = self
-                .take_resolution_of(token)
-                .expect("own miss resolves in this drain");
-            return Access::Ready(done);
-        }
         Access::Pending(token)
     }
 
@@ -601,10 +567,6 @@ impl MemoryBackend for InsecureBackend {
             TrafficClass::LineWrite,
             INSECURE_LINE_BYTES,
         )
-    }
-
-    fn is_idle(&self, now: u64) -> bool {
-        self.channel.is_idle(now)
     }
 
     fn drain(&mut self, now: u64) {
@@ -847,89 +809,6 @@ mod tests {
         // And the deep file still answers through the blocking API.
         assert_eq!(deep.data_access(0, 0x4000, false), 107);
         assert_eq!(blocking.data_access(0, 0x4000, false), 107);
-    }
-
-    #[test]
-    fn drain_on_idle_defaults_off() {
-        assert!(!HierarchyConfig::paper_default().drain_on_idle);
-        assert!(!HierarchyConfig::default().drain_on_idle);
-        // With the knob off, a miss into a non-full file stays pending
-        // even though the fabric below is completely idle — the seed
-        // batching behaviour the differentials lock down.
-        let mut h = hierarchy_mshrs(4);
-        assert!(matches!(
-            h.data_access_nb(0, 0x10_0000, false),
-            Access::Pending(_)
-        ));
-        assert_eq!(h.pending_misses(), 1);
-        assert_eq!(h.mshr_stats().get("idle_drains"), 0);
-    }
-
-    #[test]
-    fn drain_on_idle_issues_eagerly_when_fabric_quiescent() {
-        let mut h = Hierarchy::new(
-            HierarchyConfig::paper_default()
-                .with_l2_mshrs(4)
-                .with_drain_on_idle(true),
-            InsecureBackend::new(100, 8),
-        );
-        // Miss A arrives with the fabric idle: it drains immediately and
-        // resolves synchronously instead of waiting for the file.
-        match h.data_access_nb(0, 0x10_0000, false) {
-            Access::Ready(done) => assert_eq!(done, 107),
-            Access::Pending(_) => panic!("idle fabric must drain eagerly"),
-        }
-        assert_eq!(h.pending_misses(), 0);
-        assert_eq!(h.mshr_stats().get("idle_drains"), 1);
-        // Miss B arrives while A still occupies the channel (bus busy
-        // until cycle 15): the file holds it for batching as before.
-        assert!(matches!(
-            h.data_access_nb(3, 0x10_0080, false),
-            Access::Pending(_)
-        ));
-        assert_eq!(h.pending_misses(), 1);
-        assert_eq!(h.mshr_stats().get("idle_drains"), 1, "busy fabric defers");
-        h.drain_pending();
-        let mut resolved = Vec::new();
-        h.take_resolutions(&mut resolved);
-        assert_eq!(resolved.len(), 1);
-        assert_eq!(h.backend().traffic().get("line_reads"), 2);
-    }
-
-    #[test]
-    fn default_is_idle_makes_drain_on_idle_behave_blocking() {
-        // A backend that does not implement `is_idle` inherits `true`,
-        // so drain-on-idle degrades to drain-always — the blocking
-        // machine.
-        #[derive(Debug)]
-        struct Fixed;
-        impl MemoryBackend for Fixed {
-            fn line_read_batch_at(&mut self, reqs: &[(u64, u64, LineKind)]) -> Vec<u64> {
-                reqs.iter().map(|&(at, _, _)| at + 100).collect()
-            }
-            fn line_writeback(&mut self, _now: u64, _a: u64) {}
-            fn traffic(&self) -> CounterSet {
-                CounterSet::new("fixed")
-            }
-            fn reset_stats(&mut self) {}
-            fn label(&self) -> String {
-                "fixed".into()
-            }
-        }
-        assert!(Fixed.is_idle(u64::MAX));
-        let mut h = Hierarchy::new(
-            HierarchyConfig::paper_default()
-                .with_l2_mshrs(8)
-                .with_drain_on_idle(true),
-            Fixed,
-        );
-        for i in 0..4u64 {
-            match h.data_access_nb(i * 10, 0x10_0000 + i * 128, false) {
-                Access::Ready(done) => assert_eq!(done, i * 10 + 7 + 100),
-                Access::Pending(_) => panic!("trivially idle backend must drain"),
-            }
-        }
-        assert_eq!(h.mshr_stats().get("idle_drains"), 4);
     }
 
     #[test]

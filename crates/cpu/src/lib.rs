@@ -12,8 +12,8 @@
 //!
 //! * [`MicroOp`]/[`Workload`] — the dynamic instruction stream interface
 //!   that `padlock-workloads` implements;
-//! * [`BimodalPredictor`]/[`GsharePredictor`] — branch direction
-//!   predictors (SimpleScalar's default is bimodal 2K);
+//! * [`BimodalPredictor`] — the branch direction predictor
+//!   (SimpleScalar's default, bimodal 2K);
 //! * [`Hierarchy`] + [`MemoryBackend`] — split L1 I/D, unified L2, and the
 //!   pluggable "below L2" interface that `padlock-core` implements with
 //!   the XOM / one-time-pad secure memory controllers;
@@ -42,7 +42,7 @@ mod op;
 mod pipeline;
 mod wheel;
 
-pub use bpred::{BimodalPredictor, BranchPredictor, GsharePredictor};
+pub use bpred::BimodalPredictor;
 pub use hierarchy::{
     Access, AccessToken, Hierarchy, HierarchyConfig, InsecureBackend, LineKind, MemoryBackend,
     MemoryChannel,

@@ -61,7 +61,7 @@
 //! a parked load at the ROB head forces a drain exactly as the seed
 //! loop did, so the backend observes the identical window composition.
 
-use crate::bpred::{BimodalPredictor, BranchPredictor};
+use crate::bpred::BimodalPredictor;
 use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend};
 use crate::op::{OpClass, Workload};
 use crate::wheel::TimingWheel;
@@ -740,11 +740,6 @@ impl RunSession {
     /// Ops committed so far in this window.
     pub fn committed(&self) -> u64 {
         self.committed
-    }
-
-    /// The window's commit target.
-    pub fn target_ops(&self) -> u64 {
-        self.n_ops
     }
 
     /// Ring position of the op with sequence number `seq`.

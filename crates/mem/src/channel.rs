@@ -83,31 +83,18 @@ impl MemoryChannel {
     /// Resets traffic statistics; buffered writes survive.
     pub fn reset_stats(&mut self) {
         self.mem.reset_stats();
-        self.write_buffer.reset_stats();
     }
 
     /// Latest cycle the channel (bus or any bank) is busy until.
     ///
     /// This is the frontier of *issued* work — buffered-but-unflushed
-    /// writebacks have not claimed the bus yet and do not move it. Use
-    /// [`MemoryChannel::is_idle`] for the drain-trigger signal, which
-    /// does count them.
+    /// writebacks have not claimed the bus yet and do not move it.
     pub fn busy_until(&self) -> u64 {
         let bus = self.mem.busy_until();
         match &self.banks {
             Some(banks) => bus.max(banks.busy_until()),
             None => bus,
         }
-    }
-
-    /// Whether the channel is quiescent at `now`: the bus and every
-    /// bank have gone idle *and* no writeback sits buffered awaiting a
-    /// drain. A freshly enqueued write makes the channel non-idle even
-    /// though it has not touched the bus — an adaptive drain policy
-    /// keyed on channel idleness must not treat committed-but-unflushed
-    /// work as a free window.
-    pub fn is_idle(&self, now: u64) -> bool {
-        self.busy_until() <= now && self.write_buffer.is_empty()
     }
 
     /// Issues one read against the bus (and, when banked, `addr`'s
@@ -180,11 +167,10 @@ impl MemoryChannel {
                 self.issue_write(start, head.addr, TrafficClass::LineWrite, head.bytes);
             }
         }
-        // The entry's own class is recorded when it drains; to keep
-        // per-class accounting exact we record non-default classes here
-        // instead of at drain time.
+        // Buffered entries drain as `LineWrite` traffic, so only line
+        // writebacks are buffered; any other class goes to the bus now,
+        // once its data is ready, under its own class.
         if class != TrafficClass::LineWrite {
-            // Count now; drain as generic traffic with zero extra bytes.
             self.issue_write(now.max(ready_at), addr, class, bytes);
         } else {
             let pushed = self.write_buffer.push(addr, ready_at, bytes);
@@ -327,16 +313,9 @@ impl ChannelSet {
 
     /// Latest cycle any channel (bus or bank) is busy until — the
     /// makespan frontier of everything issued so far. Buffered
-    /// writebacks have not issued; see [`ChannelSet::is_idle`].
+    /// writebacks have not issued and do not move it.
     pub fn busy_until(&self) -> u64 {
         self.channels.iter().map(|ch| ch.busy_until()).max().unwrap_or(0)
-    }
-
-    /// Whether the whole fabric is quiescent at `now`: every channel's
-    /// bus and banks idle and every write buffer empty. The idle signal
-    /// an adaptive drain policy keys on.
-    pub fn is_idle(&self, now: u64) -> bool {
-        self.channels.iter().all(|ch| ch.is_idle(now))
     }
 
     /// Aggregated traffic statistics summed over every channel.
@@ -541,6 +520,8 @@ mod tests {
         ch.enqueue_write(0, 5_000, 0x80, TrafficClass::LineWrite, 128);
         assert_eq!(ch.buffered_writes(), 2);
         assert_eq!(ch.mem().stats().get("line_writes"), 0);
+        // Buffered writes have not claimed the bus yet.
+        assert_eq!(ch.busy_until(), 0);
         assert_eq!(ch.flush_writes(1_000), 2);
         assert_eq!(ch.buffered_writes(), 0);
         assert_eq!(ch.mem().stats().get("line_writes"), 2);
@@ -697,43 +678,6 @@ mod tests {
         // Flat set: bank and row coordinates pinned to 0.
         let flat = ChannelSet::new(2, 100, 8, 8, 128);
         assert_eq!(flat.coordinates_of(3 * ROW + 128), (1, 0, 0));
-    }
-
-    #[test]
-    fn buffered_writeback_keeps_the_channel_non_idle() {
-        let mut ch = MemoryChannel::new(100, 8, 8);
-        assert!(ch.is_idle(0));
-        // A freshly buffered write has not touched the bus (busy_until
-        // is still the issued-work frontier)...
-        ch.enqueue_write(0, 500, 0x80, TrafficClass::LineWrite, 128);
-        assert_eq!(ch.busy_until(), 0);
-        // ...but the channel must not report idle: the write is
-        // committed work an adaptive drain would otherwise never see.
-        assert!(!ch.is_idle(0));
-        assert!(!ch.is_idle(10_000));
-        ch.flush_writes(10_000);
-        assert!(ch.is_idle(10_000 + 8));
-    }
-
-    #[test]
-    fn set_idle_requires_every_channel_idle() {
-        let mut set = ChannelSet::new(2, 100, 8, 8, 128);
-        assert!(set.is_idle(0));
-        // Channel 1 gets a buffered write; the fabric is non-idle even
-        // though channel 0 never moved.
-        set.enqueue_write(0, 50, 128, TrafficClass::LineWrite, 128);
-        assert!(!set.is_idle(1_000));
-        // A demand read on channel 1 drains the ready write; the
-        // fabric goes idle once both bus timelines clear.
-        let done = set.demand_read(1_000, 128, TrafficClass::LineRead, 128);
-        assert!(!set.is_idle(1_000));
-        assert!(set.is_idle(done));
-        // Banked fabrics count bank busy timelines too.
-        let mut banked =
-            ChannelSet::new(1, 100, 8, 8, 128).with_banks(BankConfig::banked(2, 128));
-        banked.demand_read(0, 0, TrafficClass::LineRead, 128);
-        assert!(!banked.is_idle(0));
-        assert!(banked.is_idle(1_000));
     }
 
     #[test]

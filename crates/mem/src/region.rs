@@ -134,11 +134,6 @@ impl<T> RegionMap<T> {
         self.find(addr).map(|r| r.name.as_str())
     }
 
-    /// The default attribute.
-    pub fn default_attr(&self) -> &T {
-        &self.default
-    }
-
     /// Number of explicit regions.
     pub fn len(&self) -> usize {
         self.regions.len()

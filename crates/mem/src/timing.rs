@@ -56,67 +56,14 @@ impl fmt::Display for TrafficClass {
     }
 }
 
-/// Fixed-slot traffic accounting: one count/byte pair per
-/// [`TrafficClass`] plus the row-buffer outcomes, bumped as plain
-/// integer fields on the hot path and rendered as a [`CounterSet`]
-/// only when a caller asks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct TrafficStats {
-    counts: [u64; 5],
-    bytes: [u64; 5],
-    row_hits: u64,
-    row_conflicts: u64,
-}
-
-impl TrafficStats {
-    fn record(&mut self, class: TrafficClass, bytes: u32) {
-        self.counts[class as usize] += 1;
-        self.bytes[class as usize] += u64::from(bytes);
-    }
-
-    fn to_counters(self, prefix: &str) -> CounterSet {
-        // Only touched counters appear, matching the shape the
-        // incrementally-built `CounterSet` had before the fixed-slot
-        // rewrite (readers use `get`, which defaults absent names to 0).
-        let mut set = CounterSet::new(prefix);
-        let classes = [
-            TrafficClass::LineRead,
-            TrafficClass::LineWrite,
-            TrafficClass::SeqRead,
-            TrafficClass::SeqWrite,
-            TrafficClass::Mac,
-        ];
-        let mut txns = 0;
-        let mut total = 0;
-        for class in classes {
-            let (n, b) = (self.counts[class as usize], self.bytes[class as usize]);
-            if n > 0 {
-                set.add(class.counter(), n);
-                set.add(class.bytes_counter(), b);
-            }
-            txns += n;
-            total += b;
-        }
-        if txns > 0 {
-            set.add("transactions", txns);
-            set.add("total_bytes", total);
-        }
-        if self.row_hits > 0 {
-            set.add("row_hits", self.row_hits);
-        }
-        if self.row_conflicts > 0 {
-            set.add("row_conflicts", self.row_conflicts);
-        }
-        set
-    }
-}
-
-/// A point-in-time snapshot of one timing model's fixed-slot traffic
-/// totals: one count/byte pair per [`TrafficClass`] (indexed by the
-/// class discriminant) plus the row-buffer outcomes.
+/// One timing model's fixed-slot traffic totals: one count/byte pair
+/// per [`TrafficClass`] (indexed by the class discriminant) plus the
+/// row-buffer outcomes. The model bumps them as plain integer fields on
+/// the hot path and renders them as a [`CounterSet`] only when a caller
+/// asks.
 ///
-/// Unlike [`MemTimingModel::stats`], which allocates a rendered
-/// [`CounterSet`], a snapshot is a plain `Copy` struct — cheap enough
+/// Unlike [`MemTimingModel::stats`], which allocates that rendering,
+/// a [`MemTimingModel::totals`] snapshot is a plain `Copy` struct — cheap enough
 /// to take before and after every scheduling step, which is how the
 /// multi-compartment server attributes shared-fabric traffic to the
 /// compartment that generated it (delta = after [`minus`] before; the
@@ -182,6 +129,47 @@ impl TrafficTotals {
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
     }
+
+    fn record(&mut self, class: TrafficClass, bytes: u32) {
+        self.counts[class as usize] += 1;
+        self.bytes[class as usize] += u64::from(bytes);
+    }
+
+    fn to_counters(self, prefix: &str) -> CounterSet {
+        // Only touched counters appear, matching the shape the
+        // incrementally-built `CounterSet` had before the fixed-slot
+        // rewrite (readers use `get`, which defaults absent names to 0).
+        let mut set = CounterSet::new(prefix);
+        let classes = [
+            TrafficClass::LineRead,
+            TrafficClass::LineWrite,
+            TrafficClass::SeqRead,
+            TrafficClass::SeqWrite,
+            TrafficClass::Mac,
+        ];
+        let mut txns = 0;
+        let mut total = 0;
+        for class in classes {
+            let (n, b) = (self.counts[class as usize], self.bytes[class as usize]);
+            if n > 0 {
+                set.add(class.counter(), n);
+                set.add(class.bytes_counter(), b);
+            }
+            txns += n;
+            total += b;
+        }
+        if txns > 0 {
+            set.add("transactions", txns);
+            set.add("total_bytes", total);
+        }
+        if self.row_hits > 0 {
+            set.add("row_hits", self.row_hits);
+        }
+        if self.row_conflicts > 0 {
+            set.add("row_conflicts", self.row_conflicts);
+        }
+        set
+    }
 }
 
 /// The DRAM + channel timing model.
@@ -210,7 +198,7 @@ pub struct MemTimingModel {
     access_latency: u64,
     occupancy: u64,
     busy_until: u64,
-    stats: TrafficStats,
+    stats: TrafficTotals,
 }
 
 impl MemTimingModel {
@@ -233,7 +221,7 @@ impl MemTimingModel {
             access_latency,
             occupancy,
             busy_until: 0,
-            stats: TrafficStats::default(),
+            stats: TrafficTotals::default(),
         }
     }
 
@@ -252,12 +240,6 @@ impl MemTimingModel {
         self.busy_until
     }
 
-    /// Whether the channel is idle at `now` (used by the write buffer to
-    /// "steal idle bus cycles", §3.4).
-    pub fn is_idle(&self, now: u64) -> bool {
-        self.busy_until <= now
-    }
-
     /// Traffic statistics (`line_reads`, `seq_writes`, `*_bytes`, ...),
     /// rendered on demand from the fixed-slot fields.
     pub fn stats(&self) -> CounterSet {
@@ -268,17 +250,12 @@ impl MemTimingModel {
     /// counterpart of [`MemTimingModel::stats`] for per-step delta
     /// accounting.
     pub fn totals(&self) -> TrafficTotals {
-        TrafficTotals {
-            counts: self.stats.counts,
-            bytes: self.stats.bytes,
-            row_hits: self.stats.row_hits,
-            row_conflicts: self.stats.row_conflicts,
-        }
+        self.stats
     }
 
     /// Resets statistics (not channel state).
     pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::default();
+        self.stats = TrafficTotals::default();
     }
 
     /// Issues a read at `now`; returns its completion cycle.
@@ -360,8 +337,7 @@ mod tests {
         let mut m = MemTimingModel::new(100, 8);
         let done = m.write(5, TrafficClass::LineWrite, 128);
         assert_eq!(done, 13);
-        assert!(m.is_idle(13));
-        assert!(!m.is_idle(12));
+        assert_eq!(m.busy_until(), 13);
     }
 
     #[test]

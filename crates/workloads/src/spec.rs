@@ -247,13 +247,6 @@ impl SpecWorkload {
         }
     }
 
-    /// All pre-age feeds combined (ancient heap + actively rewritten
-    /// region); prefer `padlock_core::SecureBackend::pre_age` with the
-    /// two feeds separated so each SNC policy retains the right one.
-    pub fn preage_line_addrs(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ancient_line_addrs().chain(self.active_line_addrs())
-    }
-
     fn mem_addr(&mut self, is_write: bool) -> (u64, bool) {
         let cdf = if is_write {
             self.write_cdf
