@@ -361,6 +361,13 @@ fn parse_args() -> Args {
     if args.seed_core && (!args.mlp || args.banks.is_some()) {
         usage_error("--seed-core applies to the --mlp end-to-end sweep (without --banks)");
     }
+    if (args.figure.is_some() || args.csv_dir.is_some())
+        && (args.server || args.mlp || args.calibrate)
+    {
+        usage_error(
+            "--figure / --csv apply to the figure suite, not --server, --mlp or --calibrate",
+        );
+    }
     args
 }
 

@@ -33,9 +33,9 @@ pub use figures::{figure_machines, FigureResult, Series};
 pub use lab::{Lab, MachineKind, RunScale};
 pub use meter::simulated_cycles;
 pub use mlp::{
-    bank_table, bank_table_from, banked_grid, e2e_machine_config, e2e_table, grid_jsonl,
-    inflight_for, mlp_table, order_delta_table, order_delta_table_from, run_e2e_point,
-    run_e2e_point_seed, run_mlp_point, E2eParams, E2ePoint, E2eTrace, MlpPoint,
+    bank_table_from, banked_grid, e2e_machine_config, e2e_table, grid_jsonl, inflight_for,
+    mlp_table, order_delta_table_from, run_e2e_point, run_e2e_point_seed, run_mlp_point,
+    E2eParams, E2ePoint, E2eTrace, MlpPoint,
 };
 pub use paper_data::{paper_series, ORDER};
 pub use server::{run_server_point, server_machine_config, server_table, ServerPoint};

@@ -63,21 +63,6 @@ impl MlpPoint {
     pub fn cycles_per_read(&self) -> f64 {
         self.total_cycles as f64 / self.reads.max(1) as f64
     }
-
-    /// The cell as one JSON line. Every field is a simulated quantity,
-    /// so the line is identical for any `--jobs` count.
-    pub fn jsonl(&self) -> String {
-        format!(
-            "{{\"kind\":\"mlp\",\"inflight\":{},\"shards\":{},\"channels\":{},\
-             \"banks\":{},\"reads\":{},\"total_cycles\":{}}}",
-            self.max_inflight,
-            self.snc_shards,
-            self.mem_channels,
-            self.mem_banks,
-            self.reads,
-            self.total_cycles
-        )
-    }
 }
 
 /// Builds the miss-heavy controller the batch sweep measures: a
@@ -612,19 +597,6 @@ pub fn bank_table_from(
     table
 }
 
-/// [`bank_table_from`] over a freshly simulated [`banked_grid`].
-pub fn bank_table(
-    pool: &SweepPool,
-    traces: &[&E2eTrace],
-    bank_counts: &[usize],
-    channels: usize,
-    order: DrainOrder,
-    page: PagePolicy,
-) -> Table {
-    let grid = banked_grid(pool, traces, bank_counts, channels, order, page);
-    bank_table_from(traces, bank_counts, &grid)
-}
-
 /// The window's row-buffer hit rate as a percentage.
 fn hit_pct(p: &E2ePoint) -> f64 {
     let rows_touched = p.row_hits + p.row_conflicts;
@@ -671,23 +643,6 @@ pub fn order_delta_table_from(
         table.push_row(row);
     }
     table
-}
-
-/// [`order_delta_table_from`] over two freshly simulated grids.
-pub fn order_delta_table(
-    pool: &SweepPool,
-    traces: &[&E2eTrace],
-    bank_counts: &[usize],
-    channels: usize,
-    page: PagePolicy,
-) -> Table {
-    let grid = |order| banked_grid(pool, traces, bank_counts, channels, order, page);
-    order_delta_table_from(
-        traces,
-        bank_counts,
-        &grid(DrainOrder::Fifo),
-        &grid(DrainOrder::RowFirst),
-    )
 }
 
 #[cfg(test)]
@@ -922,14 +877,16 @@ mod tests {
     fn bank_table_prints_both_traces() {
         let bfs = E2eTrace::record("bfs", 5_000, 20_000);
         let rstride = E2eTrace::record("rstride", 5_000, 20_000);
-        let t = bank_table(
+        let traces = [&bfs, &rstride];
+        let grid = banked_grid(
             &SweepPool::new(2),
-            &[&bfs, &rstride],
+            &traces,
             &[1, 4],
             4,
             DrainOrder::Fifo,
             PagePolicy::Open,
         );
+        let t = bank_table_from(&traces, &[1, 4], &grid);
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.col_count(), 3);
         let text = t.render_text();
@@ -1012,7 +969,13 @@ mod tests {
     #[test]
     fn order_delta_table_reports_both_orders() {
         let bfs = E2eTrace::record("bfs", 5_000, 20_000);
-        let t = order_delta_table(&SweepPool::serial(), &[&bfs], &[4], 4, PagePolicy::Open);
+        let traces = [&bfs];
+        let grid = |order| {
+            let pool = SweepPool::serial();
+            banked_grid(&pool, &traces, &[4], 4, order, PagePolicy::Open)
+        };
+        let (fifo, rowf) = (grid(DrainOrder::Fifo), grid(DrainOrder::RowFirst));
+        let t = order_delta_table_from(&traces, &[4], &fifo, &rowf);
         assert_eq!(t.row_count(), 1);
         assert_eq!(t.col_count(), 2);
         let text = t.render_text();
@@ -1023,10 +986,6 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_deterministic_json_records() {
-        let p = mlp_point(4, 1, 2, 1, 64);
-        let line = p.jsonl();
-        assert!(line.starts_with("{\"kind\":\"mlp\""), "{line}");
-        assert!(line.contains("\"channels\":2"), "{line}");
         let trace = E2eTrace::record("bfs", 2_000, 8_000);
         let e = e2e_point(&trace, 2, 1, 1, 8);
         let eline = e.jsonl(trace.name());

@@ -27,7 +27,8 @@
 use padlock_core::{MachineConfig, Measurement, SecureBackend};
 use padlock_cpu::{
     Access, AccessToken, BimodalPredictor, Hierarchy, MemoryBackend, MicroOp, OpClass,
-    PipelineConfig, RunStats, Workload,
+    PipelineConfig, RunStats, Workload, BPRED_ENTRIES, L1_LATENCY, L1_LINE_BYTES,
+    MISPREDICT_PENALTY, PIPELINE_WIDTH,
 };
 use padlock_stats::CounterSet;
 use std::collections::{BTreeMap, VecDeque};
@@ -71,7 +72,7 @@ pub struct SeedCore<B> {
 impl<B: MemoryBackend> SeedCore<B> {
     /// Creates a seed core over an explicit hierarchy.
     pub fn with_hierarchy(config: PipelineConfig, hierarchy: Hierarchy<B>) -> Self {
-        let bpred = BimodalPredictor::new(config.bpred_entries);
+        let bpred = BimodalPredictor::new(BPRED_ENTRIES);
         Self {
             config,
             hierarchy,
@@ -126,7 +127,7 @@ impl<B: MemoryBackend> SeedCore<B> {
         let mut fetch_resume_at: u64 = 0;
         let mut pending_op: Option<MicroOp> = None;
         let mut last_fetch_line: u64 = u64::MAX;
-        let l1i_line = self.hierarchy.config().l1i.line_bytes() as u64;
+        let l1i_line = L1_LINE_BYTES;
 
         while committed < n_ops {
             let now = self.now;
@@ -156,7 +157,7 @@ impl<B: MemoryBackend> SeedCore<B> {
 
             // ---- Commit ----
             let mut commits = 0;
-            while commits < self.config.commit_width {
+            while commits < PIPELINE_WIDTH {
                 match rob.front() {
                     Some(slot) if slot.issued && slot.complete_at <= now => {
                         rob.pop_front();
@@ -179,7 +180,7 @@ impl<B: MemoryBackend> SeedCore<B> {
             let mut issues = 0;
             let mut mem_issues = 0;
             for i in 0..rob.len() {
-                if issues >= self.config.issue_width {
+                if issues >= PIPELINE_WIDTH {
                     break;
                 }
                 let slot = rob[i];
@@ -217,7 +218,7 @@ impl<B: MemoryBackend> SeedCore<B> {
                     SlotKind::BranchRedirect => {
                         let done = now + 1;
                         redirect_pending = false;
-                        fetch_resume_at = done + self.config.mispredict_penalty;
+                        fetch_resume_at = done + MISPREDICT_PENALTY;
                         done
                     }
                 };
@@ -233,7 +234,7 @@ impl<B: MemoryBackend> SeedCore<B> {
 
             // ---- Fetch / dispatch ----
             let mut fetched = 0;
-            while fetched < self.config.fetch_width
+            while fetched < PIPELINE_WIDTH
                 && rob.len() < rob_size
                 && !redirect_pending
                 && now >= fetch_resume_at
@@ -249,7 +250,7 @@ impl<B: MemoryBackend> SeedCore<B> {
                 if line != last_fetch_line {
                     let avail = self.hierarchy.inst_fetch(now, op.pc);
                     last_fetch_line = line;
-                    if avail > now + self.hierarchy.config().l1_latency {
+                    if avail > now + L1_LATENCY {
                         // I-miss: hold the op until the line arrives.
                         fetch_ready_at = avail;
                         pending_op = Some(op);

@@ -56,23 +56,6 @@ impl ServerPoint {
     pub fn cpi(&self) -> f64 {
         self.cycles as f64 / self.instructions.max(1) as f64
     }
-
-    /// The cell as one JSON line. Every field is a simulated quantity,
-    /// so the line is identical for any `--jobs` count.
-    pub fn jsonl(&self) -> String {
-        format!(
-            "{{\"kind\":\"server\",\"cores\":{},\"channels\":{},\"switch\":{},\
-             \"cycles\":{},\"instructions\":{},\"cross_evictions\":{},\
-             \"context_switches\":{}}}",
-            self.cores,
-            self.mem_channels,
-            self.switch_interval,
-            self.cycles,
-            self.instructions,
-            self.cross_evictions,
-            self.context_switches
-        )
-    }
 }
 
 /// The per-compartment machine the contention sweep shares: the MLP
@@ -267,8 +250,5 @@ mod tests {
     fn mixed_assignment_runs_the_suite_round_robin() {
         let p = run_server_point("mix", 2, 1, 0, 500, 2_000);
         assert_eq!(p.instructions, 4_000);
-        let line = p.jsonl();
-        assert!(line.starts_with("{\"kind\":\"server\""), "{line}");
-        assert!(line.contains("\"cores\":2"), "{line}");
     }
 }

@@ -8,8 +8,8 @@
 //! suite exists to catch. CI runs it on every push.
 
 use padlock_bench::{
-    bank_table, banked_grid, e2e_table, figure_machines, grid_jsonl, mlp_table, order_delta_table,
-    E2eTrace, Lab, RunScale, ORDER,
+    bank_table_from, banked_grid, e2e_table, figure_machines, grid_jsonl, mlp_table,
+    order_delta_table_from, E2eTrace, Lab, RunScale, ORDER,
 };
 use padlock_exec::SweepPool;
 use padlock_mem::{DrainOrder, PagePolicy};
@@ -63,20 +63,27 @@ fn bank_and_delta_tables_and_jsonl_are_byte_identical_across_jobs() {
     let banks = [1usize, 2];
     let serial = SweepPool::serial();
     let pooled = SweepPool::new(4);
+    let grid = |pool, order| banked_grid(pool, &traces, &banks, 2, order, PagePolicy::Open);
+    let (grid_serial, grid_pooled) = (
+        grid(&serial, DrainOrder::Fifo),
+        grid(&pooled, DrainOrder::Fifo),
+    );
+    let (rowf_serial, rowf_pooled) = (
+        grid(&serial, DrainOrder::RowFirst),
+        grid(&pooled, DrainOrder::RowFirst),
+    );
 
     assert_eq!(
-        bank_table(&serial, &traces, &banks, 2, DrainOrder::Fifo, PagePolicy::Open).render_text(),
-        bank_table(&pooled, &traces, &banks, 2, DrainOrder::Fifo, PagePolicy::Open).render_text(),
+        bank_table_from(&traces, &banks, &grid_serial).render_text(),
+        bank_table_from(&traces, &banks, &grid_pooled).render_text(),
     );
     assert_eq!(
-        order_delta_table(&serial, &traces, &banks, 2, PagePolicy::Open).render_text(),
-        order_delta_table(&pooled, &traces, &banks, 2, PagePolicy::Open).render_text(),
+        order_delta_table_from(&traces, &banks, &grid_serial, &rowf_serial).render_text(),
+        order_delta_table_from(&traces, &banks, &grid_pooled, &rowf_pooled).render_text(),
     );
 
     // The row-buffer counts in the JSON lines must be as deterministic
     // across jobs as the cycles.
-    let grid = |pool| banked_grid(pool, &traces, &banks, 2, DrainOrder::Fifo, PagePolicy::Open);
-    let (grid_serial, grid_pooled) = (grid(&serial), grid(&pooled));
     assert_eq!(
         grid_jsonl(&traces, &grid_serial),
         grid_jsonl(&traces, &grid_pooled),

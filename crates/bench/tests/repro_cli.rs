@@ -178,6 +178,44 @@ fn figures_outside_the_paper_are_rejected_while_parsing() {
     }
 }
 
+/// Asserts that `--csv DIR` and `--figure 5` are each rejected on the
+/// run `run` selects, which renders no paper figure: a usage error
+/// naming the figure suite, nothing on stdout, and no directory made.
+fn assert_figure_flags_rejected(run: &[&str]) {
+    let name = format!("repro-no-csv{}-{}", run[0], std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    for flags in [&["--csv", dir_arg][..], &["--figure", "5"][..]] {
+        let args = [run, flags].concat();
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("figure suite") && stderr.contains("(try --help)"),
+            "{args:?}: unexpected message {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+        assert!(!dir.exists(), "{args:?} created the CSV directory");
+    }
+}
+
+#[test]
+fn figure_flags_are_rejected_on_the_server_sweep() {
+    let server = "--server --smoke --cores 1 --channels 1 --switch 0";
+    assert_figure_flags_rejected(&server.split(' ').collect::<Vec<_>>());
+}
+
+#[test]
+fn figure_flags_are_rejected_on_the_mlp_sweep() {
+    assert_figure_flags_rejected(&["--mlp", "--smoke", "--mshrs", "1", "--channels", "1"]);
+}
+
+#[test]
+fn figure_flags_are_rejected_on_calibration() {
+    assert_figure_flags_rejected(&["--calibrate", "--smoke"]);
+}
+
 #[test]
 fn idle_drain_is_an_unknown_argument() {
     // The idle-keyed MSHR drain trigger is gone; its flag is rejected

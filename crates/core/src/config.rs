@@ -1,7 +1,12 @@
 //! Configuration types for the secure memory controller.
 
 use padlock_crypto::CryptoUnitModel;
+use padlock_mem::LINE_BYTES;
 use std::fmt;
+
+/// Bytes per sequence number: the SNC stores each as a `u16`, the
+/// paper's 2-byte sequence numbers.
+pub(crate) const SEQ_BYTES: usize = std::mem::size_of::<u16>();
 
 /// How the SNC is organised on chip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +47,8 @@ impl fmt::Display for SncPolicy {
     }
 }
 
-/// Sequence Number Cache configuration.
+/// Sequence Number Cache configuration. Each entry is one 2-byte
+/// sequence number covering one [`LINE_BYTES`]-byte L2 line.
 ///
 /// # Examples
 ///
@@ -56,14 +62,10 @@ impl fmt::Display for SncPolicy {
 pub struct SncConfig {
     /// Total SNC capacity in bytes (paper sweeps 32/64/128KB).
     pub capacity_bytes: usize,
-    /// Bytes per sequence number (paper: 2).
-    pub entry_bytes: usize,
     /// Organisation (fully associative or N-way).
     pub organization: SncOrganization,
     /// Management policy.
     pub policy: SncPolicy,
-    /// The L2 line size each entry covers (paper: 128).
-    pub covered_line_bytes: usize,
 }
 
 impl SncConfig {
@@ -71,21 +73,19 @@ impl SncConfig {
     pub fn paper_default() -> Self {
         Self {
             capacity_bytes: 64 * 1024,
-            entry_bytes: 2,
             organization: SncOrganization::FullyAssociative,
             policy: SncPolicy::Lru,
-            covered_line_bytes: 128,
         }
     }
 
     /// Number of sequence-number entries.
     pub fn entries(&self) -> usize {
-        self.capacity_bytes / self.entry_bytes
+        self.capacity_bytes / SEQ_BYTES
     }
 
     /// Bytes of memory covered by a full SNC.
     pub fn coverage_bytes(&self) -> usize {
-        self.entries() * self.covered_line_bytes
+        self.entries() * LINE_BYTES as usize
     }
 
     /// Builder: set capacity.
@@ -198,8 +198,6 @@ pub struct SecureBackendConfig {
     pub mode: SecurityMode,
     /// The crypto unit latency model (50-cycle default; Fig. 10 uses 102).
     pub crypto: CryptoUnitModel,
-    /// L2 line size in bytes.
-    pub line_bytes: u32,
     /// DRAM access latency (paper: 100).
     pub mem_latency: u64,
     /// Channel occupancy per transaction.
@@ -212,25 +210,17 @@ pub struct SecureBackendConfig {
     pub mem_channels: usize,
     /// DRAM banks per channel. `1` (the paper default) is the flat
     /// uniform-latency model; with more banks each access is charged
-    /// row-buffer timing (`row_hit_cycles` on an open-row hit,
-    /// `row_conflict_cycles` on a precharge + activate) against its
-    /// bank's busy timeline, so locality inside a channel matters and
-    /// concurrent misses to different banks overlap their activates.
+    /// row-buffer timing ([`padlock_mem::DEFAULT_ROW_HIT_CYCLES`] on an
+    /// open-row hit, [`padlock_mem::DEFAULT_ROW_CONFLICT_CYCLES`] on a
+    /// precharge + activate) against its bank's busy timeline, so
+    /// locality inside a channel matters and concurrent misses to
+    /// different banks overlap their activates.
     pub mem_banks: usize,
-    /// Latency of a banked access that finds its row open. Ignored at
-    /// `mem_banks = 1`.
-    pub row_hit_cycles: u64,
-    /// Latency of a banked access that must precharge the open row and
-    /// activate its own first. Ignored at `mem_banks = 1`.
-    pub row_conflict_cycles: u64,
-    /// Latency of every banked access under the closed-page policy
-    /// (activate + column access against an auto-precharged bank).
-    /// Ignored at `mem_banks = 1` or under the open-page policy.
-    pub row_closed_cycles: u64,
     /// Whether banks leave rows open behind accesses (`Open`, the
     /// default — row hits possible, conflicts pay a precharge) or
     /// auto-precharge after every access (`Closed` — no hits, but
-    /// every access costs the cheaper `row_closed_cycles`). Ignored at
+    /// every access costs the cheaper
+    /// [`padlock_mem::DEFAULT_ROW_CLOSED_CYCLES`]). Ignored at
     /// `mem_banks = 1`.
     pub page_policy: padlock_mem::PagePolicy,
     /// The order the drain scheduler issues a window's phase-one
@@ -254,10 +244,6 @@ pub struct SecureBackendConfig {
     /// Number of address-interleaved SNC shards (each with its own
     /// recency state and port). `1` is the paper's single SNC.
     pub snc_shards: usize,
-    /// One-time pads coalesced per crypto issue slot when the engine
-    /// batches pad precomputation for overlapping misses. Irrelevant at
-    /// `max_inflight = 1` (a lone pad always issues immediately).
-    pub crypto_pipeline_width: u64,
     /// Cycles an SNC probe occupies its shard's lookup port. Models
     /// contention between concurrent in-flight misses only: an
     /// uncontended probe adds no latency, matching the paper's
@@ -271,21 +257,16 @@ impl SecureBackendConfig {
         Self {
             mode,
             crypto: CryptoUnitModel::paper_default(),
-            line_bytes: 128,
             mem_latency: 100,
             mem_occupancy: 8,
             mem_channels: 1,
             mem_banks: 1,
-            row_hit_cycles: padlock_mem::DEFAULT_ROW_HIT_CYCLES,
-            row_conflict_cycles: padlock_mem::DEFAULT_ROW_CONFLICT_CYCLES,
-            row_closed_cycles: padlock_mem::DEFAULT_ROW_CLOSED_CYCLES,
             page_policy: padlock_mem::PagePolicy::Open,
             drain_order: padlock_mem::DrainOrder::Fifo,
             write_buffer_entries: 8,
             clean_lines_bypass: true,
             max_inflight: 1,
             snc_shards: 1,
-            crypto_pipeline_width: 4,
             snc_port_cycles: 2,
         }
     }
@@ -322,19 +303,6 @@ impl SecureBackendConfig {
         self
     }
 
-    /// Builder: set the row-buffer hit and conflict latencies used when
-    /// `mem_banks > 1`. The closed-page latency is clamped into the new
-    /// `[hit, conflict]` band, mirroring
-    /// [`padlock_mem::BankConfig::with_row_cycles`].
-    pub fn with_row_cycles(mut self, hit: u64, conflict: u64) -> Self {
-        self.row_hit_cycles = hit;
-        self.row_conflict_cycles = conflict;
-        if hit <= conflict {
-            self.row_closed_cycles = self.row_closed_cycles.clamp(hit, conflict);
-        }
-        self
-    }
-
     /// Builder: set the bank page policy used when `mem_banks > 1`.
     pub fn with_page_policy(mut self, policy: padlock_mem::PagePolicy) -> Self {
         self.page_policy = policy;
@@ -347,18 +315,12 @@ impl SecureBackendConfig {
         self
     }
 
-    /// The per-channel bank configuration this machine implies: the row
-    /// size is derived from the line interleave
-    /// ([`padlock_mem::ROW_LINES`] lines per row).
+    /// The per-channel bank configuration this machine implies: the
+    /// default row timings, and a row size derived from the line
+    /// interleave ([`padlock_mem::ROW_LINES`] lines per row).
     pub fn bank_config(&self) -> padlock_mem::BankConfig {
-        padlock_mem::BankConfig {
-            banks: self.mem_banks,
-            row_hit_cycles: self.row_hit_cycles,
-            row_conflict_cycles: self.row_conflict_cycles,
-            row_closed_cycles: self.row_closed_cycles,
-            page_policy: self.page_policy,
-            row_bytes: u64::from(self.line_bytes) * padlock_mem::ROW_LINES,
-        }
+        padlock_mem::BankConfig::banked(self.mem_banks, LINE_BYTES)
+            .with_page_policy(self.page_policy)
     }
 
     /// Builder: set the SNC port occupancy per probe.
@@ -474,8 +436,7 @@ mod tests {
             .with_snc_shards(4)
             .with_mem_channels(4)
             .with_snc_port_cycles(12)
-            .with_mem_banks(8)
-            .with_row_cycles(55, 150);
+            .with_mem_banks(8);
         assert_eq!(cfg.max_inflight, 8);
         assert_eq!(cfg.snc_shards, 4);
         assert_eq!(cfg.mem_channels, 4);
@@ -483,8 +444,11 @@ mod tests {
         assert_eq!(cfg.mem_banks, 8);
         let banks = cfg.bank_config();
         assert!(!banks.is_flat());
-        assert_eq!(banks.row_hit_cycles, 55);
-        assert_eq!(banks.row_conflict_cycles, 150);
+        assert_eq!(banks.row_hit_cycles, padlock_mem::DEFAULT_ROW_HIT_CYCLES);
+        assert_eq!(
+            banks.row_conflict_cycles,
+            padlock_mem::DEFAULT_ROW_CONFLICT_CYCLES
+        );
         // 16 x 128B lines per row.
         assert_eq!(banks.row_bytes, 2048);
     }
@@ -495,16 +459,15 @@ mod tests {
         let cfg = SecureBackendConfig::paper(SecurityMode::otp_lru_64k());
         assert_eq!(cfg.drain_order, DrainOrder::Fifo);
         assert_eq!(cfg.page_policy, PagePolicy::Open);
-        assert_eq!(cfg.row_closed_cycles, padlock_mem::DEFAULT_ROW_CLOSED_CYCLES);
+        assert_eq!(
+            cfg.bank_config().row_closed_cycles,
+            padlock_mem::DEFAULT_ROW_CLOSED_CYCLES
+        );
         let cfg = cfg
             .with_drain_order(DrainOrder::RowFirst)
             .with_page_policy(PagePolicy::Closed)
             .with_mem_banks(4);
         assert_eq!(cfg.drain_order, DrainOrder::RowFirst);
         assert_eq!(cfg.bank_config().page_policy, PagePolicy::Closed);
-        // Tightening the band drags the closed latency along.
-        let tight = cfg.with_row_cycles(10, 20);
-        assert_eq!(tight.row_closed_cycles, 20);
-        assert_eq!(tight.bank_config().row_closed_cycles, 20);
     }
 }

@@ -30,7 +30,8 @@
 //! precharge/activate while different-bank misses overlap — the fourth
 //! scheduling resource alongside channel, crypto, and ports), the
 //! crypto pipeline ([`crate::engine::CryptoTimeline`], which coalesces
-//! up to `crypto_pipeline_width` pad generations per issue slot), and
+//! up to [`crate::engine::PADS_PER_SLOT`] pad generations per issue
+//! slot), and
 //! one lookup port per SNC shard ([`crate::engine::SncPorts`]):
 //!
 //! 1. **classify + first issue** — probe the (sharded) SNC, pick the
@@ -78,12 +79,12 @@
 //! packed line are flushed by [`SecureBackend::flush_spills`], which
 //! `MemoryBackend::drain` calls at measurement wrap-up.
 
-use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy};
-use crate::engine::{CryptoTimeline, MemTxn, SncPorts};
+use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy, SEQ_BYTES};
+use crate::engine::{CryptoTimeline, MemTxn, SncPorts, PADS_PER_SLOT};
 use crate::snc::{SequenceNumberCache, SncLookup};
 use padlock_cache::LineSet;
 use padlock_cpu::{LineKind, MemoryBackend};
-use padlock_mem::{ChannelSet, DrainOrder, TrafficClass};
+use padlock_mem::{ChannelSet, DrainOrder, TrafficClass, LINE_BYTES};
 use padlock_stats::CounterSet;
 
 /// Fixed-slot controller event counters, bumped as plain fields on
@@ -186,9 +187,9 @@ struct WindowScratch {
     reqs: Vec<(u64, u64)>,
 }
 
-/// Sequence-number entries packed per spill transaction (128B line /
-/// 2B entry).
-const SPILL_BATCH: u32 = 64;
+/// Sequence-number entries packed per spill transaction: one line of
+/// 2-byte entries (64).
+const SPILL_BATCH: u32 = LINE_BYTES / SEQ_BYTES as u32;
 
 /// Which latency path a classified read takes through the window.
 #[derive(Debug, Clone, Copy)]
@@ -256,7 +257,7 @@ impl SecureBackend {
             config.mem_latency,
             config.mem_occupancy,
             config.write_buffer_entries,
-            u64::from(config.line_bytes),
+            u64::from(LINE_BYTES),
         )
         .with_banks(config.bank_config());
         let snc = match config.mode {
@@ -379,7 +380,7 @@ impl SecureBackend {
                 ready_at,
                 line_addr,
                 TrafficClass::SeqWrite,
-                self.config.line_bytes,
+                LINE_BYTES,
             );
         }
     }
@@ -397,7 +398,7 @@ impl SecureBackend {
                 now + self.crypto_latency(),
                 0,
                 TrafficClass::SeqWrite,
-                self.config.line_bytes,
+                LINE_BYTES,
             );
         }
         entries
@@ -439,7 +440,7 @@ impl SecureBackend {
 
     /// Flushes the SNC as on a context switch (§4.3, policy 1): every
     /// entry is encrypted through the crypto pipeline
-    /// (`crypto_pipeline_width` entries per issue slot) and the
+    /// ([`PADS_PER_SLOT`] entries per issue slot) and the
     /// ciphertext is spilled as packed line-sized transactions
     /// ([`SPILL_BATCH`] entries per line, like steady-state spills),
     /// striped round-robin across the channel fabric — so the flush's
@@ -452,10 +453,7 @@ impl SecureBackend {
             return 0;
         };
         let entries = snc.flush();
-        let mut crypto = CryptoTimeline::new(
-            self.crypto_latency(),
-            self.config.crypto_pipeline_width,
-        );
+        let mut crypto = CryptoTimeline::new(self.crypto_latency(), PADS_PER_SLOT);
         let fabric_width = self.channels.num_channels();
         for (pack_index, pack) in entries.chunks(SPILL_BATCH as usize).enumerate() {
             // A pack leaves when its last entry clears the crypto
@@ -471,7 +469,7 @@ impl SecureBackend {
                 ready,
                 pack[0].line_addr,
                 TrafficClass::SeqWrite,
-                self.config.line_bytes,
+                LINE_BYTES,
             );
         }
         self.stats.context_flush_entries += entries.len() as u64;
@@ -578,22 +576,16 @@ impl SecureBackend {
                 Path::SeqFetch => TrafficClass::SeqRead,
                 _ => TrafficClass::LineRead,
             };
-            slot.fetched = self.channels.demand_read(
-                slot.ready,
-                slot.txn.line_addr,
-                class,
-                self.config.line_bytes,
-            );
+            slot.fetched =
+                self.channels
+                    .demand_read(slot.ready, slot.txn.line_addr, class, LINE_BYTES);
         }
     }
 
     /// Retires one window of reads (`(arrival, line_addr, kind)` each),
     /// appending each read's completion cycle to `out` in request order.
     fn drain_window(&mut self, window: &[(u64, u64, LineKind)], out: &mut Vec<u64>) {
-        let mut crypto = CryptoTimeline::new(
-            self.crypto_latency(),
-            self.config.crypto_pipeline_width,
-        );
+        let mut crypto = CryptoTimeline::new(self.crypto_latency(), PADS_PER_SLOT);
         let mut ports = match self.scratch.ports.take() {
             Some(ports) => ports, // already reset when parked
             None => SncPorts::new(self.config.snc_shards, self.config.snc_port_cycles),
@@ -642,7 +634,7 @@ impl SecureBackend {
                         seq_ready,
                         slots[i].txn.line_addr,
                         TrafficClass::LineRead,
-                        self.config.line_bytes,
+                        LINE_BYTES,
                     );
                     let pad_done = crypto.issue_pad(seq_ready);
                     // Install the fetched number; spill the victim.
@@ -670,17 +662,26 @@ impl SecureBackend {
     /// A posted writeback: encrypt (per mode), update SNC state, and
     /// enqueue the ciphertext in the write buffer.
     fn process_writeback(&mut self, now: u64, line_addr: u64) {
-        let bytes = self.config.line_bytes;
         match self.config.mode {
             SecurityMode::Insecure => {
-                self.channels
-                    .enqueue_write(now, now, line_addr, TrafficClass::LineWrite, bytes);
+                self.channels.enqueue_write(
+                    now,
+                    now,
+                    line_addr,
+                    TrafficClass::LineWrite,
+                    LINE_BYTES,
+                );
             }
             SecurityMode::Xom => {
                 // Encrypt in the write buffer, then drain.
                 let ready = now + self.crypto_latency();
-                self.channels
-                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite, bytes);
+                self.channels.enqueue_write(
+                    now,
+                    ready,
+                    line_addr,
+                    TrafficClass::LineWrite,
+                    LINE_BYTES,
+                );
             }
             SecurityMode::Otp { snc: snc_cfg } => {
                 let first_writeback = self.written.insert(line_addr);
@@ -715,7 +716,7 @@ impl SecureBackend {
                                     now,
                                     line_addr,
                                     TrafficClass::SeqRead,
-                                    bytes,
+                                    LINE_BYTES,
                                 );
                                 ready = seq_fetched + crypto + crypto;
                             }
@@ -729,8 +730,13 @@ impl SecureBackend {
                         }
                     }
                 };
-                self.channels
-                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite, bytes);
+                self.channels.enqueue_write(
+                    now,
+                    ready,
+                    line_addr,
+                    TrafficClass::LineWrite,
+                    LINE_BYTES,
+                );
             }
         }
     }
@@ -783,10 +789,8 @@ mod tests {
         let mut cfg = SecureBackendConfig::paper(SecurityMode::Otp {
             snc: SncConfig {
                 capacity_bytes: entries * 2,
-                entry_bytes: 2,
                 organization: SncOrganization::FullyAssociative,
                 policy,
-                covered_line_bytes: 128,
             },
         });
         cfg.mem_occupancy = 0; // isolate latency arithmetic from contention
@@ -979,10 +983,7 @@ mod tests {
         assert_eq!(b.controller_stats().get("context_flush_entries"), 5);
         // Five entries pack into one line-sized spill transaction.
         assert_eq!(b.traffic().get("seq_writes"), 1);
-        assert_eq!(
-            b.traffic().get("seq_write_bytes"),
-            u64::from(b.config().line_bytes)
-        );
+        assert_eq!(b.traffic().get("seq_write_bytes"), u64::from(LINE_BYTES));
     }
 
     #[test]
@@ -1017,7 +1018,7 @@ mod tests {
             assert_eq!(b.traffic().get("seq_writes"), (entries / 64) as u64);
             assert_eq!(
                 b.traffic().get("seq_write_bytes"),
-                (entries / 64) as u64 * u64::from(b.config().line_bytes)
+                (entries / 64) as u64 * u64::from(LINE_BYTES)
             );
             // And every channel took part.
             let spilled_channels = b

@@ -10,7 +10,7 @@
 //!   `mem_banks > 1`) each channel's per-bank open-row state, so
 //!   overlapping misses contend for banks and rows, not just the bus;
 //! * the **crypto pipeline** — a [`CryptoTimeline`] of issue slots, each
-//!   of which can coalesce up to `crypto_pipeline_width` one-time-pad
+//!   of which can coalesce up to [`PADS_PER_SLOT`] one-time-pad
 //!   generations (batched pad precomputation);
 //! * the **SNC ports** — one [`SncPorts`] timeline per shard, so
 //!   concurrent misses that probe the same shard serialise while misses
@@ -29,6 +29,11 @@
 //! test).
 
 use padlock_cpu::LineKind;
+
+/// One-time pads the controller's crypto unit coalesces per issue slot
+/// when it batches pad precomputation for overlapping misses. Irrelevant
+/// at `max_inflight = 1`: a lone pad always issues at once.
+pub const PADS_PER_SLOT: u64 = 4;
 
 /// One in-flight read transaction (an MSHR entry): an L2 miss fill the
 /// caller waits on for its plaintext-ready cycle.

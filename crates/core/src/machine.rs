@@ -221,10 +221,8 @@ mod tests {
         // traffic instead of losing it.
         let snc = SncConfig {
             capacity_bytes: 32, // 16 entries
-            entry_bytes: 2,
             organization: SncOrganization::FullyAssociative,
             policy: SncPolicy::Lru,
-            covered_line_bytes: 128,
         };
         let mut m = Machine::new(MachineConfig::paper(SecurityMode::Otp { snc }));
         let meas = m.run(&mut StrideWorkload::new(8 << 20, 128, 0.5), 2_000, 12_000);

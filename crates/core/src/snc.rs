@@ -7,8 +7,8 @@
 //!
 //! A multi-controller configuration splits the SNC into `N` shards, each
 //! with its own storage, recency state and lookup port. Covered lines
-//! interleave across shards by line index (`(addr / covered_line_bytes)
-//! % N`), so a streaming footprint spreads evenly and per-shard LRU
+//! interleave across shards by line index (`(addr / LINE_BYTES) % N`),
+//! so a streaming footprint spreads evenly and per-shard LRU
 //! behaves like the slice of a single LRU cache that shard would have
 //! held: under a per-shard balanced address stream an `N`-shard fully
 //! associative SNC is hit/miss-equivalent to a one-shard SNC of the same
@@ -16,6 +16,7 @@
 
 use crate::config::{SncConfig, SncOrganization};
 use padlock_cache::{CacheConfig, FullAssocCache, SetAssocCache};
+use padlock_mem::LINE_BYTES;
 use padlock_stats::CounterSet;
 
 /// Result of a query for a line's sequence number.
@@ -45,13 +46,13 @@ enum Storage {
 }
 
 impl Storage {
-    fn new(organization: SncOrganization, entries: usize, covered_line_bytes: usize) -> Self {
+    fn new(organization: SncOrganization, entries: usize) -> Self {
         match organization {
             SncOrganization::FullyAssociative => Storage::Full(FullAssocCache::new(entries)),
             SncOrganization::SetAssociative(ways) => {
                 // Index the SNC by L2 line address: model it as a cache of
-                // `covered_line_bytes`-sized "lines", one entry each.
-                let line = covered_line_bytes;
+                // `LINE_BYTES`-sized "lines", one entry each.
+                let line = LINE_BYTES as usize;
                 Storage::SetAssoc(SetAssocCache::new(CacheConfig::new(
                     "snc",
                     entries * line,
@@ -187,7 +188,6 @@ impl SncStats {
 #[derive(Debug)]
 pub struct SequenceNumberCache {
     shards: Vec<Storage>,
-    covered_line_bytes: u64,
     stats: SncStats,
 }
 
@@ -215,9 +215,8 @@ impl SequenceNumberCache {
         let per_shard = entries / shards;
         Self {
             shards: (0..shards)
-                .map(|_| Storage::new(config.organization, per_shard, config.covered_line_bytes))
+                .map(|_| Storage::new(config.organization, per_shard))
                 .collect(),
-            covered_line_bytes: config.covered_line_bytes as u64,
             stats: SncStats::default(),
         }
     }
@@ -229,7 +228,7 @@ impl SequenceNumberCache {
 
     /// The shard index covering `line_addr` (line-interleaved).
     pub fn shard_of(&self, line_addr: u64) -> usize {
-        ((line_addr / self.covered_line_bytes) % self.shards.len() as u64) as usize
+        ((line_addr / u64::from(LINE_BYTES)) % self.shards.len() as u64) as usize
     }
 
     fn shard_mut(&mut self, line_addr: u64) -> &mut Storage {
@@ -355,10 +354,8 @@ mod tests {
     fn cfg(entries: usize) -> SncConfig {
         SncConfig {
             capacity_bytes: entries * 2,
-            entry_bytes: 2,
             organization: SncOrganization::FullyAssociative,
             policy: SncPolicy::Lru,
-            covered_line_bytes: 128,
         }
     }
 

@@ -1,38 +1,22 @@
 //! Differential test: the bank-aware fabric at `mem_banks = 1` must
 //! reproduce the pre-bank (PR 3) channel fabric *bit-exactly*.
 //!
-//! Three layers, mirroring `hierarchy_vs_seed` one level down. The
-//! fabric layer is a true old-vs-new differential (a line-for-line
-//! port of the PR 3 fabric); the backend and machine layers prove the
-//! new row-timing knobs are *inert* at `mem_banks = 1` across the
-//! whole mode × policy × channel × MSHR grid — combined with the
-//! fabric layer (the only component this PR's timing paths changed)
-//! and the still-green `engine_vs_seed` / `hierarchy_vs_seed`
-//! differentials one level up, that pins the flat machine to the PR 3
-//! behaviour:
-//!
-//! * **fabric** — `SeedChannelSet` below is a line-for-line port of the
-//!   multi-channel fabric as it was before the bank layer (flat
-//!   occupancy, no addresses in the channel timing paths). It is
-//!   driven against the new `ChannelSet` with identical pseudorandom
-//!   op streams across every channel count; every returned cycle and
-//!   every traffic counter must match, with the bank knobs at their
-//!   defaults *and* at absurd values (both flat, so provably inert);
-//! * **backend** — `SecureBackend`s differing only in the (inert at
-//!   `mem_banks = 1`) row-timing knobs are driven with identical
-//!   pseudorandom read/writeback traces across every security mode ×
-//!   SNC policy × channel count × in-flight depth; every latency and
-//!   every traffic/controller/SNC counter must match;
-//! * **machine** — whole `Machine`s (core + hierarchy + engine) run
-//!   the same workload across mode × channel × MSHR combinations; the
-//!   measured cycles, instructions, and every counter must match.
+//! `SeedChannelSet` below is a line-for-line port of the multi-channel
+//! fabric as it was before the bank layer (flat occupancy, no addresses
+//! in the channel timing paths). It is driven against the new
+//! `ChannelSet` with identical pseudorandom op streams across every
+//! channel count; every returned cycle and every traffic counter must
+//! match, with the bank knobs at their defaults *and* at absurd values
+//! (both flat, so provably inert). Machines take their row timings from
+//! `padlock_mem`'s defaults, so the fabric is the only layer where those
+//! knobs can be set; together with the `engine_vs_seed` and
+//! `hierarchy_vs_seed` differentials one level up, that pins the flat
+//! machine to the pre-bank behaviour. A last check proves the bank
+//! layer is live once `mem_banks > 1`.
 
 use padlock_cache::WriteBuffer;
-use padlock_core::{
-    Machine, MachineConfig, SecureBackend, SecureBackendConfig, SecurityMode, SncConfig,
-    SncOrganization, SncPolicy,
-};
-use padlock_cpu::{LineKind, MemoryBackend, StrideWorkload};
+use padlock_core::{Machine, MachineConfig, SecurityMode};
+use padlock_cpu::StrideWorkload;
 use padlock_mem::{BankConfig, ChannelSet, MemTimingModel, TrafficClass};
 use padlock_stats::CounterSet;
 use rand::rngs::StdRng;
@@ -157,7 +141,7 @@ fn counters(set: &CounterSet) -> BTreeMap<String, u64> {
     set.iter().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
-// ---- layer 1: fabric differential ----
+// ---- fabric differential ----
 
 /// Drives the seed fabric and a new flat fabric with one pseudorandom
 /// op stream; every returned cycle and every counter must match.
@@ -242,158 +226,13 @@ fn bank_knobs_are_inert_on_a_flat_fabric() {
     }
 }
 
-// ---- layer 2: backend grid ----
-
-fn snc_cfg(policy: SncPolicy, entries: usize) -> SncConfig {
-    SncConfig {
-        capacity_bytes: entries * 2,
-        entry_bytes: 2,
-        organization: SncOrganization::FullyAssociative,
-        policy,
-        covered_line_bytes: 128,
-    }
-}
-
-fn grid_modes() -> Vec<SecurityMode> {
-    vec![
-        SecurityMode::Insecure,
-        SecurityMode::Xom,
-        SecurityMode::Otp {
-            snc: snc_cfg(SncPolicy::Lru, 64),
-        },
-        SecurityMode::Otp {
-            snc: snc_cfg(SncPolicy::NoReplacement, 64),
-        },
-    ]
-}
-
-/// Two backends differing only in the (inert at `mem_banks = 1`)
-/// row-timing knobs, driven with one pseudorandom trace: every latency
-/// and counter must match.
-fn assert_backend_equivalent(mode: SecurityMode, channels: usize, inflight: usize, seed: u64) {
-    let base = SecureBackendConfig::paper(mode)
-        .with_mem_channels(channels)
-        .with_snc_shards(channels)
-        .with_max_inflight(inflight);
-    assert_eq!(base.mem_banks, 1, "the grid probes the flat configuration");
-    let weird = base.clone().with_row_cycles(1, 9_999);
-
-    let mut a = SecureBackend::new(base);
-    let mut b = SecureBackend::new(weird);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut now = 0u64;
-    let mut batch: Vec<(u64, u64, LineKind)> = Vec::new();
-    for step in 0..1_500u32 {
-        now += rng.next_u64() % 220;
-        let addr = 0x8000 + (rng.next_u64() % 512) * 128;
-        match rng.next_u64() % 10 {
-            0..=4 => {
-                let kind = if rng.next_u64() % 5 == 0 {
-                    LineKind::Instruction
-                } else {
-                    LineKind::Data
-                };
-                batch.push((now, addr, kind));
-                if batch.len() >= inflight || rng.next_u64() % 3 == 0 {
-                    let da = a.line_read_batch_at(&batch);
-                    let db = b.line_read_batch_at(&batch);
-                    assert_eq!(da, db, "step {step}: batch diverged ({mode}, {channels}ch)");
-                    batch.clear();
-                }
-            }
-            _ => {
-                a.line_writeback(now, addr);
-                b.line_writeback(now, addr);
-            }
-        }
-    }
-    if !batch.is_empty() {
-        assert_eq!(a.line_read_batch_at(&batch), b.line_read_batch_at(&batch));
-    }
-    now += 1_000;
-    a.drain(now);
-    b.drain(now);
-    assert_eq!(
-        counters(&a.traffic()),
-        counters(&b.traffic()),
-        "traffic diverged ({mode}, {channels}ch, mlp{inflight})"
-    );
-    assert_eq!(
-        counters(&a.controller_stats()),
-        counters(&b.controller_stats()),
-        "controller diverged ({mode}, {channels}ch, mlp{inflight})"
-    );
-    if let Some(snc) = a.snc() {
-        assert_eq!(
-            counters(&snc.stats()),
-            counters(&b.snc().expect("both engines run the same mode").stats()),
-            "snc diverged ({mode}, {channels}ch, mlp{inflight})"
-        );
-    }
-    // The flat fabric never classifies row outcomes.
-    assert_eq!(a.traffic().get("row_hits"), 0);
-    assert_eq!(a.traffic().get("row_conflicts"), 0);
-}
-
-#[test]
-fn flat_backends_match_across_mode_policy_channel_inflight_grid() {
-    let mut seed = 307u64;
-    for mode in grid_modes() {
-        for channels in [1usize, 2, 4] {
-            for inflight in [1usize, 8] {
-                seed += 1;
-                assert_backend_equivalent(mode, channels, inflight, seed);
-            }
-        }
-    }
-}
-
-// ---- layer 3: whole machines ----
-
-/// Two machines differing only in the inert row knobs run the same
-/// workload; cycles, instructions, and every counter must match.
-fn assert_machine_equivalent(mode: SecurityMode, channels: usize, mshrs: usize) {
-    let build = |weird_rows: bool| {
-        let mut cfg = MachineConfig::paper(mode);
-        cfg.hierarchy.l2_mshrs = mshrs;
-        cfg.security = cfg
-            .security
-            .with_mem_channels(channels)
-            .with_snc_shards(channels)
-            .with_max_inflight(4 * mshrs);
-        if weird_rows {
-            cfg.security = cfg.security.with_row_cycles(1, 9_999);
-        }
-        assert_eq!(cfg.security.mem_banks, 1);
-        Machine::new(cfg)
-    };
-    let mut a = build(false);
-    let mut b = build(true);
-    let ma = a.run(&mut StrideWorkload::new(8 << 20, 136, 0.35), 2_000, 8_000);
-    let mb = b.run(&mut StrideWorkload::new(8 << 20, 136, 0.35), 2_000, 8_000);
-    let tag = format!("{mode}, {channels}ch, {mshrs} mshrs");
-    assert_eq!(ma.stats.cycles, mb.stats.cycles, "cycles diverged ({tag})");
-    assert_eq!(ma.stats.instructions, mb.stats.instructions, "{tag}");
-    assert_eq!(counters(&ma.traffic), counters(&mb.traffic), "{tag}");
-    assert_eq!(counters(&ma.controller), counters(&mb.controller), "{tag}");
-    assert_eq!(counters(&ma.snc), counters(&mb.snc), "{tag}");
-    assert_eq!(counters(&ma.l2), counters(&mb.l2), "{tag}");
-}
-
-#[test]
-fn flat_machines_match_across_mode_channel_mshr_grid() {
-    for mode in grid_modes() {
-        for (channels, mshrs) in [(1usize, 1usize), (1, 8), (4, 1), (4, 8)] {
-            assert_machine_equivalent(mode, channels, mshrs);
-        }
-    }
-}
+// ---- the bank knob is live ----
 
 #[test]
 fn banked_machine_actually_diverges_from_flat() {
     // Sanity that the knob is live: the same machine with mem_banks > 1
-    // must *not* be cycle-identical — otherwise the grid above proves
-    // nothing.
+    // must *not* be cycle-identical — otherwise the flat differential
+    // above proves nothing about the banked paths.
     let mut cfg = MachineConfig::paper(SecurityMode::otp_lru_64k());
     cfg.security = cfg.security.with_mem_channels(2).with_snc_shards(2);
     let mut flat = Machine::new(cfg.clone());

@@ -107,10 +107,8 @@ proptest! {
         let mut snc = SequenceNumberCache::new(
             SncConfig {
                 capacity_bytes: capacity * 2,
-                entry_bytes: 2,
                 organization,
                 policy: SncPolicy::Lru,
-                covered_line_bytes: 128,
             },
             1,
         );

@@ -14,7 +14,7 @@ use padlock_core::{
     SncLookup, SncOrganization, SncPolicy,
 };
 use padlock_cpu::{LineKind, MemoryBackend, MemoryChannel};
-use padlock_mem::TrafficClass;
+use padlock_mem::{TrafficClass, LINE_BYTES};
 use padlock_stats::CounterSet;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -68,7 +68,7 @@ impl SeedBackend {
                 ready_at,
                 line_addr,
                 TrafficClass::SeqWrite,
-                self.config.line_bytes,
+                LINE_BYTES,
             );
         }
     }
@@ -77,7 +77,7 @@ impl SeedBackend {
         self.stats.incr("xom_reads");
         let fetched = self
             .channel
-            .demand_read(now, line_addr, TrafficClass::LineRead, self.config.line_bytes);
+            .demand_read(now, line_addr, TrafficClass::LineRead, LINE_BYTES);
         fetched + self.crypto_latency()
     }
 
@@ -85,7 +85,7 @@ impl SeedBackend {
         self.stats.incr("otp_fast_reads");
         let fetched = self
             .channel
-            .demand_read(now, line_addr, TrafficClass::LineRead, self.config.line_bytes);
+            .demand_read(now, line_addr, TrafficClass::LineRead, LINE_BYTES);
         let pad_ready = now + self.crypto_latency();
         fetched.max(pad_ready) + 1
     }
@@ -94,7 +94,7 @@ impl SeedBackend {
         match self.config.mode {
             SecurityMode::Insecure => {
                 self.channel
-                    .demand_read(now, line_addr, TrafficClass::LineRead, self.config.line_bytes)
+                    .demand_read(now, line_addr, TrafficClass::LineRead, LINE_BYTES)
             }
             SecurityMode::Xom => self.xom_read(now, line_addr),
             SecurityMode::Otp { snc: snc_cfg } => {
@@ -116,14 +116,14 @@ impl SeedBackend {
                                 now,
                                 line_addr,
                                 TrafficClass::SeqRead,
-                                self.config.line_bytes,
+                                LINE_BYTES,
                             );
                             let seq_ready = seq_fetched + self.crypto_latency();
                             let line_fetched = self.channel.demand_read(
                                 seq_ready,
                                 line_addr,
                                 TrafficClass::LineRead,
-                                self.config.line_bytes,
+                                LINE_BYTES,
                             );
                             let pad_ready = seq_ready + self.crypto_latency();
                             let snc = self.snc.as_mut().expect("OTP mode has an SNC");
@@ -140,7 +140,7 @@ impl SeedBackend {
     }
 
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
-        let bytes = self.config.line_bytes;
+        let bytes = LINE_BYTES;
         match self.config.mode {
             SecurityMode::Insecure => {
                 self.channel
@@ -204,10 +204,8 @@ fn counters(set: &CounterSet) -> BTreeMap<String, u64> {
 fn snc_cfg(policy: SncPolicy, entries: usize) -> SncConfig {
     SncConfig {
         capacity_bytes: entries * 2,
-        entry_bytes: 2,
         organization: SncOrganization::FullyAssociative,
         policy,
-        covered_line_bytes: 128,
     }
 }
 

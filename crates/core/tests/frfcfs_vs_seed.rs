@@ -4,7 +4,7 @@
 //! PR 4 drain scheduler **bit-exactly**, across the whole
 //! mode × channels × banks × inflight grid.
 //!
-//! Three layers, mirroring `banks_vs_seed` one knob later:
+//! Three layers:
 //!
 //! * **bank** — `SeedBankSet` below is a line-for-line port of the PR 4
 //!   bank set (open-row registers with no page-policy machinery). It is
@@ -28,14 +28,14 @@
 //!   machine with `Closed` (and a banked engine window under
 //!   `RowFirst`) must actually diverge, or the grid proves nothing.
 
-use padlock_core::engine::{CryptoTimeline, SncPorts};
+use padlock_core::engine::{CryptoTimeline, SncPorts, PADS_PER_SLOT};
 use padlock_core::{
     Machine, MachineConfig, SecureBackend, SecureBackendConfig, SecurityMode, SequenceNumberCache,
     SncConfig, SncLookup, SncOrganization, SncPolicy,
 };
 use padlock_cpu::{LineKind, MemoryBackend, StrideWorkload};
 use padlock_mem::{
-    BankConfig, BankSet, ChannelSet, DrainOrder, PagePolicy, TrafficClass, ROW_LINES,
+    BankConfig, BankSet, ChannelSet, DrainOrder, PagePolicy, TrafficClass, LINE_BYTES, ROW_LINES,
 };
 use padlock_stats::CounterSet;
 use rand::rngs::StdRng;
@@ -218,7 +218,7 @@ impl SeedEngine {
             config.mem_latency,
             config.mem_occupancy,
             config.write_buffer_entries,
-            u64::from(config.line_bytes),
+            u64::from(LINE_BYTES),
         )
         .with_banks(config.bank_config());
         let snc = match config.mode {
@@ -269,7 +269,7 @@ impl SeedEngine {
                 ready_at,
                 line_addr,
                 TrafficClass::SeqWrite,
-                self.config.line_bytes,
+                LINE_BYTES,
             );
         }
     }
@@ -282,7 +282,7 @@ impl SeedEngine {
                 now + self.crypto_latency(),
                 0,
                 TrafficClass::SeqWrite,
-                self.config.line_bytes,
+                LINE_BYTES,
             );
         }
     }
@@ -294,7 +294,7 @@ impl SeedEngine {
         crypto: &mut CryptoTimeline,
         ports: &mut SncPorts,
     ) -> SeedSlot {
-        let bytes = self.config.line_bytes;
+        let bytes = LINE_BYTES;
         let mut slot = SeedSlot {
             txn: *txn,
             path: SeedPath::Plain,
@@ -384,10 +384,7 @@ impl SeedEngine {
             return;
         }
         let window: Vec<MemTxn> = self.queue.drain(..).collect();
-        let mut crypto = CryptoTimeline::new(
-            self.crypto_latency(),
-            self.config.crypto_pipeline_width,
-        );
+        let mut crypto = CryptoTimeline::new(self.crypto_latency(), PADS_PER_SLOT);
         let mut ports = SncPorts::new(self.config.snc_shards, self.config.snc_port_cycles);
         let mut slots: Vec<SeedSlot> = Vec::with_capacity(window.len());
         for txn in window {
@@ -445,7 +442,7 @@ impl SeedEngine {
                         seq_ready,
                         slots[i].txn.line_addr,
                         TrafficClass::LineRead,
-                        self.config.line_bytes,
+                        LINE_BYTES,
                     );
                     let pad_done = crypto.issue_pad(seq_ready);
                     let arrival = slots[i].txn.arrival;
@@ -467,7 +464,7 @@ impl SeedEngine {
     }
 
     fn process_writeback(&mut self, now: u64, line_addr: u64) {
-        let bytes = self.config.line_bytes;
+        let bytes = LINE_BYTES;
         match self.config.mode {
             SecurityMode::Insecure => {
                 self.channels
@@ -552,10 +549,8 @@ impl SeedEngine {
 fn snc_cfg(policy: SncPolicy, entries: usize) -> SncConfig {
     SncConfig {
         capacity_bytes: entries * 2,
-        entry_bytes: 2,
         organization: SncOrganization::FullyAssociative,
         policy,
-        covered_line_bytes: 128,
     }
 }
 

@@ -14,7 +14,9 @@
 
 use padlock_cache::{AccessKind, SetAssocCache};
 use padlock_core::{SecureBackend, SecureBackendConfig, SecurityMode, SncConfig, SncOrganization, SncPolicy};
-use padlock_cpu::{Hierarchy, HierarchyConfig, LineKind, MemoryBackend};
+use padlock_cpu::{
+    l1_config, Hierarchy, HierarchyConfig, LineKind, MemoryBackend, L1_LATENCY, L2_LATENCY,
+};
 use padlock_stats::CounterSet;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -31,8 +33,8 @@ struct SeedHierarchy<B> {
 
 impl<B: MemoryBackend> SeedHierarchy<B> {
     fn new(config: HierarchyConfig, backend: B) -> Self {
-        let l1i = SetAssocCache::new(config.l1i.clone());
-        let l1d = SetAssocCache::new(config.l1d.clone());
+        let l1i = SetAssocCache::new(l1_config("L1I"));
+        let l1d = SetAssocCache::new(l1_config("L1D"));
         let l2 = SetAssocCache::new(config.l2.clone());
         Self {
             config,
@@ -44,7 +46,7 @@ impl<B: MemoryBackend> SeedHierarchy<B> {
     }
 
     fn inst_fetch(&mut self, now: u64, pc: u64) -> u64 {
-        let t = now + self.config.l1_latency;
+        let t = now + L1_LATENCY;
         let outcome = self.l1i.access(pc, AccessKind::Read);
         if outcome.hit {
             return t;
@@ -58,7 +60,7 @@ impl<B: MemoryBackend> SeedHierarchy<B> {
         } else {
             AccessKind::Read
         };
-        let t = now + self.config.l1_latency;
+        let t = now + L1_LATENCY;
         let outcome = self.l1d.access(addr, kind);
         if let Some(victim) = &outcome.victim {
             if victim.dirty {
@@ -72,7 +74,7 @@ impl<B: MemoryBackend> SeedHierarchy<B> {
     }
 
     fn fill_from_l2(&mut self, t: u64, addr: u64, kind: LineKind) -> u64 {
-        let t2 = t + self.config.l2_latency;
+        let t2 = t + L2_LATENCY;
         let outcome = self.l2.access(addr, AccessKind::Read);
         if let Some(victim) = &outcome.victim {
             if victim.dirty {
@@ -102,10 +104,8 @@ fn counters(set: CounterSet) -> BTreeMap<String, u64> {
 fn snc_cfg(policy: SncPolicy, entries: usize) -> SncConfig {
     SncConfig {
         capacity_bytes: entries * 2,
-        entry_bytes: 2,
         organization: SncOrganization::FullyAssociative,
         policy,
-        covered_line_bytes: 128,
     }
 }
 

@@ -40,10 +40,8 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
 fn cfg(entries: usize, policy: SncPolicy) -> SncConfig {
     SncConfig {
         capacity_bytes: entries * 2,
-        entry_bytes: 2,
         organization: SncOrganization::FullyAssociative,
         policy,
-        covered_line_bytes: 128,
     }
 }
 

@@ -36,7 +36,7 @@
 //! across every security mode.
 
 use padlock_cache::{AccessKind, CacheConfig, SetAssocCache};
-use padlock_mem::TrafficClass;
+use padlock_mem::{TrafficClass, LINE_BYTES};
 use padlock_stats::CounterSet;
 
 pub use padlock_mem::MemoryChannel;
@@ -121,19 +121,29 @@ pub trait MemoryBackend {
     fn label(&self) -> String;
 }
 
-/// Geometry and latencies of the on-chip hierarchy.
+/// L1 access latency in cycles (SimpleScalar's default).
+pub const L1_LATENCY: u64 = 1;
+
+/// L2 access latency in cycles, added after an L1 miss (SimpleScalar's
+/// default).
+pub const L2_LATENCY: u64 = 6;
+
+/// Line size of both split L1 caches, in bytes.
+pub const L1_LINE_BYTES: u64 = 32;
+
+/// One of the paper's split L1 caches (§5): 32KB, 4-way, with
+/// [`L1_LINE_BYTES`]-byte lines.
+pub fn l1_config(name: &str) -> CacheConfig {
+    CacheConfig::new(name, 32 * 1024, L1_LINE_BYTES as usize, 4)
+}
+
+/// The on-chip hierarchy parameters an experiment varies: the L2 and
+/// its MSHR file. The split L1s ([`l1_config`]) and the access
+/// latencies ([`L1_LATENCY`], [`L2_LATENCY`]) are the paper's, fixed.
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {
-    /// L1 instruction cache.
-    pub l1i: CacheConfig,
-    /// L1 data cache.
-    pub l1d: CacheConfig,
     /// Unified L2.
     pub l2: CacheConfig,
-    /// L1 access latency in cycles.
-    pub l1_latency: u64,
-    /// L2 access latency in cycles (added after an L1 miss).
-    pub l2_latency: u64,
     /// L2 miss-status-holding registers: the number of outstanding L2
     /// misses the hierarchy keeps in flight before it must drain them
     /// to the backend. `1` models the paper's blocking memory system
@@ -142,16 +152,11 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// The paper's configuration: 32KB 4-way split L1 I/D, 256KB 4-way
-    /// unified L2 with 128-byte lines (§5), SimpleScalar default
-    /// latencies (1-cycle L1, 6-cycle L2), blocking misses (one MSHR).
+    /// The paper's configuration: 256KB 4-way unified L2 with 128-byte
+    /// lines (§5) and blocking misses (one MSHR).
     pub fn paper_default() -> Self {
         Self {
-            l1i: CacheConfig::new("L1I", 32 * 1024, 32, 4),
-            l1d: CacheConfig::new("L1D", 32 * 1024, 32, 4),
-            l2: CacheConfig::new("L2", 256 * 1024, 128, 4),
-            l1_latency: 1,
-            l2_latency: 6,
+            l2: CacheConfig::new("L2", 256 * 1024, LINE_BYTES as usize, 4),
             l2_mshrs: 1,
         }
     }
@@ -160,7 +165,7 @@ impl HierarchyConfig {
     /// area as the 256KB L2 plus a 64KB SNC.
     pub fn paper_big_l2() -> Self {
         Self {
-            l2: CacheConfig::new("L2", 384 * 1024, 128, 6),
+            l2: CacheConfig::new("L2", 384 * 1024, LINE_BYTES as usize, 6),
             ..Self::paper_default()
         }
     }
@@ -256,8 +261,8 @@ impl<B: MemoryBackend> Hierarchy<B> {
     /// Panics if the configured MSHR count is zero.
     pub fn new(config: HierarchyConfig, backend: B) -> Self {
         assert!(config.l2_mshrs > 0, "l2_mshrs must be positive");
-        let l1i = SetAssocCache::new(config.l1i.clone());
-        let l1d = SetAssocCache::new(config.l1d.clone());
+        let l1i = SetAssocCache::new(l1_config("L1I"));
+        let l1d = SetAssocCache::new(l1_config("L1D"));
         let l2 = SetAssocCache::new(config.l2.clone());
         Self {
             config,
@@ -272,11 +277,6 @@ impl<B: MemoryBackend> Hierarchy<B> {
             next_token: 0,
             mshr_stats: CounterSet::new("mshr"),
         }
-    }
-
-    /// The hierarchy configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
     }
 
     /// The backend below L2.
@@ -407,7 +407,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
     /// blocks — but it first drains any pending data misses (their
     /// latencies are unaffected: each is charged from its own arrival).
     pub fn inst_fetch(&mut self, now: u64, pc: u64) -> u64 {
-        let t = now + self.config.l1_latency;
+        let t = now + L1_LATENCY;
         let outcome = self.l1i.access(pc, AccessKind::Read);
         if outcome.hit {
             return t;
@@ -443,7 +443,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
         } else {
             AccessKind::Read
         };
-        let t = now + self.config.l1_latency;
+        let t = now + L1_LATENCY;
         let outcome = self.l1d.access(addr, kind);
         if let Some(victim) = &outcome.victim {
             if victim.dirty {
@@ -466,7 +466,7 @@ impl<B: MemoryBackend> Hierarchy<B> {
 
     /// An L1 miss looks in L2; on L2 miss an MSHR tracks the fill.
     fn fill_from_l2(&mut self, t: u64, addr: u64, kind: LineKind) -> Access {
-        let t2 = t + self.config.l2_latency;
+        let t2 = t + L2_LATENCY;
         let line_addr = self.config.l2.line_addr(addr);
         let outcome = self.l2.access(addr, AccessKind::Read);
         if let Some(victim) = &outcome.victim {
@@ -521,7 +521,8 @@ impl<B: MemoryBackend> Hierarchy<B> {
 }
 
 /// A raw-DRAM backend with no cryptography: one flat channel of
-/// 128-byte lines, reads issued in request order, writebacks buffered.
+/// [`LINE_BYTES`]-byte lines, reads issued in request order,
+/// writebacks buffered.
 ///
 /// This crate's stand-in below L2, for driving the hierarchy and the
 /// pipeline without the secure controller. The paper's baseline
@@ -532,9 +533,6 @@ impl<B: MemoryBackend> Hierarchy<B> {
 pub struct InsecureBackend {
     channel: MemoryChannel,
 }
-
-/// Line size [`InsecureBackend`] accounts its traffic in.
-const INSECURE_LINE_BYTES: u32 = 128;
 
 impl InsecureBackend {
     /// Creates the backend with the given DRAM latency and
@@ -553,20 +551,15 @@ impl MemoryBackend for InsecureBackend {
         reqs.iter()
             .map(|&(at, line_addr, _)| {
                 self.channel
-                    .demand_read(at, line_addr, TrafficClass::LineRead, INSECURE_LINE_BYTES)
+                    .demand_read(at, line_addr, TrafficClass::LineRead, LINE_BYTES)
             })
             .collect()
     }
 
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
         // No encryption: data is ready immediately.
-        self.channel.enqueue_write(
-            now,
-            now,
-            line_addr,
-            TrafficClass::LineWrite,
-            INSECURE_LINE_BYTES,
-        )
+        self.channel
+            .enqueue_write(now, now, line_addr, TrafficClass::LineWrite, LINE_BYTES)
     }
 
     fn drain(&mut self, now: u64) {

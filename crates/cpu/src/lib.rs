@@ -44,11 +44,13 @@ mod wheel;
 
 pub use bpred::BimodalPredictor;
 pub use hierarchy::{
-    Access, AccessToken, Hierarchy, HierarchyConfig, InsecureBackend, LineKind, MemoryBackend,
-    MemoryChannel,
+    l1_config, Access, AccessToken, Hierarchy, HierarchyConfig, InsecureBackend, LineKind,
+    MemoryBackend, MemoryChannel, L1_LATENCY, L1_LINE_BYTES, L2_LATENCY,
 };
 pub use op::{MicroOp, OffsetWorkload, OpClass, StrideWorkload, Workload};
-pub use pipeline::{Core, PipelineConfig, RunSession, RunStats};
+pub use pipeline::{
+    Core, PipelineConfig, RunSession, RunStats, BPRED_ENTRIES, MISPREDICT_PENALTY, PIPELINE_WIDTH,
+};
 
 // The sweep executor simulates one hierarchy per worker thread; these
 // bounds keep the pipeline and memory model `Send` so a sweep can move

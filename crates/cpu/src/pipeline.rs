@@ -62,32 +62,34 @@
 //! loop did, so the backend observes the identical window composition.
 
 use crate::bpred::BimodalPredictor;
-use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend};
+use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend, L1_LATENCY, L1_LINE_BYTES};
 use crate::op::{OpClass, Workload};
 use crate::wheel::TimingWheel;
 
-/// Pipeline widths and structure sizes.
+/// Ops fetched (dispatched), issued and committed per cycle:
+/// SimpleScalar `sim-outorder`'s 4-wide default, which the paper kept.
+pub const PIPELINE_WIDTH: u32 = 4;
+
+/// Extra front-end cycles after a mispredicted branch resolves.
+pub const MISPREDICT_PENALTY: u64 = 3;
+
+/// Entries in the bimodal branch predictor (SimpleScalar's 2K default).
+pub const BPRED_ENTRIES: usize = 2048;
+
+/// The core parameters an experiment varies: the ROB size and the
+/// memory ports.
 ///
 /// Defaults follow SimpleScalar `sim-outorder`'s defaults, which the
-/// paper states it used apart from the cache/memory parameters: 4-wide
-/// fetch/issue/commit, a 16-entry register update unit (our ROB), two
-/// memory ports, bimodal 2K predictor.
+/// paper states it used apart from the cache/memory parameters: a
+/// 16-entry register update unit (our ROB) and two memory ports. The
+/// rest of the core is fixed at those defaults: [`PIPELINE_WIDTH`],
+/// [`MISPREDICT_PENALTY`] and [`BPRED_ENTRIES`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Ops fetched/dispatched per cycle.
-    pub fetch_width: u32,
-    /// Ops issued to execution per cycle.
-    pub issue_width: u32,
-    /// Ops committed per cycle.
-    pub commit_width: u32,
     /// Reorder-buffer entries (SimpleScalar's RUU).
     pub rob_size: usize,
     /// Memory operations issued per cycle (load/store ports).
     pub mem_ports: u32,
-    /// Extra front-end cycles after a mispredicted branch resolves.
-    pub mispredict_penalty: u64,
-    /// Entries in the bimodal predictor.
-    pub bpred_entries: usize,
 }
 
 impl PipelineConfig {
@@ -95,13 +97,8 @@ impl PipelineConfig {
     /// defaults.
     pub fn paper_default() -> Self {
         Self {
-            fetch_width: 4,
-            issue_width: 4,
-            commit_width: 4,
             rob_size: 16,
             mem_ports: 2,
-            mispredict_penalty: 3,
-            bpred_entries: 2048,
         }
     }
 }
@@ -306,16 +303,13 @@ impl<B: MemoryBackend> Core<B> {
     ///
     /// # Panics
     ///
-    /// Panics if `rob_size`, `fetch_width`, `issue_width`,
-    /// `commit_width` or `mem_ports` is zero: such a core could never
-    /// dispatch, issue or commit, and its run would not terminate.
+    /// Panics if `rob_size` or `mem_ports` is zero: such a core could
+    /// never dispatch or issue a memory op, and its run would not
+    /// terminate.
     pub fn with_hierarchy(config: PipelineConfig, hierarchy: Hierarchy<B>) -> Self {
         assert!(config.rob_size > 0, "rob_size must be positive");
-        assert!(config.fetch_width > 0, "fetch_width must be positive");
-        assert!(config.issue_width > 0, "issue_width must be positive");
-        assert!(config.commit_width > 0, "commit_width must be positive");
         assert!(config.mem_ports > 0, "mem_ports must be positive");
-        let bpred = BimodalPredictor::new(config.bpred_entries);
+        let bpred = BimodalPredictor::new(BPRED_ENTRIES);
         Self {
             config,
             hierarchy,
@@ -391,7 +385,6 @@ impl<B: MemoryBackend> Core<B> {
             fetch_resume_at: 0,
             pending_op: None,
             last_fetch_line: u64::MAX,
-            l1i_line: self.hierarchy.config().l1i.line_bytes() as u64,
         }
     }
 
@@ -418,9 +411,9 @@ impl<B: MemoryBackend> Core<B> {
 
         // ---- Collect resolved fills ----
         // A hierarchy drain (MSHR-file exhaustion inside an access, a
-        // blocking instruction fetch, an idle-triggered drain, or the
-        // forced stall-on-use drain below) resolves pending loads to
-        // their real completion cycles.
+        // blocking instruction fetch, or the forced stall-on-use drain
+        // below) resolves pending loads to their real completion
+        // cycles.
         self.hierarchy.take_resolutions(&mut s.resolved_buf);
         for i in 0..s.resolved_buf.len() {
             let (token, done) = s.resolved_buf[i];
@@ -451,7 +444,7 @@ impl<B: MemoryBackend> Core<B> {
 
         // ---- Commit ----
         let mut commits = 0;
-        while commits < self.config.commit_width && s.base < s.dispatched {
+        while commits < PIPELINE_WIDTH && s.base < s.dispatched {
             let head = s.slot(s.base);
             if !(head.issued && head.complete_at <= now) {
                 break;
@@ -480,7 +473,7 @@ impl<B: MemoryBackend> Core<B> {
         let mut from = 0;
         let mut issues = 0;
         let mut mem_issues = 0;
-        while issues < self.config.issue_width {
+        while issues < PIPELINE_WIDTH {
             let with_mem = (mem_issues < self.config.mem_ports).then_some(&s.ready_mem);
             let Some(pos) =
                 s.ready_alu
@@ -518,7 +511,7 @@ impl<B: MemoryBackend> Core<B> {
                 SlotKind::BranchRedirect => {
                     let done = now + 1;
                     s.redirect_pending = false;
-                    s.fetch_resume_at = done + self.config.mispredict_penalty;
+                    s.fetch_resume_at = done + MISPREDICT_PENALTY;
                     done
                 }
             };
@@ -538,7 +531,7 @@ impl<B: MemoryBackend> Core<B> {
         // ---- Fetch / dispatch ----
         let rob_size = self.config.rob_size as u64;
         let mut fetched = 0;
-        while fetched < self.config.fetch_width
+        while fetched < PIPELINE_WIDTH
             && s.dispatched - s.base < rob_size
             && !s.redirect_pending
             && now >= s.fetch_resume_at
@@ -550,11 +543,11 @@ impl<B: MemoryBackend> Core<B> {
                 None => workload.next_op(),
             };
             // I-cache: a new line triggers a fetch access.
-            let line = op.pc / s.l1i_line;
+            let line = op.pc / L1_LINE_BYTES;
             if line != s.last_fetch_line {
                 let avail = self.hierarchy.inst_fetch(now, op.pc);
                 s.last_fetch_line = line;
-                if avail > now + self.hierarchy.config().l1_latency {
+                if avail > now + L1_LATENCY {
                     // I-miss: hold the op until the line arrives.
                     s.fetch_ready_at = avail;
                     s.pending_op = Some(op);
@@ -733,7 +726,6 @@ pub struct RunSession {
     fetch_resume_at: u64,
     pending_op: Option<crate::op::MicroOp>,
     last_fetch_line: u64,
-    l1i_line: u64,
 }
 
 impl RunSession {
@@ -1063,24 +1055,6 @@ mod tests {
     #[should_panic(expected = "rob_size must be positive")]
     fn zero_rob_size_rejected() {
         core_with(|c| c.rob_size = 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fetch_width must be positive")]
-    fn zero_fetch_width_rejected() {
-        core_with(|c| c.fetch_width = 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "issue_width must be positive")]
-    fn zero_issue_width_rejected() {
-        core_with(|c| c.issue_width = 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "commit_width must be positive")]
-    fn zero_commit_width_rejected() {
-        core_with(|c| c.commit_width = 0);
     }
 
     #[test]

@@ -113,7 +113,7 @@ proptest! {
         rob_size in 1usize..=300,
         mem_ports in 1u32..=3,
     ) {
-        let config = PipelineConfig { rob_size, mem_ports, ..PipelineConfig::paper_default() };
+        let config = PipelineConfig { rob_size, mem_ports };
         let mut c = Core::new(config, InsecureBackend::new(100, 8));
         let n = 3_000u64;
         let stats = c.run(&mut Arbitrary { ops, i: 0 }, n);

@@ -2,94 +2,49 @@
 //!
 //! The paper assumes a fully pipelined hardware engine with a fixed
 //! end-to-end latency: 50 cycles in the main experiments (a DES ASIC,
-//! §3.1), 102 cycles in the sensitivity study (Fig. 10). Because the unit
-//! is fully pipelined, enciphering all blocks of one L2 line costs the
-//! pipeline latency once, plus one issue slot per block.
+//! §3.1), 102 cycles in the sensitivity study (Fig. 10). The timing
+//! model charges that latency once per line; contention for the unit's
+//! issue slots is the secure controller's business.
 
-/// Latency/throughput model of a pipelined block-cipher unit.
+/// Latency model of the pipelined block-cipher unit.
 ///
 /// # Examples
 ///
 /// ```
 /// use padlock_crypto::CryptoUnitModel;
 ///
-/// let unit = CryptoUnitModel::paper_default(); // 50-cycle pipeline
-/// // A 128-byte line of 8-byte blocks: 50 + 15 issue slots.
-/// assert_eq!(unit.line_latency(128, 8), 65);
-/// // The paper's abstraction charges the pipeline latency alone:
-/// assert_eq!(unit.pipeline_latency(), 50);
+/// assert_eq!(CryptoUnitModel::paper_default().pipeline_latency(), 50);
+/// assert_eq!(CryptoUnitModel::paper_slow().pipeline_latency(), 102);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CryptoUnitModel {
     latency: u64,
-    blocks_per_cycle: u64,
-    pipelined: bool,
 }
 
 impl CryptoUnitModel {
-    /// The paper's main configuration: 50-cycle fully pipelined unit,
-    /// one block issued per cycle.
+    /// The paper's main configuration: a 50-cycle unit.
     pub fn paper_default() -> Self {
-        Self::new(50, true, 1)
+        Self::new(50)
     }
 
-    /// The paper's Fig. 10 sensitivity configuration: 102-cycle unit.
+    /// The paper's Fig. 10 sensitivity configuration: a 102-cycle unit.
     pub fn paper_slow() -> Self {
-        Self::new(102, true, 1)
+        Self::new(102)
     }
 
-    /// Creates a custom unit model.
-    ///
-    /// * `latency` — end-to-end cycles for one block through the engine;
-    /// * `pipelined` — whether a new block can issue every
-    ///   `1/blocks_per_cycle` cycles (otherwise blocks serialise);
-    /// * `blocks_per_cycle` — issue width when pipelined.
+    /// A unit whose blocks take `latency` cycles end to end.
     ///
     /// # Panics
     ///
-    /// Panics if `latency` or `blocks_per_cycle` is zero.
-    pub fn new(latency: u64, pipelined: bool, blocks_per_cycle: u64) -> Self {
+    /// Panics if `latency` is zero.
+    pub fn new(latency: u64) -> Self {
         assert!(latency > 0, "crypto latency must be positive");
-        assert!(blocks_per_cycle > 0, "issue width must be positive");
-        Self {
-            latency,
-            blocks_per_cycle,
-            pipelined,
-        }
+        Self { latency }
     }
 
     /// End-to-end latency of one block through the engine.
     pub fn pipeline_latency(&self) -> u64 {
         self.latency
-    }
-
-    /// Whether the engine is pipelined.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipelined
-    }
-
-    /// Cycles to encipher/decipher a whole line of `line_bytes` using
-    /// `block_bytes` blocks.
-    ///
-    /// Pipelined: `latency + ceil(blocks-1 / width)`. Unpipelined:
-    /// `latency * blocks`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` is not a positive multiple of `block_bytes`.
-    pub fn line_latency(&self, line_bytes: usize, block_bytes: usize) -> u64 {
-        assert!(block_bytes > 0 && line_bytes > 0, "sizes must be positive");
-        assert_eq!(
-            line_bytes % block_bytes,
-            0,
-            "line must be whole cipher blocks"
-        );
-        let blocks = (line_bytes / block_bytes) as u64;
-        if self.pipelined {
-            self.latency + (blocks - 1).div_ceil(self.blocks_per_cycle)
-        } else {
-            self.latency * blocks
-        }
     }
 }
 
@@ -107,38 +62,12 @@ mod tests {
     fn paper_defaults() {
         assert_eq!(CryptoUnitModel::paper_default().pipeline_latency(), 50);
         assert_eq!(CryptoUnitModel::paper_slow().pipeline_latency(), 102);
-        assert!(CryptoUnitModel::default().is_pipelined());
-    }
-
-    #[test]
-    fn single_block_costs_pipeline_latency() {
-        let u = CryptoUnitModel::new(50, true, 1);
-        assert_eq!(u.line_latency(8, 8), 50);
-    }
-
-    #[test]
-    fn pipelined_line_adds_issue_slots() {
-        let u = CryptoUnitModel::new(50, true, 1);
-        assert_eq!(u.line_latency(128, 8), 50 + 15);
-        let wide = CryptoUnitModel::new(50, true, 4);
-        assert_eq!(wide.line_latency(128, 8), 50 + 4); // ceil(15/4)
-    }
-
-    #[test]
-    fn unpipelined_serialises_blocks() {
-        let u = CryptoUnitModel::new(10, false, 1);
-        assert_eq!(u.line_latency(32, 8), 40);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole cipher blocks")]
-    fn ragged_line_panics() {
-        CryptoUnitModel::paper_default().line_latency(100, 8);
+        assert_eq!(CryptoUnitModel::default(), CryptoUnitModel::paper_default());
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_latency_panics() {
-        let _ = CryptoUnitModel::new(0, true, 1);
+        let _ = CryptoUnitModel::new(0);
     }
 }

@@ -131,7 +131,7 @@ impl BankConfig {
             row_conflict_cycles: DEFAULT_ROW_CONFLICT_CYCLES,
             row_closed_cycles: DEFAULT_ROW_CLOSED_CYCLES,
             page_policy: PagePolicy::Open,
-            row_bytes: 128 * ROW_LINES,
+            row_bytes: u64::from(crate::LINE_BYTES) * ROW_LINES,
         }
     }
 

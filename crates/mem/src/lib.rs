@@ -50,3 +50,8 @@ pub use sched::DrainOrder;
 pub use region::{RegionMap, RegionOverlap};
 pub use sparse::SparseMemory;
 pub use timing::{MemTimingModel, TrafficClass, TrafficTotals};
+
+/// Bytes per L2 line, the paper's 128 (§5): the size of every line
+/// transaction, the granularity channels interleave at, and the span of
+/// memory one sequence number covers.
+pub const LINE_BYTES: u32 = 128;

@@ -18,9 +18,6 @@ pub enum TrafficClass {
     SeqRead,
     /// A sequence-number spill of an evicted SNC entry.
     SeqWrite,
-    /// A MAC fetch/store (integrity extension; off by default like the
-    /// paper).
-    Mac,
 }
 
 impl TrafficClass {
@@ -33,7 +30,6 @@ impl TrafficClass {
             TrafficClass::LineWrite => "line_writes",
             TrafficClass::SeqRead => "seq_reads",
             TrafficClass::SeqWrite => "seq_writes",
-            TrafficClass::Mac => "mac",
         }
     }
 
@@ -45,7 +41,6 @@ impl TrafficClass {
             TrafficClass::LineWrite => "line_write_bytes",
             TrafficClass::SeqRead => "seq_read_bytes",
             TrafficClass::SeqWrite => "seq_write_bytes",
-            TrafficClass::Mac => "mac_bytes",
         }
     }
 }
@@ -74,9 +69,9 @@ impl fmt::Display for TrafficClass {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficTotals {
     /// Transactions per [`TrafficClass`] discriminant.
-    pub counts: [u64; 5],
+    pub counts: [u64; 4],
     /// Bytes per [`TrafficClass`] discriminant.
-    pub bytes: [u64; 5],
+    pub bytes: [u64; 4],
     /// Row-buffer hits (banked channels only).
     pub row_hits: u64,
     /// Row-buffer conflicts (banked channels only).
@@ -145,7 +140,6 @@ impl TrafficTotals {
             TrafficClass::LineWrite,
             TrafficClass::SeqRead,
             TrafficClass::SeqWrite,
-            TrafficClass::Mac,
         ];
         let mut txns = 0;
         let mut total = 0;

@@ -138,7 +138,6 @@ proptest! {
             TrafficClass::LineWrite,
             TrafficClass::SeqRead,
             TrafficClass::SeqWrite,
-            TrafficClass::Mac,
         ] {
             prop_assert_eq!(
                 split_stats.get(class.counter()),

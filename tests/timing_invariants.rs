@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 fn controller(mode: SecurityMode, crypto: u64) -> SecureBackend {
     let mut cfg = SecureBackendConfig::paper(mode);
-    cfg.crypto = CryptoUnitModel::new(crypto, true, 1);
+    cfg.crypto = CryptoUnitModel::new(crypto);
     cfg.mem_occupancy = 0;
     SecureBackend::new(cfg)
 }
@@ -22,7 +22,7 @@ fn otp_fast_path_is_max_plus_one_over_the_grid() {
     for mem_latency in [60u64, 100, 200] {
         for crypto in [25u64, 50, 102, 250] {
             let mut cfg = SecureBackendConfig::paper(SecurityMode::otp_lru_64k());
-            cfg.crypto = CryptoUnitModel::new(crypto, true, 1);
+            cfg.crypto = CryptoUnitModel::new(crypto);
             cfg.mem_latency = mem_latency;
             cfg.mem_occupancy = 0;
             let mut b = SecureBackend::new(cfg);
@@ -51,10 +51,8 @@ fn lru_query_miss_costs_sequence_fetch_then_overlapped_line_fetch() {
         SecurityMode::Otp {
             snc: SncConfig {
                 capacity_bytes: 2,
-                entry_bytes: 2,
                 organization: SncOrganization::FullyAssociative,
                 policy: SncPolicy::Lru,
-                covered_line_bytes: 128,
             },
         },
         50,
