@@ -172,9 +172,10 @@ impl Lab {
         // Model the paper's 10-billion-instruction fast-forward: an
         // ancient heap written long ago, plus (for rewrite-style
         // benchmarks) the live region the program updates in place.
-        let ancient: Vec<u64> = workload.ancient_line_addrs().collect();
-        let active: Vec<u64> = workload.active_line_addrs().collect();
-        m.core_mut().hierarchy_mut().backend_mut().pre_age(ancient, active);
+        m.core_mut()
+            .hierarchy_mut()
+            .backend_mut()
+            .pre_age(workload.ancient_line_addrs(), workload.active_line_addrs());
         let measurement = m.run(&mut workload, warmup, measure);
         crate::meter::record_simulated_cycles(measurement.stats.cycles);
         measurement

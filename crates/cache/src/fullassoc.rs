@@ -74,6 +74,11 @@ impl<T> FullAssocCache<T> {
         }
     }
 
+    /// The most entries the cache holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Current number of entries.
     pub fn len(&self) -> usize {
         self.map.len()

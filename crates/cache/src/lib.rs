@@ -5,7 +5,8 @@
 //! LRU cache (the paper's default SNC organisation), the write buffer
 //! that sits between L2 and memory (Fig. 2/4), and [`LineHasher`], the
 //! fixed seedless hasher behind the line-address tables below L2
-//! ([`FullAssocCache`]'s index and [`LineSet`]).
+//! ([`FullAssocCache`]'s index and the secure controller's written-line
+//! set).
 //!
 //! These are *timing* models: they track presence and recency of line
 //! addresses (plus dirtiness in the set-associative cache) and an
@@ -34,6 +35,6 @@ mod write_buffer;
 
 pub use config::CacheConfig;
 pub use fullassoc::FullAssocCache;
-pub use line_hash::{BuildLineHasher, LineHasher, LineSet};
+pub use line_hash::{BuildLineHasher, LineHasher};
 pub use setassoc::{AccessKind, AccessOutcome, Evicted, SetAssocCache};
 pub use write_buffer::{WriteBuffer, WriteBufferEntry};

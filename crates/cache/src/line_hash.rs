@@ -5,12 +5,12 @@
 //! point-queried on every miss and never iterated, so they need neither
 //! key order nor collision resistance: their keys are simulated
 //! addresses the program generates itself, never external input. A
-//! SplitMix64 finalizer spreads line-aligned keys (seven or more zero low
-//! bits) across both the bucket-index and the tag bits of std's tables,
-//! and having no random seed keeps table layout and `Debug` output the
-//! same from run to run.
+//! SplitMix64 finalizer spreads the keys (line addresses with seven or
+//! more zero low bits, or the written-line set's consecutive 64-line
+//! chunk indices) across both the bucket-index and the tag bits of
+//! std's tables, and having no random seed keeps table layout and
+//! `Debug` output the same from run to run.
 
-use std::collections::HashSet; // lint: sorted the alias below names a table that is never iterated
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// SplitMix64's finalizer: a bijective 64-bit mixer.
@@ -21,7 +21,7 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A [`Hasher`] for `u64` line addresses whose [`finish`] is the
+/// A [`Hasher`] for `u64` line-address keys whose [`finish`] is the
 /// SplitMix64 finalizer of the written key.
 ///
 /// Built for one `u64` per key; further writes fold into the state
@@ -32,12 +32,13 @@ fn mix(mut x: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use padlock_cache::LineSet;
+/// use padlock_cache::BuildLineHasher;
+/// use std::hash::BuildHasher;
 ///
-/// let mut written = LineSet::default();
-/// assert!(written.insert(0x7000_0080));
-/// assert!(!written.insert(0x7000_0080));
-/// assert!(written.contains(&0x7000_0080));
+/// // No seed: a key hashes alike in every table and every run.
+/// let (a, b) = (BuildLineHasher::default(), BuildLineHasher::default());
+/// assert_eq!(a.hash_one(0x7000_0080u64), b.hash_one(0x7000_0080u64));
+/// assert_ne!(a.hash_one(0x7000_0080u64), a.hash_one(0x7000_0100u64));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LineHasher(u64);
@@ -64,10 +65,6 @@ impl Hasher for LineHasher {
 
 /// Builds [`LineHasher`]s for std's hash tables.
 pub type BuildLineHasher = BuildHasherDefault<LineHasher>;
-
-/// A set of line addresses under [`LineHasher`].
-// lint: sorted a membership set: point-queried, never iterated
-pub type LineSet = HashSet<u64, BuildLineHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -81,8 +81,8 @@
 
 use crate::config::{SecureBackendConfig, SecurityMode, SncPolicy, SEQ_BYTES};
 use crate::engine::{CryptoTimeline, MemTxn, SncPorts, PADS_PER_SLOT};
+use crate::line_set::LineSet;
 use crate::snc::{SequenceNumberCache, SncLookup};
-use padlock_cache::LineSet;
 use padlock_cpu::{LineKind, MemoryBackend};
 use padlock_mem::{ChannelSet, DrainOrder, TrafficClass, LINE_BYTES};
 use padlock_stats::CounterSet;
@@ -151,9 +151,10 @@ pub struct SecureBackend {
     snc: Option<SequenceNumberCache>,
     /// Lines that have ever been written back (their in-memory copy is
     /// OTP-dynamic or, under a full no-replacement SNC, direct-encrypted).
-    /// A hashed membership set: every OTP data miss and writeback
-    /// point-queries it and nothing iterates it, so its fixed-hasher
-    /// layout never reaches a result.
+    /// One occupancy word per 64 lines, hashed by chunk: every OTP data
+    /// miss and writeback point-queries it and nothing iterates it, so
+    /// its fixed-hasher layout never reaches a result, and a densely
+    /// aged region stays small enough to remain cache-resident.
     written: LineSet,
     /// Evicted sequence numbers awaiting spill; 64 two-byte entries pack
     /// into one line-sized memory transaction.
@@ -313,58 +314,49 @@ impl SecureBackend {
     ///
     /// Two feeds, reflecting two kinds of old state:
     ///
-    /// * `ancient` — long-dead allocations. Installed *first*: a
-    ///   no-replacement SNC ends up full of them (the paper's gcc
-    ///   observation that early sequence numbers hog every slot), while
-    ///   LRU will evict them as live data arrives.
+    /// * `ancient` — long-dead allocations. Under LRU they are
+    ///   installed *first*, so live data evicts them; a no-replacement
+    ///   SNC fills every slot the active feed left with them (the
+    ///   paper's gcc observation that early sequence numbers hog every
+    ///   slot).
     /// * `active` — data the program still rewrites in place (streaming
-    ///   update regions). Installed *last* so LRU retains it; under
-    ///   no-replacement it takes whatever room the ancient feed left.
+    ///   update regions). Installed *last* under LRU, so LRU retains
+    ///   it; under no-replacement it predates the churn and claims
+    ///   slots first.
+    ///
+    /// Under LRU the SNC ages through [`SequenceNumberCache::age_lru`]:
+    /// a fully associative SNC installs only the entries that survive,
+    /// since the last `C` distinct installs into a `C`-entry LRU fix its
+    /// contents and order, while a set-associative one keeps one install
+    /// per line (the ways its survivors land in, and so its flush order,
+    /// depend on the whole history). Under no-replacement every line
+    /// keeps its own `try_install`: a full SNC rejects it in O(1).
     pub fn pre_age<A, B>(&mut self, ancient: A, active: B)
     where
         A: IntoIterator<Item = u64>,
         B: IntoIterator<Item = u64>,
     {
-        match self.config.mode {
-            SecurityMode::Otp { snc: snc_cfg } => {
-                let snc = self.snc.as_mut().expect("OTP mode has an SNC");
+        // Aging only affects modes with per-line state.
+        if let SecurityMode::Otp { snc: snc_cfg } = self.config.mode {
+            let snc = self.snc.as_mut().expect("OTP mode has an SNC");
+            match snc_cfg.policy {
                 // Under no-replacement the *active* region was written
                 // first in program order (it predates the churn), so it
                 // claims slots first; the ancient churn then fills the
-                // rest. Under LRU recency is what matters: ancient
-                // first, active last.
-                let feeds: [Box<dyn Iterator<Item = u64>>; 2] = match snc_cfg.policy {
-                    SncPolicy::NoReplacement => [
-                        Box::new(active.into_iter()),
-                        Box::new(ancient.into_iter()),
-                    ],
-                    SncPolicy::Lru => [
-                        Box::new(ancient.into_iter()),
-                        Box::new(active.into_iter()),
-                    ],
-                };
-                // Size the set once for both feeds, so aging never holds
-                // an old and a grown table at the same time.
-                self.written
-                    .reserve(feeds.iter().map(|f| f.size_hint().0).sum::<usize>());
-                for feed in feeds {
-                    for line in feed {
+                // rest.
+                SncPolicy::NoReplacement => {
+                    for line in active.into_iter().chain(ancient) {
                         self.written.insert(line);
-                        match snc_cfg.policy {
-                            SncPolicy::NoReplacement => {
-                                snc.try_install(line, 1);
-                            }
-                            SncPolicy::Lru => {
-                                snc.install(line, 1);
-                            }
-                        }
+                        snc.try_install(line, 1);
                     }
                 }
-                snc.reset_stats();
+                // Under LRU recency is what matters: ancient first,
+                // active last.
+                SncPolicy::Lru => {
+                    snc.age_lru(&mut self.written, ancient.into_iter().chain(active));
+                }
             }
-            _ => {
-                // Aging only affects modes with per-line state.
-            }
+            snc.reset_stats();
         }
         self.stats = ControllerStats::default();
     }
@@ -504,8 +496,7 @@ impl SecureBackend {
                 // the SNC.
                 let fast = if txn.kind == LineKind::Instruction {
                     true
-                } else if self.config.clean_lines_bypass && !self.written.contains(&txn.line_addr)
-                {
+                } else if self.config.clean_lines_bypass && !self.written.contains(txn.line_addr) {
                     self.stats.clean_bypass_reads += 1;
                     true
                 } else {

@@ -57,6 +57,7 @@ pub mod compartment;
 mod config;
 mod controller;
 pub mod engine;
+mod line_set;
 mod machine;
 mod secure_mem;
 pub mod server;
@@ -66,6 +67,7 @@ pub mod vendor;
 pub use config::{SecureBackendConfig, SecurityMode, SeedScheme, SncConfig, SncOrganization, SncPolicy};
 pub use controller::SecureBackend;
 pub use engine::MemTxn;
+pub use line_set::LineSet;
 pub use machine::{Machine, MachineConfig, Measurement};
 pub use server::{
     CompartmentReport, SecureServer, ServerConfig, ServerMeasurement, ServerSlot,

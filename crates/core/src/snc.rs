@@ -15,9 +15,11 @@
 //! total capacity (property tested in `snc_shard_properties`).
 
 use crate::config::{SncConfig, SncOrganization};
+use crate::line_set::LineSet;
 use padlock_cache::{CacheConfig, FullAssocCache, SetAssocCache};
 use padlock_mem::LINE_BYTES;
 use padlock_stats::CounterSet;
+use std::collections::VecDeque;
 
 /// Result of a query for a line's sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,6 +317,55 @@ impl SequenceNumberCache {
             self.stats.spills += 1;
         }
         evicted
+    }
+
+    /// Ages an LRU SNC with `lines`, in order: marks each line in
+    /// `written` and installs its sequence number 1, leaving contents,
+    /// recency and sequence numbers exactly as one
+    /// [`SequenceNumberCache::install`] per line would. Event counters
+    /// see only the installs actually made.
+    ///
+    /// Fully associative shards install only the lines that can
+    /// survive. In a `C`-entry LRU, once the last `C` installs are
+    /// pairwise distinct they alone fix the contents and the recency
+    /// order, whatever the shard held before. So each shard keeps a
+    /// ring of its last `C` lines that were new to `written`, which are
+    /// distinct from one another, and installs the ring at the end. A
+    /// line already in `written` may repeat a ring entry, so its
+    /// shard's ring is installed first, then the line.
+    ///
+    /// Set-associative shards take one install per line: replaying only
+    /// the survivors could seat them in other ways, and the way order is
+    /// the flush order that [`SequenceNumberCache::flush`] returns.
+    pub fn age_lru(&mut self, written: &mut LineSet, lines: impl IntoIterator<Item = u64>) {
+        let capacity = match &self.shards[0] {
+            Storage::Full(c) => c.capacity(),
+            Storage::SetAssoc(_) => {
+                for line in lines {
+                    written.insert(line);
+                    self.install(line, 1);
+                }
+                return;
+            }
+        };
+        let mut rings = vec![VecDeque::new(); self.shards.len()];
+        for line in lines {
+            let ring = &mut rings[self.shard_of(line)];
+            if written.insert(line) {
+                if ring.len() == capacity {
+                    ring.pop_front();
+                }
+                ring.push_back(line);
+            } else {
+                for pending in ring.drain(..) {
+                    self.install(pending, 1);
+                }
+                self.install(line, 1);
+            }
+        }
+        for line in rings.into_iter().flatten() {
+            self.install(line, 1);
+        }
     }
 
     /// No-replacement install: succeeds only when the owning shard has a
