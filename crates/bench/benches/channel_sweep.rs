@@ -4,8 +4,8 @@
 //! simulated-cycle speedup tables themselves are printed by
 //! `repro --mlp` / `repro --mlp --banks` and regression-tested in
 //! `padlock_bench::mlp`), plus the `sweep` group timing a whole grid
-//! through the work-stealing pool serially vs at `PADLOCK_JOBS`
-//! workers — the pair whose ratio is the executor's speedup.
+//! through the sweep pool serially vs at `PADLOCK_JOBS` workers — the
+//! pair whose ratio is the executor's speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use padlock_bench::{run_e2e_point, run_mlp_point, E2eParams, E2eTrace};
@@ -106,9 +106,12 @@ fn channel_sweep(c: &mut Criterion) {
 }
 
 /// The executor's headline pair: the same 12-cell engine grid swept
-/// serially and through `PADLOCK_JOBS` workers. Both produce identical
+/// serially and through `PADLOCK_JOBS` self-scheduling workers, each
+/// taking the next cell from one shared cursor. Both produce identical
 /// results (the determinism suite asserts it); the wall-time ratio in
-/// the captured baseline is the pool's speedup on this host.
+/// the captured baseline is the pool's speedup on the capture host, so
+/// record that host's CPU count with it: on one or two CPUs the pair
+/// reads within noise of each other.
 fn sweep_pool(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep");
     g.sample_size(10);

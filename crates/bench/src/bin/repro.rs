@@ -11,8 +11,8 @@
 //! repro --jobs 8         # fan every sweep across 8 workers
 //! ```
 //!
-//! Every sweep fans across a work-stealing [`SweepPool`]; results are
-//! reassembled in submission order, so all tables and JSON lines on
+//! Every sweep fans across a self-scheduling [`SweepPool`]; results are
+//! sorted back into submission order, so all tables and JSON lines on
 //! stdout are byte-identical for any `--jobs` value (timing
 //! diagnostics go to stderr).
 

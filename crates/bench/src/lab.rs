@@ -110,23 +110,14 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// `(warmup_ops, measure_ops)` per simulation.
-    ///
-    /// The `PADLOCK_WARMUP` / `PADLOCK_MEASURE` environment variables
-    /// override the scale (useful for calibration experiments).
+    /// `(warmup_ops, measure_ops)` per simulation: fixed per scale, so
+    /// a figure's windows are set by the scale alone.
     pub fn window(self) -> (u64, u64) {
-        let (w, m) = match self {
+        match self {
             RunScale::Smoke => (80_000, 200_000),
             RunScale::Quick => (500_000, 1_500_000),
             RunScale::Full => (2_000_000, 6_000_000),
-        };
-        let env = |key: &str, dflt: u64| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(dflt)
-        };
-        (env("PADLOCK_WARMUP", w), env("PADLOCK_MEASURE", m))
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The parallel-determinism gate: every table builder and JSON-lines
 //! serialisation must be **byte-identical** when fanned across a
-//! work-stealing pool vs run serially. Each grid cell is a pure
+//! self-scheduling pool vs run serially. Each grid cell is a pure
 //! function of its configuration, and [`padlock_exec::SweepPool`]
 //! reassembles results in submission order, so any byte of difference
 //! means a cell stopped being pure (shared state leaked between
@@ -93,18 +93,11 @@ fn bank_and_delta_tables_and_jsonl_are_byte_identical_across_jobs() {
 
 #[test]
 fn figure_tables_are_byte_identical_after_parallel_prewarm() {
-    // Shrink the Smoke windows for this test only: the comparison needs
-    // 44 real simulations, not representative ones. No other test in
-    // this binary reads the scale windows, so the process-global
-    // override cannot race.
-    std::env::set_var("PADLOCK_WARMUP", "2000");
-    std::env::set_var("PADLOCK_MEASURE", "6000");
+    // Figure 3 at the real Smoke windows: 44 simulations on each side.
     let mut serial = Lab::new(RunScale::Smoke);
     let serial_text = serial.figure3().table().render_text();
     let mut prewarmed = Lab::new(RunScale::Smoke);
     prewarmed.prewarm(&SweepPool::new(4), &ORDER, &figure_machines(3));
     let pooled_text = prewarmed.figure3().table().render_text();
-    std::env::remove_var("PADLOCK_WARMUP");
-    std::env::remove_var("PADLOCK_MEASURE");
     assert_eq!(serial_text, pooled_text);
 }

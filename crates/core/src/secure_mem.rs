@@ -9,9 +9,14 @@
 
 use crate::config::SeedScheme;
 use padlock_crypto::{BlockCipher, CbcMac, CipherKind, OneTimePad, Sha256};
-use padlock_mem::{RegionMap, SparseMemory};
+use padlock_mem::{RegionMap, SparseMemory, LINE_BYTES};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The functional model's line: the timing model's [`LINE_BYTES`], a
+/// whole number of blocks for every cipher (8-byte DES/3DES, 16-byte
+/// AES). Packages ship and load in these lines too.
+pub(crate) const LINE: usize = LINE_BYTES as usize;
 
 /// How a region of memory is protected (decided at load time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -115,8 +120,7 @@ pub enum AttackOutcome {
 /// use padlock_crypto::CipherKind;
 ///
 /// let mut sm = SecureMemory::new(
-///     CipherKind::Des, &[7u8; 16], SeedScheme::PaperAdditive, 128,
-///     IntegrityMode::Mac);
+///     CipherKind::Des, &[7u8; 16], SeedScheme::PaperAdditive, IntegrityMode::Mac);
 /// sm.add_region("heap", 0x1_0000, 0x2_0000, LineProtection::OtpDynamic).unwrap();
 /// sm.write_line(0x1_0000, &[0xAB; 128]).unwrap();
 /// assert_eq!(sm.read_line(0x1_0000).unwrap(), vec![0xAB; 128]);
@@ -127,7 +131,6 @@ pub struct SecureMemory {
     otp: OneTimePad<Box<dyn BlockCipher>>,
     mac: Option<CbcMac<Box<dyn BlockCipher>>>,
     seed_scheme: SeedScheme,
-    line_bytes: usize,
     integrity: IntegrityMode,
     mem: SparseMemory,
     regions: RegionMap<LineProtection>,
@@ -143,7 +146,6 @@ pub struct SecureMemory {
 impl fmt::Debug for SecureMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SecureMemory")
-            .field("line_bytes", &self.line_bytes)
             .field("integrity", &self.integrity)
             .field("lines_written", &self.seqs.len())
             .finish_non_exhaustive()
@@ -156,19 +158,13 @@ impl SecureMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `line_bytes` is not a positive multiple of the cipher
-    /// block size, or `key` is shorter than the cipher requires.
+    /// Panics if `key` is shorter than the cipher requires.
     pub fn new(
         cipher: CipherKind,
         key: &[u8],
         seed_scheme: SeedScheme,
-        line_bytes: usize,
         integrity: IntegrityMode,
     ) -> Self {
-        assert!(
-            line_bytes > 0 && line_bytes.is_multiple_of(cipher.block_size()),
-            "line must be whole cipher blocks"
-        );
         // Derive a distinct MAC key so pad and MAC streams never share
         // cipher inputs.
         let mut mac_key = key.to_vec();
@@ -179,7 +175,6 @@ impl SecureMemory {
             otp: OneTimePad::new(cipher.instantiate(key)),
             mac: Some(CbcMac::new(cipher.instantiate(&mac_key))),
             seed_scheme,
-            line_bytes,
             integrity,
             mem: SparseMemory::new(),
             regions: RegionMap::new(LineProtection::OtpDynamic),
@@ -187,11 +182,6 @@ impl SecureMemory {
             macs: BTreeMap::new(),
             root: [0u8; 32],
         }
-    }
-
-    /// The configured line size in bytes.
-    pub fn line_bytes(&self) -> usize {
-        self.line_bytes
     }
 
     /// The integrity mode.
@@ -214,7 +204,7 @@ impl std::error::Error for MapRegionError {}
 
 impl SecureMemory {
     fn check_aligned(&self, addr: u64) -> Result<(), SecureMemoryError> {
-        if !addr.is_multiple_of(self.line_bytes as u64) {
+        if !addr.is_multiple_of(u64::from(LINE_BYTES)) {
             Err(SecureMemoryError::Misaligned { addr })
         } else {
             Ok(())
@@ -249,7 +239,7 @@ impl SecureMemory {
         if self.integrity == IntegrityMode::None {
             return;
         }
-        let ct = self.mem.read_vec(addr, self.line_bytes);
+        let ct = self.mem.read_vec(addr, LINE);
         let tag = self.mac.as_ref().expect("mac engine").tag(addr, &ct);
         self.macs.insert(addr, tag);
         if self.integrity == IntegrityMode::MacTree {
@@ -272,7 +262,7 @@ impl SecureMemory {
                 let Some(tag) = self.macs.get(&addr).copied() else {
                     return Ok(());
                 };
-                let ct = self.mem.read_vec(addr, self.line_bytes);
+                let ct = self.mem.read_vec(addr, LINE);
                 let ok = self
                     .mac
                     .as_ref()
@@ -321,7 +311,7 @@ impl SecureMemory {
         ciphertext: &[u8],
     ) -> Result<(), SecureMemoryError> {
         self.check_aligned(addr)?;
-        assert_eq!(ciphertext.len(), self.line_bytes, "whole lines only");
+        assert_eq!(ciphertext.len(), LINE, "whole lines only");
         self.mem.write_bytes(addr, ciphertext);
         self.stamp_integrity(addr);
         Ok(())
@@ -335,7 +325,7 @@ impl SecureMemory {
     /// Returns [`SecureMemoryError::Misaligned`] for unaligned addresses.
     pub fn write_line(&mut self, addr: u64, plaintext: &[u8]) -> Result<(), SecureMemoryError> {
         self.check_aligned(addr)?;
-        assert_eq!(plaintext.len(), self.line_bytes, "whole lines only");
+        assert_eq!(plaintext.len(), LINE, "whole lines only");
         let ct = match self.protection_at(addr) {
             LineProtection::Plaintext => plaintext.to_vec(),
             LineProtection::OtpStatic => {
@@ -367,7 +357,7 @@ impl SecureMemory {
     pub fn read_line(&self, addr: u64) -> Result<Vec<u8>, SecureMemoryError> {
         self.check_aligned(addr)?;
         self.verify_integrity(addr)?;
-        let ct = self.mem.read_vec(addr, self.line_bytes);
+        let ct = self.mem.read_vec(addr, LINE);
         Ok(match self.protection_at(addr) {
             LineProtection::Plaintext => ct,
             LineProtection::OtpStatic => {
@@ -388,7 +378,7 @@ impl SecureMemory {
     ///
     /// Propagates line-read failures.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, SecureMemoryError> {
-        let lb = self.line_bytes as u64;
+        let lb = u64::from(LINE_BYTES);
         let mut out = Vec::with_capacity(len);
         let mut cursor = addr;
         let end = addr + len as u64;
@@ -396,7 +386,7 @@ impl SecureMemory {
             let line = cursor / lb * lb;
             let data = self.read_line(line)?;
             let start = (cursor - line) as usize;
-            let take = ((end - cursor) as usize).min(self.line_bytes - start);
+            let take = ((end - cursor) as usize).min(LINE - start);
             out.extend_from_slice(&data[start..start + take]);
             cursor += take as u64;
         }
@@ -410,14 +400,14 @@ impl SecureMemory {
     ///
     /// Propagates line read/write failures.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), SecureMemoryError> {
-        let lb = self.line_bytes as u64;
+        let lb = u64::from(LINE_BYTES);
         let mut cursor = addr;
         let end = addr + data.len() as u64;
         while cursor < end {
             let line = cursor / lb * lb;
             let mut buf = self.read_line(line)?;
             let start = (cursor - line) as usize;
-            let take = ((end - cursor) as usize).min(self.line_bytes - start);
+            let take = ((end - cursor) as usize).min(LINE - start);
             let off = (cursor - addr) as usize;
             buf[start..start + take].copy_from_slice(&data[off..off + take]);
             self.write_line(line, &buf)?;
@@ -446,7 +436,7 @@ impl SecureMemory {
     /// Splicing: copy the raw ciphertext *and MAC entry* of `src` over
     /// `dst` (a valid line moved to the wrong address).
     pub fn attack_splice(&mut self, src: u64, dst: u64) {
-        let ct = self.mem.read_vec(src, self.line_bytes);
+        let ct = self.mem.read_vec(src, LINE);
         self.mem.write_bytes(dst, &ct);
         if let Some(tag) = self.macs.get(&src).copied() {
             self.macs.insert(dst, tag);
@@ -460,7 +450,7 @@ impl SecureMemory {
     pub fn attack_snapshot(&self, addr: u64) -> LineSnapshot {
         LineSnapshot {
             addr,
-            ciphertext: self.mem.read_vec(addr, self.line_bytes),
+            ciphertext: self.mem.read_vec(addr, LINE),
             mac: self.macs.get(&addr).copied(),
             seq: self.seqs.get(&addr).copied(),
         }
@@ -523,7 +513,6 @@ mod tests {
             CipherKind::Des,
             &[0x13, 0x34, 0x57, 0x79, 0x9B, 0xBC, 0xDF, 0xF1],
             SeedScheme::PaperAdditive,
-            128,
             integrity,
         );
         m.add_region("code", 0x0, 0x1_0000, LineProtection::OtpStatic)
@@ -700,7 +689,6 @@ mod tests {
             CipherKind::Aes128,
             &[9u8; 16],
             SeedScheme::Structured,
-            128,
             IntegrityMode::Mac,
         );
         let line = vec![0xC3u8; 128];

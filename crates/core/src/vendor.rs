@@ -9,9 +9,10 @@
 //! the piracy protection the paper's title promises.
 
 use crate::config::SeedScheme;
-use crate::secure_mem::{IntegrityMode, LineProtection, SecureMemory};
+use crate::secure_mem::{IntegrityMode, LineProtection, SecureMemory, LINE};
 use padlock_crypto::rsa::{KeyPair, PublicKey, RsaError};
 use padlock_crypto::{CbcMac, CipherKind, OneTimePad};
+use padlock_mem::LINE_BYTES;
 use std::fmt;
 
 /// A processor's burned-in identity: the asymmetric pair whose private
@@ -90,7 +91,7 @@ pub struct Segment {
     /// Segment kind.
     pub kind: SegmentKind,
     /// The shipped bytes: ciphertext for protected kinds, cleartext for
-    /// [`SegmentKind::Plain`]. Padded to whole lines.
+    /// [`SegmentKind::Plain`]. Padded to whole [`LINE_BYTES`] lines.
     pub bytes: Vec<u8>,
 }
 
@@ -105,8 +106,6 @@ pub struct SoftwarePackage {
     pub cipher: CipherKind,
     /// The seed derivation scheme.
     pub seed_scheme: SeedScheme,
-    /// Line size the payload was encrypted at.
-    pub line_bytes: usize,
     /// Program segments.
     pub segments: Vec<Segment>,
     /// Per-line MACs over the shipped ciphertext, `(line_addr, tag)`.
@@ -187,26 +186,20 @@ impl std::error::Error for LoadError {}
 pub struct Vendor {
     cipher: CipherKind,
     seed_scheme: SeedScheme,
-    line_bytes: usize,
 }
 
 impl Vendor {
-    /// A vendor shipping DES-encrypted, paper-seeded, 128-byte-line
-    /// packages (the paper's running configuration).
+    /// A vendor shipping DES-encrypted, paper-seeded packages (the
+    /// paper's running configuration).
     pub fn paper_default() -> Self {
-        Self {
-            cipher: CipherKind::Des,
-            seed_scheme: SeedScheme::PaperAdditive,
-            line_bytes: 128,
-        }
+        Self::new(CipherKind::Des, SeedScheme::PaperAdditive)
     }
 
     /// A vendor using a custom cipher/scheme.
-    pub fn new(cipher: CipherKind, seed_scheme: SeedScheme, line_bytes: usize) -> Self {
+    pub fn new(cipher: CipherKind, seed_scheme: SeedScheme) -> Self {
         Self {
             cipher,
             seed_scheme,
-            line_bytes,
         }
     }
 
@@ -225,7 +218,6 @@ impl Vendor {
         target: &PublicKey,
         rng: &mut impl rand::Rng,
     ) -> Result<SoftwarePackage, PackageError> {
-        let lb = self.line_bytes as u64;
         // Toy RSA: keep Ks short enough to fit under small moduli.
         let mut ks = vec![0u8; 16];
         rng.fill_bytes(&mut ks);
@@ -247,15 +239,14 @@ impl Vendor {
         let mut out_segments = Vec::new();
         let mut macs = Vec::new();
         for (base, kind, plain) in segments {
-            if base % lb != 0 {
+            if base % u64::from(LINE_BYTES) != 0 {
                 return Err(PackageError::UnalignedSegment { base: *base });
             }
             let mut padded = plain.clone();
-            let pad_to = padded.len().div_ceil(self.line_bytes) * self.line_bytes;
-            padded.resize(pad_to, 0);
+            padded.resize(padded.len().div_ceil(LINE) * LINE, 0);
             let mut shipped = Vec::with_capacity(padded.len());
-            for (i, line) in padded.chunks(self.line_bytes).enumerate() {
-                let addr = base + (i * self.line_bytes) as u64;
+            for (i, line) in padded.chunks(LINE).enumerate() {
+                let addr = base + (i * LINE) as u64;
                 let bytes = match kind {
                     SegmentKind::Plain => line.to_vec(),
                     _ => otp.encrypt(self.seed_scheme.seed(addr, 0), line),
@@ -275,7 +266,6 @@ impl Vendor {
             wrapped_key,
             cipher: self.cipher,
             seed_scheme: self.seed_scheme,
-            line_bytes: self.line_bytes,
             segments: out_segments,
             macs,
             entry,
@@ -337,8 +327,8 @@ impl SecureLoader {
         let mac = CbcMac::new(package.cipher.instantiate(&mac_key));
         let mut shipped_macs = package.macs.iter();
         for seg in &package.segments {
-            for (i, line) in seg.bytes.chunks(package.line_bytes).enumerate() {
-                let addr = seg.base + (i * package.line_bytes) as u64;
+            for (i, line) in seg.bytes.chunks(LINE).enumerate() {
+                let addr = seg.base + (i * LINE) as u64;
                 let (mac_addr, tag) = shipped_macs
                     .next()
                     .ok_or(LoadError::PackageTampered { addr })?;
@@ -348,13 +338,8 @@ impl SecureLoader {
             }
         }
 
-        let mut memory = SecureMemory::new(
-            package.cipher,
-            &ks,
-            package.seed_scheme,
-            package.line_bytes,
-            self.integrity,
-        );
+        let mut memory =
+            SecureMemory::new(package.cipher, &ks, package.seed_scheme, self.integrity);
         for seg in &package.segments {
             let end = seg.base + seg.bytes.len() as u64;
             memory
@@ -362,21 +347,13 @@ impl SecureLoader {
                 .map_err(|e| LoadError::RegionConflict(e.to_string()))?;
         }
         for seg in &package.segments {
-            for (i, line) in seg.bytes.chunks(package.line_bytes).enumerate() {
-                let addr = seg.base + (i * package.line_bytes) as u64;
-                match seg.kind {
-                    SegmentKind::Plain => {
-                        // Plaintext installs bypass encryption entirely.
-                        memory
-                            .install_ciphertext_line(addr, line)
-                            .expect("aligned line");
-                    }
-                    _ => {
-                        memory
-                            .install_ciphertext_line(addr, line)
-                            .expect("aligned line");
-                    }
-                }
+            for (i, line) in seg.bytes.chunks(LINE).enumerate() {
+                let addr = seg.base + (i * LINE) as u64;
+                // Shipped bytes install as they are: ciphertext, or
+                // cleartext for plain segments.
+                memory
+                    .install_ciphertext_line(addr, line)
+                    .expect("aligned line");
             }
         }
         Ok(LoadedProgram {
@@ -529,7 +506,7 @@ mod tests {
     fn aes_vendor_works_end_to_end() {
         let mut rng = rng();
         let cpu = ProcessorIdentity::generate(1, &mut rng);
-        let vendor = Vendor::new(CipherKind::Aes128, SeedScheme::Structured, 128);
+        let vendor = Vendor::new(CipherKind::Aes128, SeedScheme::Structured);
         let code = vec![0xF0u8; 200];
         let pkg = vendor
             .package(

@@ -1,4 +1,4 @@
-//! `padlock_exec` — a work-stealing sweep executor for embarrassingly
+//! `padlock_exec` — a self-scheduling sweep executor for embarrassingly
 //! parallel grids of independent simulations.
 //!
 //! Every sweep in this workspace (`repro --mlp` grids, `channel_sweep`,
@@ -12,9 +12,10 @@
 //! `--jobs`.
 //!
 //! The pool is a dependency-free shim over `std::thread` (the build
-//! environment is offline, in the same spirit as `vendor/rand`):
-//! per-worker deques seeded with contiguous index blocks, idle workers
-//! stealing the back half of a victim's deque.
+//! environment is offline, in the same spirit as `vendor/rand`), and
+//! safe code only: scoped workers take the next point index from one
+//! shared atomic cursor, and the `(index, result)` pairs are sorted
+//! back into submission order after the join.
 //!
 //! ```
 //! use padlock_exec::SweepPool;

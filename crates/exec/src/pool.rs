@@ -1,36 +1,15 @@
-//! The work-stealing pool: per-worker index deques, steal-half victims,
-//! and a submission-order result buffer.
-//!
-//! Concurrency design, in full, because `padlock-lint --audit` points
-//! here:
-//!
-//! * Work items are *indices* into the caller's point slice. Each index
-//!   lives in exactly one deque at a time; removal (own pop or steal)
-//!   happens under that deque's mutex, so every index is claimed by
-//!   exactly one worker.
-//! * Thieves move the back half of a victim's deque into their *own*
-//!   deque. A worker therefore only ever exits once its own deque is
-//!   empty and a full victim scan found nothing — and since only the
-//!   owner pushes into a deque, an exited worker's deque stays empty.
-//!   Together: when the scope joins, every index was claimed, and every
-//!   claimed index has run.
-//! * Results land in [`Slots`], a fixed-size buffer indexed by
-//!   submission order. Writes are disjoint by construction (one claim
-//!   per index), and reads happen only after the thread scope joins,
-//!   so the buffer needs no per-cell locking.
+//! The self-scheduling pool. A point runs for milliseconds to seconds,
+//! so one `fetch_add` per point on a shared cursor is free, and a slow
+//! point stalls only the worker running it.
 
-// lint: safety: interior mutability confined to Slots below; disjoint-index writes, reads after join
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// A fixed-width pool that fans a slice of grid points across up to
-/// `jobs` worker threads and returns results in submission order.
-///
-/// `jobs = 1` (or a single point) short-circuits to a plain serial
-/// loop on the calling thread — the bit-exact escape hatch, though the
-/// parallel path produces byte-identical results anyway.
+/// `jobs` worker threads and returns results in submission order;
+/// `jobs = 1` (or a single point) runs a serial loop on the calling
+/// thread, with byte-identical output.
 #[derive(Debug, Clone)]
 pub struct SweepPool {
     jobs: usize,
@@ -47,9 +26,8 @@ impl SweepPool {
         Self::new(1)
     }
 
-    /// Resolves the job count from the environment: `PADLOCK_JOBS` if
-    /// set to a positive integer, else the host's available
-    /// parallelism, else 1.
+    /// The job count from `PADLOCK_JOBS` if set to a positive integer,
+    /// else the host's available parallelism, else 1.
     pub fn from_env() -> Self {
         let jobs = std::env::var("PADLOCK_JOBS")
             .ok()
@@ -64,11 +42,10 @@ impl SweepPool {
         self.jobs
     }
 
-    /// Runs `run` over every point and returns the results **in
-    /// submission order** (`result[i]` corresponds to `points[i]`),
-    /// regardless of which worker executed which point or in what
-    /// order. Spawns `min(jobs, points.len())` scoped workers; panics
-    /// in `run` propagate to the caller.
+    /// Runs `run` over every point on `min(jobs, points.len())` scoped
+    /// workers; `result[i]` is `run(&points[i])`. If `run` panics, the
+    /// sweep re-raises the lowest-index panicking point's own payload,
+    /// as a serial sweep would.
     pub fn sweep<P, R, F>(&self, points: &[P], run: F) -> Vec<R>
     where
         P: Sync,
@@ -79,117 +56,34 @@ impl SweepPool {
         if workers <= 1 {
             return points.iter().map(run).collect();
         }
-
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            seed_blocks(points.len(), workers).into_iter().map(Mutex::new).collect();
-        let slots = Slots::new(points.len());
-
-        thread::scope(|scope| {
-            for id in 0..workers {
-                let deques = &deques;
-                let slots = &slots;
-                let run = &run;
-                scope.spawn(move || {
-                    while let Some(idx) = claim(deques, id) {
-                        // lint: safety: idx was claimed under a deque mutex by exactly this worker, so this write is the sole access to cell idx until the scope joins
-                        unsafe { slots.put(idx, run(&points[idx])) };
-                    }
-                });
+        // Relaxed suffices: one read-modify-write hands out each index,
+        // and the results reach this thread through the join.
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(point) = points.get(idx) else {
+                    return done;
+                };
+                let result = panic::catch_unwind(AssertUnwindSafe(|| run(point)));
+                if result.is_err() {
+                    // Start no later point; every lower index is taken.
+                    cursor.store(points.len(), Ordering::Relaxed);
+                }
+                done.push((idx, result));
             }
-        });
-
-        slots.into_results()
-    }
-}
-
-/// Contiguous index blocks seeding each worker's deque: worker `i`
-/// starts with `points[start_i .. start_i + len_i]`, sized within one
-/// of each other. Contiguity keeps the common no-steal case touching
-/// each point slice region from a single thread.
-fn seed_blocks(n: usize, workers: usize) -> Vec<VecDeque<usize>> {
-    let base = n / workers;
-    let extra = n % workers;
-    let mut blocks = Vec::with_capacity(workers);
-    let mut next = 0;
-    for i in 0..workers {
-        let len = base + usize::from(i < extra);
-        blocks.push((next..next + len).collect());
-        next += len;
-    }
-    blocks
-}
-
-/// Claims the next index for worker `id`: front of its own deque, else
-/// the back half of the first non-empty victim (scanned round-robin
-/// from `id + 1`), else `None` — at which point no deque held work
-/// during a full scan, and since only owners push, the worker can
-/// retire.
-fn claim(deques: &[Mutex<VecDeque<usize>>], id: usize) -> Option<usize> {
-    if let Some(idx) = lock(deques, id).pop_front() {
-        return Some(idx);
-    }
-    for offset in 1..deques.len() {
-        let victim = (id + offset) % deques.len();
-        let mut stolen = {
-            let mut v = lock(deques, victim);
-            let n = v.len();
-            if n == 0 {
-                continue;
-            }
-            v.split_off(n - (n - n / 2)) // back half, rounded up
         };
-        let first = stolen.pop_front();
-        if !stolen.is_empty() {
-            lock(deques, id).append(&mut stolen);
-        }
-        return first;
-    }
-    None
-}
-
-fn lock<'a>(
-    deques: &'a [Mutex<VecDeque<usize>>],
-    i: usize,
-) -> std::sync::MutexGuard<'a, VecDeque<usize>> {
-    deques[i]
-        .lock()
-        .expect("sweep deque mutex poisoned: a worker panicked while (re)queueing indices")
-}
-
-/// Submission-order result buffer: one cell per point, written lock-free
-/// by whichever worker claimed that index.
-struct Slots<R> {
-    // lint: safety: cells are written at disjoint indices (one claim per index, see claim()) and read only after thread::scope joins
-    cells: Vec<UnsafeCell<Option<R>>>,
-}
-
-// lint: safety: sharing &Slots across workers is sound because each cell has exactly one writer (the claiming worker) and no reader until the scope joins; R: Send moves each result across exactly one thread boundary
-unsafe impl<R: Send> Sync for Slots<R> {}
-
-impl<R> Slots<R> {
-    fn new(n: usize) -> Self {
-        // lint: safety: empty cells; all cross-thread access is governed by the claim protocol documented on the field
-        Self { cells: (0..n).map(|_| UnsafeCell::new(None)).collect() }
-    }
-
-    /// # Safety
-    ///
-    /// `idx` must be claimed by the calling worker (sole writer), and
-    /// no reads may occur until the thread scope joins.
-    // lint: safety: contract stated above; the single caller holds a mutex-claimed idx inside the scope
-    unsafe fn put(&self, idx: usize, value: R) {
-        *self.cells[idx].get() = Some(value);
-    }
-
-    /// Consumes the buffer after the scope joined; every cell is full
-    /// because every index was claimed and every claimed index ran.
-    fn into_results(self) -> Vec<R> {
-        self.cells
-            .into_iter()
-            .map(|c| {
-                c.into_inner()
-                    .expect("sweep invariant violated: a submitted point produced no result")
-            })
+        let mut done: Vec<_> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            let joined = handles
+                .into_iter()
+                .map(|h| h.join().expect("workers catch panics"));
+            joined.flatten().collect()
+        });
+        done.sort_unstable_by_key(|&(idx, _)| idx);
+        done.into_iter()
+            .map(|(_, result)| result.unwrap_or_else(|payload| panic::resume_unwind(payload)))
             .collect()
     }
 }
@@ -231,9 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_a_skewed_grid() {
-        // One pathological point at the front: worker 0 gets stuck on it
-        // while the others must steal its remaining block to finish.
+    fn a_skewed_grid_drains_in_submission_order() {
+        // One pathological point at the front: the worker that takes it
+        // is stuck while the others drain the cursor without it.
         let points: Vec<usize> = (0..64).collect();
         let out = SweepPool::new(4).sweep(&points, |&p| {
             if p == 0 {
@@ -258,25 +152,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "point 3 failed")]
+    fn a_panic_keeps_the_first_failing_points_message() {
+        // Points 3 and 11 both panic; a serial sweep stops at point 3,
+        // so the pool must re-raise point 3's own payload, not std's
+        // generic "a scoped thread panicked".
+        let points: Vec<usize> = (0..16).collect();
+        SweepPool::new(4).sweep(&points, |&p| {
+            assert!(p != 3 && p != 11, "point {p} failed");
+            p
+        });
+    }
+
+    #[test]
     fn jobs_clamp_and_env_fallback() {
         assert_eq!(SweepPool::new(0).jobs(), 1);
         assert_eq!(SweepPool::new(3).jobs(), 3);
         assert!(SweepPool::from_env().jobs() >= 1);
-    }
-
-    #[test]
-    fn seed_blocks_partition_the_index_space() {
-        for n in [0usize, 1, 7, 8, 9, 100] {
-            for workers in [1usize, 2, 3, 8] {
-                let blocks = seed_blocks(n, workers);
-                let all: Vec<usize> = blocks.iter().flatten().copied().collect();
-                assert_eq!(all, (0..n).collect::<Vec<_>>(), "n={n} workers={workers}");
-                let (min, max) = blocks
-                    .iter()
-                    .map(VecDeque::len)
-                    .fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
-                assert!(max - min <= 1, "uneven blocks: n={n} workers={workers}");
-            }
-        }
     }
 }

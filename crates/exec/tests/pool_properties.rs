@@ -1,4 +1,4 @@
-//! Properties of the work-stealing sweep executor.
+//! Properties of the self-scheduling sweep executor.
 //!
 //! The load-bearing claim behind every byte-identical parallel sweep:
 //! whatever the worker count and however adversarially the per-point
@@ -14,8 +14,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Results come back in submission order with nothing lost or
-    /// duplicated, even when point runtimes are skewed so stealing
-    /// rebalances mid-sweep and workers finish out of order.
+    /// duplicated, even when point runtimes are skewed so workers take
+    /// uneven shares of the cursor and finish out of order.
     #[test]
     fn sweep_preserves_submission_order_and_loses_nothing(
         delays_us in proptest::collection::vec(0u64..400, 0..64),

@@ -26,7 +26,7 @@
 //! "#).unwrap();
 //!
 //! let mut mem = SecureMemory::new(CipherKind::Des, &[9u8; 16],
-//!     SeedScheme::PaperAdditive, 128, IntegrityMode::Mac);
+//!     SeedScheme::PaperAdditive, IntegrityMode::Mac);
 //! mem.add_region("code", 0x0, 0x1_0000, LineProtection::OtpDynamic).unwrap();
 //! mem.write_bytes(0x1000, &program.encode()).unwrap();
 //!

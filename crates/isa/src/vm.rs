@@ -230,7 +230,6 @@ mod tests {
             CipherKind::Des,
             &[0x42u8; 16],
             SeedScheme::PaperAdditive,
-            128,
             IntegrityMode::Mac,
         );
         mem.add_region("code", 0x0, 0x10_000, LineProtection::OtpDynamic)

@@ -90,7 +90,7 @@ fn good_t1_justified_sites_feed_the_audit_table() {
 
 #[test]
 fn bad_t1_pool_fires_on_every_unsafe_sync_site() {
-    // The sweep executor's result-slot idiom: an `UnsafeCell` buffer
+    // An unsafe sweep executor's result-slot idiom: an `UnsafeCell` buffer
     // (use + field), the `unsafe impl Sync`, the `unsafe fn`
     // declaration, and the raw write — five unjustified sites.
     let report = lint_as("bad_t1_pool_unsafe.rs", "crates/exec/src/fixture.rs");

@@ -16,7 +16,6 @@ fn fresh_as(integrity: IntegrityMode, key: &[u8; 16]) -> SecureMemory {
         CipherKind::Aes128,
         key,
         SeedScheme::PaperAdditive,
-        128,
         integrity,
     );
     m.add_region("data", 0x1_0000, 0x2_0000, LineProtection::OtpDynamic)

@@ -124,7 +124,7 @@ fn every_cipher_choice_supports_the_full_pipeline() {
         let mut rng = StdRng::seed_from_u64(5);
         let cpu = ProcessorIdentity::generate(7, &mut rng);
         let program = assemble("addi r1, r0, 9\nout r1\nhalt").unwrap();
-        let package = Vendor::new(cipher, scheme, 128)
+        let package = Vendor::new(cipher, scheme)
             .package(
                 "nine",
                 &[(0x1000, SegmentKind::Code, program.encode())],

@@ -9,7 +9,7 @@ use padlock::crypto::CipherKind;
 use proptest::prelude::*;
 
 fn memory(integrity: IntegrityMode, scheme: SeedScheme) -> SecureMemory {
-    let mut m = SecureMemory::new(CipherKind::Des, &[0x77u8; 16], scheme, 128, integrity);
+    let mut m = SecureMemory::new(CipherKind::Des, &[0x77u8; 16], scheme, integrity);
     m.add_region("data", 0x1_0000, 0x4_0000, LineProtection::OtpDynamic)
         .unwrap();
     m
