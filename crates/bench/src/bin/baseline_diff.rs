@@ -15,11 +15,10 @@
 //! bench is a regression too); benches missing from the reference are
 //! reported as new and pass (the reference wants re-capturing).
 //!
-//! The threshold defaults to 0.5 and can also be set with the
-//! `BASELINE_NOISE` environment variable; the flag wins. Shared-runner
-//! CI timing is noisy — the threshold guards against step-function
-//! regressions (an accidentally quadratic drain, a lost memoisation),
-//! not single-digit-percent drift.
+//! The threshold defaults to 0.5. Shared-runner CI timing is noisy —
+//! the threshold guards against step-function regressions (an
+//! accidentally quadratic drain, a lost memoisation), not
+//! single-digit-percent drift.
 //!
 //! `__walltime__/…` records (one per bench binary, appended by the
 //! shim's `criterion_main!`) are not benchmarks: they are excluded from
@@ -199,13 +198,7 @@ fn main() -> ExitCode {
     let [reference, current] = paths.as_slice() else {
         usage();
     };
-    let threshold = threshold
-        .or_else(|| {
-            std::env::var("BASELINE_NOISE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0.5);
+    let threshold = threshold.unwrap_or(0.5);
 
     let mut reference_map = match load(Path::new(reference)) {
         Ok(m) => m,

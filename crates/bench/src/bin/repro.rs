@@ -16,7 +16,7 @@
 //! stdout are byte-identical for any `--jobs` value (timing
 //! diagnostics go to stderr).
 
-use padlock_bench::{E2eParams, E2eTrace, Lab, MachineKind, RunScale};
+use padlock_bench::{E2eParams, E2eTrace, Figure, Lab, MachineKind, RunScale, FIGURES};
 use padlock_core::SecurityMode;
 use padlock_exec::SweepPool;
 use padlock_mem::{DrainOrder, PagePolicy, ROW_LINES};
@@ -55,12 +55,8 @@ impl SweepRate {
     }
 }
 
-/// The paper's evaluation figures in paper order: what a bare `repro`
-/// renders, and the only values `--figure` accepts.
-const FIGURES: [u32; 7] = [3, 5, 6, 7, 8, 9, 10];
-
 struct Args {
-    figure: Option<u32>,
+    figure: Option<&'static Figure>,
     scale: RunScale,
     csv_dir: Option<PathBuf>,
     calibrate: bool,
@@ -77,7 +73,6 @@ struct Args {
     trace: String,
     jobs: Option<usize>,
     jsonl: Option<PathBuf>,
-    seed_core: bool,
 }
 
 impl Args {
@@ -191,7 +186,6 @@ fn parse_args() -> Args {
         trace: "bfs".to_string(),
         jobs: None,
         jsonl: None,
-        seed_core: false,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -201,12 +195,13 @@ fn parse_args() -> Args {
                 let n = v.parse().unwrap_or_else(|_| {
                     usage_error(&format!("--figure expects a number, got {v:?}"))
                 });
-                if !FIGURES.contains(&n) {
+                let Some(figure) = Figure::numbered(n) else {
+                    let numbers: Vec<u32> = FIGURES.iter().map(|f| f.number).collect();
                     usage_error(&format!(
-                        "no figure {n} in the paper's evaluation ({FIGURES:?})"
-                    ));
-                }
-                args.figure = Some(n);
+                        "no figure {n} in the paper's evaluation ({numbers:?})"
+                    ))
+                };
+                args.figure = Some(figure);
             }
             "--quick" => args.scale = RunScale::Quick,
             "--smoke" => args.scale = RunScale::Smoke,
@@ -220,7 +215,7 @@ fn parse_args() -> Args {
                      \x20      [--calibrate [--snc]]\n\
                      \x20      [--mlp [--channels A,B,..] [--mshrs A,B,..] [--banks A,B,..]\n\
                      \x20       [--order fifo|row-first] [--page open|closed]\n\
-                     \x20       [--trace BENCH] [--jsonl FILE] [--seed-core]]\n\
+                     \x20       [--trace BENCH] [--jsonl FILE]]\n\
                      \x20      [--server [--cores A,B,..] [--switch A,B,..]\n\
                      \x20       [--channels A,B,..] [--trace BENCH|mix]]\n\
                      Regenerates the figures of 'Fast Secure Processor for\n\
@@ -258,9 +253,7 @@ fn parse_args() -> Args {
                      --trace picks the recorded benchmark (default bfs, the\n\
                      miss-heavy graph-traversal workload); --jsonl streams the\n\
                      bank-sweep grid points as JSON lines to FILE (requires\n\
-                     --banks); --seed-core routes the end-to-end sweep through\n\
-                     the pre-calendar seed run loop — byte-identical output,\n\
-                     which CI diffs against the fast-forward core."
+                     --banks)."
                 );
                 std::process::exit(0);
             }
@@ -298,7 +291,6 @@ fn parse_args() -> Args {
                 }
                 args.jobs = Some(jobs);
             }
-            "--seed-core" => args.seed_core = true,
             "--jsonl" => {
                 let v = iter.next().unwrap_or_else(|| usage_error("--jsonl needs a file path"));
                 args.jsonl = Some(PathBuf::from(v));
@@ -357,9 +349,6 @@ fn parse_args() -> Args {
     }
     if args.jsonl.is_some() && args.banks.is_none() {
         usage_error("--jsonl streams the bank-sweep grid and requires --banks");
-    }
-    if args.seed_core && (!args.mlp || args.banks.is_some()) {
-        usage_error("--seed-core applies to the --mlp end-to-end sweep (without --banks)");
     }
     if (args.figure.is_some() || args.csv_dir.is_some())
         && (args.server || args.mlp || args.calibrate)
@@ -452,10 +441,9 @@ fn mlp(args: &Args, pool: &SweepPool, jsonl: Option<(&Path, File)>) {
         &args.channels,
         args.order,
         args.page,
-        args.seed_core,
     );
     println!("{}", table.render_text());
-    rate.lap(if args.seed_core { "e2e sweep (seed core)" } else { "e2e sweep" });
+    rate.lap("e2e sweep");
 
     if let Some(bank_axis) = &args.banks {
         let channels = args.channels.iter().copied().max().unwrap_or(4);
@@ -613,9 +601,9 @@ fn main() {
         );
         return;
     }
-    let wanted: Vec<u32> = match args.figure {
-        Some(n) => vec![n],
-        None => FIGURES.to_vec(),
+    let wanted: Vec<&'static Figure> = match args.figure {
+        Some(figure) => vec![figure],
+        None => FIGURES.iter().collect(),
     };
     if let Some(dir) = &args.csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| cannot_write(dir, &e));
@@ -623,31 +611,20 @@ fn main() {
     // Fan every (benchmark, machine) simulation the wanted figures need
     // across the pool up front; rendering below is pure cache recall,
     // so the output is byte-identical to the serial path.
-    let mut machines: Vec<MachineKind> = Vec::new();
-    for &n in &wanted {
-        for m in padlock_bench::figure_machines(n) {
-            if !machines.contains(&m) {
-                machines.push(m);
-            }
-        }
-    }
+    let machines: Vec<MachineKind> = wanted.iter().flat_map(|f| f.machines()).collect();
     lab.prewarm(&pool, &padlock_bench::ORDER, &machines);
     rate.lap("figure sweep");
-    for n in wanted {
-        let fig = match n {
-            3 => lab.figure3(),
-            5 => lab.figure5(),
-            6 => lab.figure6(),
-            7 => lab.figure7(),
-            8 => lab.figure8(),
-            9 => lab.figure9(),
-            10 => lab.figure10(),
-            other => unreachable!("--figure {other} is checked against FIGURES"),
-        };
-        println!("== {} — {} [{}] ==", fig.id, fig.title, fig.unit);
+    for figure in wanted {
+        let fig = lab.figure(figure);
+        println!(
+            "== Figure {} — {} [{}] ==",
+            figure.number,
+            figure.title,
+            figure.unit
+        );
         println!("{}", fig.table().render_text());
         if let Some(dir) = &args.csv_dir {
-            let path = dir.join(format!("figure{n}.csv"));
+            let path = dir.join(format!("figure{}.csv", figure.number));
             std::fs::write(&path, fig.table().render_csv())
                 .unwrap_or_else(|e| cannot_write(&path, &e));
             println!("(csv written to {})", path.display());

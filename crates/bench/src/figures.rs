@@ -1,8 +1,125 @@
-//! One function per figure of the paper's §5.
+//! The paper's §5 figures as data: one [`FIGURES`] entry per figure,
+//! and [`Lab::figure`], which measures any entry.
 
 use crate::lab::{Lab, MachineKind};
 use crate::paper_data::{paper_series, ORDER};
 use padlock_stats::{arith_mean, Align, Table};
+
+/// What a figure plots for each `(benchmark, machine)` cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Slowdown [%] relative to the insecure 256KB-L2 baseline.
+    Slowdown,
+    /// Execution time normalised to the insecure baseline.
+    NormalizedTime,
+    /// SNC-induced memory traffic as % of L2↔memory traffic.
+    SncTraffic,
+}
+
+/// One figure of the paper's evaluation.
+#[derive(Debug)]
+pub struct Figure {
+    /// The figure's number in the paper.
+    pub number: u32,
+    /// What the figure shows.
+    pub title: &'static str,
+    /// Unit suffix for rendering (e.g. `"%"`).
+    pub unit: &'static str,
+    /// What each cell plots.
+    pub metric: Metric,
+    /// `(legend label, machine, paper series key)` per series.
+    pub series: &'static [(&'static str, MachineKind, &'static str)],
+}
+
+/// The paper's evaluation figures in paper order: what a bare `repro`
+/// renders, and the only numbers `--figure` accepts.
+pub static FIGURES: [Figure; 7] = [
+    Figure {
+        number: 3,
+        title: "Performance loss due to serial encryption/decryption (XOM)",
+        unit: "%",
+        metric: Metric::Slowdown,
+        series: &[("XOM", MachineKind::Xom, "fig3.xom")],
+    },
+    Figure {
+        number: 5,
+        title: "XOM vs one-time-pad with 64KB SNC (no-replacement and LRU)",
+        unit: "%",
+        metric: Metric::Slowdown,
+        series: &[
+            ("XOM", MachineKind::Xom, "fig5.xom"),
+            ("SNC-NoRepl", MachineKind::Norepl64, "fig5.norepl"),
+            ("SNC-LRU", MachineKind::LruFull(64), "fig5.lru"),
+        ],
+    },
+    Figure {
+        number: 6,
+        title: "Slowdown for different SNC sizes (LRU)",
+        unit: "%",
+        metric: Metric::Slowdown,
+        series: &[
+            ("32KB", MachineKind::LruFull(32), "fig6.32k"),
+            ("64KB", MachineKind::LruFull(64), "fig6.64k"),
+            ("128KB", MachineKind::LruFull(128), "fig6.128k"),
+        ],
+    },
+    Figure {
+        number: 7,
+        title: "SNC associativity: fully associative vs 32-way (64KB, LRU)",
+        unit: "%",
+        metric: Metric::Slowdown,
+        series: &[
+            ("fully-assoc", MachineKind::LruFull(64), "fig7.full"),
+            ("32-way", MachineKind::Lru64Way32, "fig7.32way"),
+        ],
+    },
+    Figure {
+        number: 8,
+        title: "Equal-area comparison: larger L2 vs L2 + SNC (normalised time)",
+        unit: "x",
+        metric: Metric::NormalizedTime,
+        series: &[
+            ("XOM-256KL2", MachineKind::Xom, "fig8.xom256"),
+            ("XOM-384KL2", MachineKind::Xom384, "fig8.xom384"),
+            ("SNC-32way-LRU", MachineKind::Lru64Way32, "fig8.snc"),
+        ],
+    },
+    Figure {
+        number: 9,
+        title: "SNC-induced additional memory traffic (64KB LRU SNC)",
+        unit: "%",
+        metric: Metric::SncTraffic,
+        series: &[("SNC traffic", MachineKind::LruFull(64), "fig9.traffic")],
+    },
+    Figure {
+        number: 10,
+        title: "Slowdown with a 102-cycle encryption/decryption unit",
+        unit: "%",
+        metric: Metric::Slowdown,
+        series: &[
+            ("XOM", MachineKind::XomSlow, "fig10.xom"),
+            ("SNC-NoRepl", MachineKind::Norepl64Slow, "fig10.norepl"),
+            ("SNC-LRU", MachineKind::Lru64Slow, "fig10.lru"),
+        ],
+    },
+];
+
+impl Figure {
+    /// The figure numbered `number`, if the paper's evaluation has one.
+    pub fn numbered(number: u32) -> Option<&'static Figure> {
+        FIGURES.iter().find(|f| f.number == number)
+    }
+
+    /// The machines this figure measures: the insecure baseline its
+    /// metric divides by (none for SNC traffic), then each series'
+    /// machine. Prewarming them over [`ORDER`] makes [`Lab::figure`]
+    /// pure cache recall.
+    pub fn machines(&self) -> Vec<MachineKind> {
+        let baseline = (self.metric != Metric::SncTraffic).then_some(MachineKind::Baseline);
+        let series = self.series.iter().map(|&(_, machine, _)| machine);
+        baseline.into_iter().chain(series).collect()
+    }
+}
 
 /// One measured-vs-paper series of a figure.
 #[derive(Debug, Clone)]
@@ -27,19 +144,11 @@ impl Series {
     }
 }
 
-/// A fully evaluated figure.
+/// A figure's measured and published series, one value per benchmark in [`ORDER`].
 #[derive(Debug, Clone)]
 pub struct FigureResult {
-    /// Figure identifier (e.g. `"Figure 5"`).
-    pub id: String,
-    /// What the figure shows.
-    pub title: String,
-    /// Benchmark row labels, in figure order.
-    pub rows: Vec<String>,
     /// The measured/paper series.
     pub series: Vec<Series>,
-    /// Unit suffix for rendering (e.g. `"%"`).
-    pub unit: String,
 }
 
 impl FigureResult {
@@ -55,196 +164,37 @@ impl FigureResult {
         for c in 1..table.col_count() {
             table.set_align(c, Align::Right);
         }
-        for (i, row) in self.rows.iter().enumerate() {
-            let mut cells = vec![row.clone()];
+        let row = |label: &str, values: &dyn Fn(&Series) -> [f64; 2]| {
+            let mut cells = vec![label.to_string()];
             for s in &self.series {
-                cells.push(format!("{:.2}", s.measured[i]));
-                cells.push(format!("{:.2}", s.paper[i]));
+                cells.extend(values(s).map(|v| format!("{v:.2}")));
             }
-            table.push_row(cells);
+            cells
+        };
+        for (i, bench) in ORDER.iter().enumerate() {
+            table.push_row(row(bench, &|s| [s.measured[i], s.paper[i]]));
         }
-        let mut avg = vec!["avg".to_string()];
-        for s in &self.series {
-            avg.push(format!("{:.2}", s.measured_avg()));
-            avg.push(format!("{:.2}", s.paper_avg()));
-        }
-        table.push_row(avg);
+        table.push_row(row("avg", &|s| [s.measured_avg(), s.paper_avg()]));
         table
     }
 }
 
-fn figure(
-    id: &str,
-    title: &str,
-    unit: &str,
-    series: Vec<Series>,
-) -> FigureResult {
-    FigureResult {
-        id: id.to_string(),
-        title: title.to_string(),
-        rows: ORDER.iter().map(|s| s.to_string()).collect(),
-        series,
-        unit: unit.to_string(),
-    }
-}
-
 impl Lab {
-    fn slowdown_series(&mut self, label: &str, machine: MachineKind, paper_key: &str) -> Series {
-        let measured = ORDER
-            .iter()
-            .map(|b| self.slowdown(b, machine))
-            .collect();
-        Series {
-            label: label.to_string(),
-            measured,
-            paper: paper_series(paper_key).to_vec(),
-        }
-    }
-
-    /// Fig. 3: performance loss of XOM over the insecure baseline.
-    pub fn figure3(&mut self) -> FigureResult {
-        let s = self.slowdown_series("XOM", MachineKind::Xom, "fig3.xom");
-        figure(
-            "Figure 3",
-            "Performance loss due to serial encryption/decryption (XOM)",
-            "%",
-            vec![s],
-        )
-    }
-
-    /// Fig. 5: XOM vs no-replacement SNC vs LRU SNC (64KB).
-    pub fn figure5(&mut self) -> FigureResult {
-        let series = vec![
-            self.slowdown_series("XOM", MachineKind::Xom, "fig5.xom"),
-            self.slowdown_series("SNC-NoRepl", MachineKind::Norepl64, "fig5.norepl"),
-            self.slowdown_series("SNC-LRU", MachineKind::LruFull(64), "fig5.lru"),
-        ];
-        figure(
-            "Figure 5",
-            "XOM vs one-time-pad with 64KB SNC (no-replacement and LRU)",
-            "%",
-            series,
-        )
-    }
-
-    /// Fig. 6: SNC capacity sweep (32/64/128KB, LRU).
-    pub fn figure6(&mut self) -> FigureResult {
-        let series = vec![
-            self.slowdown_series("32KB", MachineKind::LruFull(32), "fig6.32k"),
-            self.slowdown_series("64KB", MachineKind::LruFull(64), "fig6.64k"),
-            self.slowdown_series("128KB", MachineKind::LruFull(128), "fig6.128k"),
-        ];
-        figure("Figure 6", "Slowdown for different SNC sizes (LRU)", "%", series)
-    }
-
-    /// Fig. 7: fully associative vs 32-way set associative 64KB SNC.
-    pub fn figure7(&mut self) -> FigureResult {
-        let series = vec![
-            self.slowdown_series("fully-assoc", MachineKind::LruFull(64), "fig7.full"),
-            self.slowdown_series("32-way", MachineKind::Lru64Way32, "fig7.32way"),
-        ];
-        figure(
-            "Figure 7",
-            "SNC associativity: fully associative vs 32-way (64KB, LRU)",
-            "%",
-            series,
-        )
-    }
-
-    /// Fig. 8: equal-area comparison — XOM-256K, XOM-384K(6-way),
-    /// SNC-32way+256K — as normalised execution time.
-    pub fn figure8(&mut self) -> FigureResult {
-        let norm = |lab: &mut Lab, label: &str, machine: MachineKind, key: &str| Series {
-            label: label.to_string(),
-            measured: ORDER.iter().map(|b| lab.normalized_time(b, machine)).collect(),
-            paper: paper_series(key).to_vec(),
+    /// Measures `figure`'s series over [`ORDER`], next to the paper's values.
+    pub fn figure(&mut self, figure: &Figure) -> FigureResult {
+        let mut cell = |benchmark: &str, machine| match figure.metric {
+            Metric::Slowdown => self.slowdown(benchmark, machine),
+            Metric::NormalizedTime => self.normalized_time(benchmark, machine),
+            Metric::SncTraffic => self.measure(benchmark, machine).snc_traffic_percent(),
         };
-        let series = vec![
-            norm(self, "XOM-256KL2", MachineKind::Xom, "fig8.xom256"),
-            norm(self, "XOM-384KL2", MachineKind::Xom384, "fig8.xom384"),
-            norm(self, "SNC-32way-LRU", MachineKind::Lru64Way32, "fig8.snc"),
-        ];
-        figure(
-            "Figure 8",
-            "Equal-area comparison: larger L2 vs L2 + SNC (normalised time)",
-            "x",
-            series,
-        )
-    }
-
-    /// Fig. 9: SNC-induced memory traffic as % of L2↔memory traffic.
-    pub fn figure9(&mut self) -> FigureResult {
-        let measured = ORDER
-            .iter()
-            .map(|b| self.measure(b, MachineKind::LruFull(64)).snc_traffic_percent())
-            .collect();
-        let series = vec![Series {
-            label: "SNC traffic".to_string(),
-            measured,
-            paper: paper_series("fig9.traffic").to_vec(),
-        }];
-        figure(
-            "Figure 9",
-            "SNC-induced additional memory traffic (64KB LRU SNC)",
-            "%",
-            series,
-        )
-    }
-
-    /// Fig. 10: sensitivity to a 102-cycle crypto unit.
-    pub fn figure10(&mut self) -> FigureResult {
-        let series = vec![
-            self.slowdown_series("XOM", MachineKind::XomSlow, "fig10.xom"),
-            self.slowdown_series("SNC-NoRepl", MachineKind::Norepl64Slow, "fig10.norepl"),
-            self.slowdown_series("SNC-LRU", MachineKind::Lru64Slow, "fig10.lru"),
-        ];
-        figure(
-            "Figure 10",
-            "Slowdown with a 102-cycle encryption/decryption unit",
-            "%",
-            series,
-        )
-    }
-}
-
-/// The machines figure `n` measures — including the insecure baseline
-/// every slowdown/normalisation divides by. This is [`Lab::prewarm`]'s
-/// worklist: prewarming `figure_machines(n) × ORDER` makes the figure
-/// render from pure cache recall.
-pub fn figure_machines(figure: u32) -> Vec<MachineKind> {
-    match figure {
-        3 => vec![MachineKind::Baseline, MachineKind::Xom],
-        5 => vec![
-            MachineKind::Baseline,
-            MachineKind::Xom,
-            MachineKind::Norepl64,
-            MachineKind::LruFull(64),
-        ],
-        6 => vec![
-            MachineKind::Baseline,
-            MachineKind::LruFull(32),
-            MachineKind::LruFull(64),
-            MachineKind::LruFull(128),
-        ],
-        7 => vec![
-            MachineKind::Baseline,
-            MachineKind::LruFull(64),
-            MachineKind::Lru64Way32,
-        ],
-        8 => vec![
-            MachineKind::Baseline,
-            MachineKind::Xom,
-            MachineKind::Xom384,
-            MachineKind::Lru64Way32,
-        ],
-        9 => vec![MachineKind::LruFull(64)],
-        10 => vec![
-            MachineKind::Baseline,
-            MachineKind::XomSlow,
-            MachineKind::Norepl64Slow,
-            MachineKind::Lru64Slow,
-        ],
-        _ => Vec::new(),
+        let series = figure.series.iter().map(|&(label, machine, key)| Series {
+            label: label.to_string(),
+            measured: ORDER.iter().map(|b| cell(b, machine)).collect(),
+            paper: paper_series(key).to_vec(),
+        });
+        FigureResult {
+            series: series.collect(),
+        }
     }
 }
 
@@ -253,12 +203,29 @@ mod tests {
     use super::*;
     use crate::lab::RunScale;
 
+    fn numbered(number: u32) -> &'static Figure {
+        Figure::numbered(number).expect("a paper figure")
+    }
+
+    #[test]
+    fn machines_put_the_baseline_first_unless_the_figure_plots_traffic() {
+        assert_eq!(
+            numbered(8).machines(),
+            [
+                MachineKind::Baseline,
+                MachineKind::Xom,
+                MachineKind::Xom384,
+                MachineKind::Lru64Way32
+            ]
+        );
+        assert_eq!(numbered(9).machines(), [MachineKind::LruFull(64)]);
+        assert!(Figure::numbered(4).is_none());
+    }
+
     #[test]
     fn figure3_has_eleven_rows_and_average() {
         let mut lab = Lab::new(RunScale::Smoke);
-        let fig = lab.figure3();
-        assert_eq!(fig.rows.len(), 11);
-        let t = fig.table();
+        let t = lab.figure(numbered(3)).table();
         assert_eq!(t.row_count(), 12); // 11 benchmarks + avg
         assert!(t.render_text().contains("avg"));
     }
@@ -266,9 +233,9 @@ mod tests {
     #[test]
     fn figure5_reuses_memoised_runs() {
         let mut lab = Lab::new(RunScale::Smoke);
-        lab.figure3();
+        lab.figure(numbered(3));
         let runs_after_fig3 = lab.cached_runs();
-        lab.figure5();
+        lab.figure(numbered(5));
         // Fig. 5 adds only the two SNC machines (11 benchmarks each).
         assert_eq!(lab.cached_runs(), runs_after_fig3 + 22);
     }
@@ -277,10 +244,10 @@ mod tests {
     fn prewarming_figure_machines_makes_figures_pure_recall() {
         use padlock_exec::SweepPool;
         let mut lab = Lab::new(RunScale::Smoke);
-        lab.prewarm(&SweepPool::new(2), &crate::paper_data::ORDER, &figure_machines(3));
+        lab.prewarm(&SweepPool::new(2), &ORDER, &numbered(3).machines());
         let runs = lab.cached_runs();
         assert_eq!(runs, 22); // 11 benchmarks x {baseline, xom}
-        lab.figure3();
+        lab.figure(numbered(3));
         assert_eq!(lab.cached_runs(), runs, "figure3 had to simulate after prewarm");
     }
 

@@ -4,7 +4,7 @@ use padlock_core::{
     Machine, MachineConfig, Measurement, SecurityMode, SncConfig, SncOrganization,
 };
 use padlock_exec::SweepPool;
-use padlock_workloads::{benchmark_profile, SpecWorkload};
+use padlock_workloads::{benchmark_profile, SpecProfile, SpecWorkload};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -13,9 +13,6 @@ use std::fmt;
 pub enum MachineKind {
     /// Insecure baseline, 256KB L2.
     Baseline,
-    /// Baseline with the Fig. 8 384KB 6-way L2 (not in the paper, used
-    /// for normalisation sanity checks).
-    Baseline384,
     /// XOM, 50-cycle crypto.
     Xom,
     /// XOM with the 384KB 6-way L2 (Fig. 8).
@@ -43,11 +40,6 @@ impl MachineKind {
         };
         match self {
             MachineKind::Baseline => MachineConfig::paper(SecurityMode::Insecure),
-            MachineKind::Baseline384 => {
-                let mut c = MachineConfig::paper(SecurityMode::Insecure);
-                c.hierarchy = padlock_cpu::HierarchyConfig::paper_big_l2();
-                c
-            }
             MachineKind::Xom => MachineConfig::paper(SecurityMode::Xom),
             MachineKind::Xom384 => MachineConfig::paper_xom_big_l2(),
             MachineKind::XomSlow => {
@@ -79,7 +71,6 @@ impl MachineKind {
     pub fn key(self) -> String {
         match self {
             MachineKind::Baseline => "base".into(),
-            MachineKind::Baseline384 => "base384".into(),
             MachineKind::Xom => "xom".into(),
             MachineKind::Xom384 => "xom384".into(),
             MachineKind::XomSlow => "xom102".into(),
@@ -96,6 +87,23 @@ impl fmt::Display for MachineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.key())
     }
+}
+
+/// One figure point before it runs: a machine built from `config` and
+/// pre-aged with `profile`'s feeds, plus the workload that drives it.
+/// [`Lab`] and the figure benches build every point through this.
+pub fn figure_point(profile: SpecProfile, config: MachineConfig) -> (Machine, SpecWorkload) {
+    let workload = SpecWorkload::new(profile);
+    let mut machine = Machine::new(config);
+    // Model the paper's 10-billion-instruction fast-forward: an
+    // ancient heap written long ago, plus (for rewrite-style
+    // benchmarks) the live region the program updates in place.
+    machine
+        .core_mut()
+        .hierarchy_mut()
+        .backend_mut()
+        .pre_age(workload.ancient_line_addrs(), workload.active_line_addrs());
+    (machine, workload)
 }
 
 /// How large a window each simulation runs (all figures share it).
@@ -158,15 +166,7 @@ impl Lab {
     /// threads.
     fn simulate(scale: RunScale, benchmark: &str, machine: MachineKind) -> Measurement {
         let (warmup, measure) = scale.window();
-        let mut workload = SpecWorkload::new(benchmark_profile(benchmark));
-        let mut m = Machine::new(machine.config());
-        // Model the paper's 10-billion-instruction fast-forward: an
-        // ancient heap written long ago, plus (for rewrite-style
-        // benchmarks) the live region the program updates in place.
-        m.core_mut()
-            .hierarchy_mut()
-            .backend_mut()
-            .pre_age(workload.ancient_line_addrs(), workload.active_line_addrs());
+        let (mut m, mut workload) = figure_point(benchmark_profile(benchmark), machine.config());
         let measurement = m.run(&mut workload, warmup, measure);
         crate::meter::record_simulated_cycles(measurement.stats.cycles);
         measurement
@@ -198,9 +198,7 @@ impl Lab {
 
     /// Slowdown [%] of `machine` relative to the 256KB baseline.
     pub fn slowdown(&mut self, benchmark: &str, machine: MachineKind) -> f64 {
-        let base = self.measure(benchmark, MachineKind::Baseline).stats.cycles;
-        let secure = self.measure(benchmark, machine).stats.cycles;
-        (secure as f64 / base as f64 - 1.0) * 100.0
+        (self.normalized_time(benchmark, machine) - 1.0) * 100.0
     }
 
     /// Normalised execution time of `machine` relative to the 256KB
@@ -225,7 +223,6 @@ mod tests {
     fn machine_keys_are_unique() {
         let kinds = [
             MachineKind::Baseline,
-            MachineKind::Baseline384,
             MachineKind::Xom,
             MachineKind::Xom384,
             MachineKind::XomSlow,

@@ -404,27 +404,6 @@ pub fn run_e2e_point(trace: &E2eTrace, params: E2eParams) -> E2ePoint {
         .pre_age(trace.ancient.iter().copied(), trace.active.iter().copied());
     let mut player = trace.player.clone();
     let m = machine.run(&mut player, trace.warmup, trace.measure);
-    point_from(params, &m)
-}
-
-/// Runs one end-to-end cell through the *seed* run loop — the
-/// line-for-line port of the pre-calendar core in [`crate::seed_core`].
-/// `repro --mlp --seed-core` routes the end-to-end sweep through this,
-/// so CI can diff the two cores' tables byte-for-byte.
-pub fn run_e2e_point_seed(trace: &E2eTrace, params: E2eParams) -> E2ePoint {
-    let mut machine = crate::seed_core::SeedMachine::new(e2e_machine_config(params));
-    machine
-        .core_mut()
-        .hierarchy_mut()
-        .backend_mut()
-        .pre_age(trace.ancient.iter().copied(), trace.active.iter().copied());
-    let mut player = trace.player.clone();
-    let m = machine.run(&mut player, trace.warmup, trace.measure);
-    point_from(params, &m)
-}
-
-/// Extracts an [`E2ePoint`] from a finished measurement (either core).
-fn point_from(params: E2eParams, m: &padlock_core::Measurement) -> E2ePoint {
     crate::meter::record_simulated_cycles(m.stats.cycles);
     E2ePoint {
         l2_mshrs: params.l2_mshrs,
@@ -453,9 +432,7 @@ pub fn inflight_for(l2_mshrs: usize) -> usize {
 /// order and page policy apply to every cell (on this flat
 /// `mem_banks = 1` grid the bank knobs are inert — the knob is
 /// exercised, the numbers match Fifo/Open exactly). All cells fan
-/// across `pool`. `seed_core` swaps every cell onto the seed run loop
-/// ([`run_e2e_point_seed`]); the `fastforward_vs_seed` differential
-/// makes the two tables byte-identical, and CI checks it end to end.
+/// across `pool`.
 pub fn e2e_table(
     pool: &SweepPool,
     trace: &E2eTrace,
@@ -463,7 +440,6 @@ pub fn e2e_table(
     channel_counts: &[usize],
     order: DrainOrder,
     page: PagePolicy,
-    seed_core: bool,
 ) -> Table {
     let knobs = |p: E2eParams| p.with_order(order).with_page(page);
     let mut cells = vec![knobs(E2eParams::new(1, 1, 1, 1))];
@@ -487,12 +463,7 @@ pub fn e2e_table(
         cells.len(),
         "e2e sweep cells collide on report labels: {labels:?}"
     );
-    let run = if seed_core {
-        run_e2e_point_seed
-    } else {
-        run_e2e_point
-    };
-    let points = pool.sweep(&cells, |p| run(trace, *p));
+    let points = pool.sweep(&cells, |p| run_e2e_point(trace, *p));
     let by_cell: BTreeMap<(usize, usize), E2ePoint> = cells
         .iter()
         .map(|p| (p.l2_mshrs, p.mem_channels))
@@ -787,24 +758,12 @@ mod tests {
             &[1, 4],
             DrainOrder::Fifo,
             PagePolicy::Open,
-            false,
         );
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.col_count(), 3);
         let text = t.render_text();
         assert!(text.contains("4 channels"), "{text}");
         assert!(text.contains("CPI"), "{text}");
-        // The same grid through the seed run loop renders byte-identically.
-        let seed = e2e_table(
-            &SweepPool::new(2),
-            &trace,
-            &[1, 8],
-            &[1, 4],
-            DrainOrder::Fifo,
-            PagePolicy::Open,
-            true,
-        );
-        assert_eq!(text, seed.render_text(), "seed-core table diverged");
     }
 
     #[test]

@@ -138,6 +138,22 @@ fn scheduling_knobs_match_at_the_deep_point() {
 }
 
 #[test]
+fn repro_smoke_rstride_cells_match_under_both_drain_orders() {
+    // The end-to-end cells `repro --mlp --smoke --trace rstride --mshrs
+    // 1,8 --channels 1,4` builds, at its smoke window, under the
+    // arrival-order and FR-FCFS row-first drains.
+    let trace = E2eTrace::record("rstride", 20_000, 50_000);
+    for order in [DrainOrder::Fifo, DrainOrder::RowFirst] {
+        for (mshrs, channels, inflight) in [(1, 1, 1), (1, 4, 4), (8, 1, 32), (8, 4, 32)] {
+            let params = E2eParams::new(mshrs, channels, 1, inflight).with_order(order);
+            let (seed, ff) = run_both(&trace, e2e_machine_config(params));
+            let ctx = format!("rstride {order} mshrs={mshrs} ch={channels} inflight={inflight}");
+            assert_bit_exact(&ctx, &seed, &ff);
+        }
+    }
+}
+
+#[test]
 fn figure_workloads_match_across_security_modes() {
     // One machine per security mode (the figure suite's base, XOM, and
     // OTP columns) over a spread of benchmark profiles.

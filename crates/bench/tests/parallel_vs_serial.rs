@@ -8,8 +8,8 @@
 //! suite exists to catch. CI runs it on every push.
 
 use padlock_bench::{
-    bank_table_from, banked_grid, e2e_table, figure_machines, grid_jsonl, mlp_table,
-    order_delta_table_from, E2eTrace, Lab, RunScale, ORDER,
+    bank_table_from, banked_grid, e2e_table, grid_jsonl, mlp_table, order_delta_table_from,
+    E2eTrace, Figure, Lab, RunScale, ORDER,
 };
 use padlock_exec::SweepPool;
 use padlock_mem::{DrainOrder, PagePolicy};
@@ -38,7 +38,6 @@ fn e2e_table_is_byte_identical_across_jobs() {
             &[1, 2],
             order,
             PagePolicy::Open,
-            false,
         )
         .render_text();
         let pooled = e2e_table(
@@ -48,7 +47,6 @@ fn e2e_table_is_byte_identical_across_jobs() {
             &[1, 2],
             order,
             PagePolicy::Open,
-            false,
         )
         .render_text();
         assert_eq!(serial, pooled, "e2e table diverged ({order} drain order)");
@@ -93,11 +91,12 @@ fn bank_and_delta_tables_and_jsonl_are_byte_identical_across_jobs() {
 
 #[test]
 fn figure_tables_are_byte_identical_after_parallel_prewarm() {
-    // Figure 3 at the real Smoke windows: 44 simulations on each side.
+    // Figure 3 at the real Smoke windows: 22 simulations on each side.
+    let fig3 = Figure::numbered(3).expect("Fig. 3 is in the paper");
     let mut serial = Lab::new(RunScale::Smoke);
-    let serial_text = serial.figure3().table().render_text();
+    let serial_text = serial.figure(fig3).table().render_text();
     let mut prewarmed = Lab::new(RunScale::Smoke);
-    prewarmed.prewarm(&SweepPool::new(4), &ORDER, &figure_machines(3));
-    let pooled_text = prewarmed.figure3().table().render_text();
+    prewarmed.prewarm(&SweepPool::new(4), &ORDER, &fig3.machines());
+    let pooled_text = prewarmed.figure(fig3).table().render_text();
     assert_eq!(serial_text, pooled_text);
 }

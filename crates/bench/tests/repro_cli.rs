@@ -218,16 +218,18 @@ fn figure_flags_are_rejected_on_calibration() {
 
 #[test]
 fn idle_drain_is_an_unknown_argument() {
-    // The idle-keyed MSHR drain trigger is gone; its flag is rejected
-    // like any other unknown argument.
-    let out = repro(&["--mlp", "--smoke", "--banks", "1,4", "--idle-drain"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown argument \"--idle-drain\""),
-        "unexpected message {stderr:?}"
-    );
-    assert!(out.stdout.is_empty(), "--idle-drain printed output");
+    // The idle-keyed MSHR drain trigger and the seed run-loop switch
+    // are gone; each flag is rejected like any other unknown argument.
+    for flag in ["--idle-drain", "--seed-core"] {
+        let out = repro(&["--mlp", "--smoke", "--banks", "1,4", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument {flag:?}")),
+            "{flag}: unexpected message {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} printed output");
+    }
 }
 
 #[test]

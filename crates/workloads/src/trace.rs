@@ -1,54 +1,12 @@
 //! Trace record and replay.
 //!
-//! A [`TraceRecorder`] tees the ops flowing out of any workload into a
-//! buffer that can be saved to a compact binary file; a [`TracePlayer`]
-//! replays a saved (or captured) trace as a workload. This supports
-//! exactly-reproducible cross-configuration comparisons: every machine
-//! sees the same dynamic stream, like trace-driven SimpleScalar runs.
+//! A [`TraceRecorder`] tees the ops flowing out of any workload into an
+//! in-memory buffer; a [`TracePlayer`] replays a captured trace as a
+//! workload. This supports exactly-reproducible cross-configuration
+//! comparisons: every machine sees the same dynamic stream, like
+//! trace-driven SimpleScalar runs.
 
-use padlock_cpu::{MicroOp, OpClass, Workload};
-use std::io::{self, Read, Write};
-
-const MAGIC: &[u8; 4] = b"PTRC";
-
-fn encode_op(op: &MicroOp, out: &mut Vec<u8>) {
-    let (kind, addr, taken): (u8, u64, u8) = match op.class {
-        OpClass::IntAlu => (0, 0, 0),
-        OpClass::IntMul => (1, 0, 0),
-        OpClass::FpAlu => (2, 0, 0),
-        OpClass::FpMul => (3, 0, 0),
-        OpClass::Load(a) => (4, a, 0),
-        OpClass::Store(a) => (5, a, 0),
-        OpClass::Branch { taken } => (6, 0, u8::from(taken)),
-    };
-    out.push(kind);
-    out.push(taken);
-    out.extend_from_slice(&op.pc.to_le_bytes());
-    out.extend_from_slice(&addr.to_le_bytes());
-    out.extend_from_slice(&op.dep1.to_le_bytes());
-    out.extend_from_slice(&op.dep2.to_le_bytes());
-}
-
-fn decode_op(buf: &[u8]) -> MicroOp {
-    let kind = buf[0];
-    let taken = buf[1] != 0;
-    let pc = u64::from_le_bytes(buf[2..10].try_into().expect("pc"));
-    let addr = u64::from_le_bytes(buf[10..18].try_into().expect("addr"));
-    let dep1 = u16::from_le_bytes(buf[18..20].try_into().expect("dep1"));
-    let dep2 = u16::from_le_bytes(buf[20..22].try_into().expect("dep2"));
-    let class = match kind {
-        0 => OpClass::IntAlu,
-        1 => OpClass::IntMul,
-        2 => OpClass::FpAlu,
-        3 => OpClass::FpMul,
-        4 => OpClass::Load(addr),
-        5 => OpClass::Store(addr),
-        _ => OpClass::Branch { taken },
-    };
-    MicroOp::new(pc, class).with_deps(dep1, dep2)
-}
-
-const OP_BYTES: usize = 22;
+use padlock_cpu::{MicroOp, Workload};
 
 /// Records the ops produced by an inner workload.
 ///
@@ -79,29 +37,9 @@ impl<W: Workload> TraceRecorder<W> {
         }
     }
 
-    /// Ops recorded so far.
-    pub fn recorded(&self) -> &[MicroOp] {
-        &self.ops
-    }
-
     /// Consumes the recorder, returning the captured trace.
     pub fn into_trace(self) -> Vec<MicroOp> {
         self.ops
-    }
-
-    /// Serialises the captured trace to a writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn save<Wr: Write>(&self, mut writer: Wr) -> io::Result<()> {
-        writer.write_all(MAGIC)?;
-        writer.write_all(&(self.ops.len() as u64).to_le_bytes())?;
-        let mut buf = Vec::with_capacity(self.ops.len() * OP_BYTES);
-        for op in &self.ops {
-            encode_op(op, &mut buf);
-        }
-        writer.write_all(&buf)
     }
 }
 
@@ -140,36 +78,6 @@ impl TracePlayer {
         }
     }
 
-    /// Deserialises a trace from a reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for bad magic or truncated payloads, and
-    /// propagates reader errors.
-    pub fn load<R: Read>(name: impl Into<String>, mut reader: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a padlock trace (bad magic)",
-            ));
-        }
-        let mut count_buf = [0u8; 8];
-        reader.read_exact(&mut count_buf)?;
-        let count = u64::from_le_bytes(count_buf) as usize;
-        if count == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trace contains no ops",
-            ));
-        }
-        let mut payload = vec![0u8; count * OP_BYTES];
-        reader.read_exact(&mut payload)?;
-        let ops = payload.chunks_exact(OP_BYTES).map(decode_op).collect();
-        Ok(Self::new(name, ops))
-    }
-
     /// Number of ops in one pass of the trace.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -197,6 +105,7 @@ impl Workload for TracePlayer {
 mod tests {
     use super::*;
     use crate::spec::{benchmark_profile, SpecWorkload};
+    use padlock_cpu::OpClass;
 
     #[test]
     fn recorder_is_transparent() {
@@ -205,23 +114,8 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(raw.next_op(), rec.next_op());
         }
-        assert_eq!(rec.recorded().len(), 1000);
         assert_eq!(rec.name(), "gzip");
-    }
-
-    #[test]
-    fn save_load_roundtrip_preserves_every_op() {
-        let mut rec = TraceRecorder::new(SpecWorkload::new(benchmark_profile("mcf")));
-        for _ in 0..500 {
-            rec.next_op();
-        }
-        let original = rec.recorded().to_vec();
-        let mut bytes = Vec::new();
-        rec.save(&mut bytes).unwrap();
-        let mut player = TracePlayer::load("mcf-trace", &bytes[..]).unwrap();
-        for op in &original {
-            assert_eq!(player.next_op(), *op);
-        }
+        assert_eq!(rec.into_trace().len(), 1000);
     }
 
     #[test]
@@ -239,47 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_is_rejected() {
-        let err = TracePlayer::load("x", &b"NOPE\x00\x00\x00\x00\x00\x00\x00\x00"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn truncated_payload_is_rejected() {
-        let mut rec = TraceRecorder::new(SpecWorkload::new(benchmark_profile("art")));
-        for _ in 0..10 {
-            rec.next_op();
-        }
-        let mut bytes = Vec::new();
-        rec.save(&mut bytes).unwrap();
-        bytes.truncate(bytes.len() - 3);
-        assert!(TracePlayer::load("x", &bytes[..]).is_err());
-    }
-
-    #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_trace_panics() {
         let _ = TracePlayer::new("x", Vec::new());
-    }
-
-    #[test]
-    fn every_op_class_roundtrips() {
-        let ops = vec![
-            MicroOp::new(4, OpClass::IntAlu).with_deps(1, 2),
-            MicroOp::new(8, OpClass::IntMul),
-            MicroOp::new(12, OpClass::FpAlu),
-            MicroOp::new(16, OpClass::FpMul),
-            MicroOp::new(20, OpClass::Load(0xABCD)).with_deps(3, 0),
-            MicroOp::new(24, OpClass::Store(0x1234)),
-            MicroOp::new(28, OpClass::Branch { taken: true }),
-            MicroOp::new(32, OpClass::Branch { taken: false }),
-        ];
-        let mut buf = Vec::new();
-        for op in &ops {
-            encode_op(op, &mut buf);
-        }
-        for (i, chunk) in buf.chunks_exact(OP_BYTES).enumerate() {
-            assert_eq!(decode_op(chunk), ops[i]);
-        }
     }
 }

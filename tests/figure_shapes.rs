@@ -3,19 +3,24 @@
 //! run the real experiment harness at its smallest scale, so they guard
 //! the whole reproduction pipeline without taking minutes.
 
-use padlock_bench::{Lab, RunScale};
+use padlock_bench::{Figure, FigureResult, Lab, RunScale, ORDER};
 
 fn lab() -> Lab {
     Lab::new(RunScale::Smoke)
 }
 
+/// Measures paper figure `number` in `lab`.
+fn figure(lab: &mut Lab, number: u32) -> FigureResult {
+    lab.figure(Figure::numbered(number).expect("a paper figure"))
+}
+
 #[test]
 fn figure3_xom_hurts_memory_bound_benchmarks_most() {
     let mut lab = lab();
-    let fig = lab.figure3();
+    let fig = figure(&mut lab, 3);
     let xom = &fig.series[0];
     let by_name = |n: &str| {
-        let i = fig.rows.iter().position(|r| r == n).unwrap();
+        let i = ORDER.iter().position(|&r| r == n).unwrap();
         xom.measured[i]
     };
     // Memory-bound benchmarks lose far more than cache-resident ones.
@@ -31,7 +36,7 @@ fn figure3_xom_hurts_memory_bound_benchmarks_most() {
 #[test]
 fn figure5_ordering_xom_worse_than_norepl_worse_than_lru() {
     let mut lab = lab();
-    let fig = lab.figure5();
+    let fig = figure(&mut lab, 5);
     let avg: Vec<f64> = fig.series.iter().map(|s| s.measured_avg()).collect();
     let (xom, norepl, lru) = (avg[0], avg[1], avg[2]);
     assert!(xom > norepl, "XOM {xom} must exceed no-repl {norepl}");
@@ -49,7 +54,7 @@ fn figure5_ordering_xom_worse_than_norepl_worse_than_lru() {
 #[test]
 fn figure6_larger_sncs_help_monotonically_on_average() {
     let mut lab = lab();
-    let fig = lab.figure6();
+    let fig = figure(&mut lab, 6);
     let avg: Vec<f64> = fig.series.iter().map(|s| s.measured_avg()).collect();
     assert!(avg[0] >= avg[1], "32KB {} vs 64KB {}", avg[0], avg[1]);
     assert!(avg[1] >= avg[2], "64KB {} vs 128KB {}", avg[1], avg[2]);
@@ -58,19 +63,18 @@ fn figure6_larger_sncs_help_monotonically_on_average() {
 #[test]
 fn figure7_thirty_two_ways_suffice_except_for_ammp() {
     let mut lab = lab();
-    let fig = lab.figure7();
+    let fig = figure(&mut lab, 7);
     let full = &fig.series[0];
     let way32 = &fig.series[1];
-    let ammp = fig.rows.iter().position(|r| r == "ammp").unwrap();
-    for i in 0..fig.rows.len() {
+    let ammp = ORDER.iter().position(|&r| r == "ammp").unwrap();
+    for (i, bench) in ORDER.iter().enumerate() {
         if i == ammp {
             continue;
         }
         let delta = (way32.measured[i] - full.measured[i]).abs();
         assert!(
             delta < 2.0,
-            "{}: 32-way {} vs full {}",
-            fig.rows[i],
+            "{bench}: 32-way {} vs full {}",
             way32.measured[i],
             full.measured[i]
         );
@@ -90,7 +94,7 @@ fn figure7_thirty_two_ways_suffice_except_for_ammp() {
 #[test]
 fn figure8_snc_beats_equal_area_bigger_l2() {
     let mut lab = lab();
-    let fig = lab.figure8();
+    let fig = figure(&mut lab, 8);
     let avg: Vec<f64> = fig.series.iter().map(|s| s.measured_avg()).collect();
     let (xom256, xom384, snc) = (avg[0], avg[1], avg[2]);
     assert!(xom384 < xom256, "a bigger L2 helps XOM a little");
@@ -106,7 +110,7 @@ fn figure8_snc_beats_equal_area_bigger_l2() {
 #[test]
 fn figure9_snc_traffic_is_a_small_fraction() {
     let mut lab = lab();
-    let fig = lab.figure9();
+    let fig = figure(&mut lab, 9);
     let avg = fig.series[0].measured_avg();
     assert!(avg < 5.0, "SNC-induced traffic {avg}% must stay small");
 }
@@ -114,8 +118,8 @@ fn figure9_snc_traffic_is_a_small_fraction() {
 #[test]
 fn figure10_lru_is_insensitive_to_crypto_latency() {
     let mut lab = lab();
-    let f5 = lab.figure5();
-    let f10 = lab.figure10();
+    let f5 = figure(&mut lab, 5);
+    let f10 = figure(&mut lab, 10);
     let xom_50 = f5.series[0].measured_avg();
     let xom_102 = f10.series[0].measured_avg();
     let lru_50 = f5.series[2].measured_avg();
