@@ -5,7 +5,9 @@
 //! numbers) sit here while the crypto unit enciphers them, then drain to
 //! memory on idle bus cycles. Writes are therefore off the critical path;
 //! what remains observable is bus traffic and the rare full-buffer stall,
-//! both of which this model captures.
+//! both of which this model captures. The model buffers line writebacks
+//! only: a memory channel sends packed sequence-number spills to the bus
+//! as transactions of their own once their data is ready.
 
 use std::collections::VecDeque;
 
@@ -17,12 +19,9 @@ pub struct WriteBufferEntry {
     /// Cycle at which the entry's data is ready to leave (encryption
     /// complete).
     pub ready_at: u64,
-    /// Size of the transfer in bytes (a full line, or a sequence-number
-    /// spill).
-    pub bytes: u32,
 }
 
-/// A fixed-capacity FIFO write buffer.
+/// A fixed-capacity FIFO write buffer of line writebacks.
 ///
 /// # Examples
 ///
@@ -30,7 +29,7 @@ pub struct WriteBufferEntry {
 /// use padlock_cache::WriteBuffer;
 ///
 /// let mut wb = WriteBuffer::new(8);
-/// assert!(wb.push(0x1000, /*ready_at=*/ 150, /*bytes=*/ 128));
+/// assert!(wb.push(0x1000, /*ready_at=*/ 150));
 /// // Nothing drains before the data is ready:
 /// assert!(wb.pop_ready(100).is_none());
 /// assert_eq!(wb.pop_ready(150).unwrap().addr, 0x1000);
@@ -74,15 +73,11 @@ impl WriteBuffer {
     ///
     /// Returns `false` when the buffer is full; the caller models the
     /// stall and retries.
-    pub fn push(&mut self, addr: u64, ready_at: u64, bytes: u32) -> bool {
+    pub fn push(&mut self, addr: u64, ready_at: u64) -> bool {
         if self.is_full() {
             return false;
         }
-        self.entries.push_back(WriteBufferEntry {
-            addr,
-            ready_at,
-            bytes,
-        });
+        self.entries.push_back(WriteBufferEntry { addr, ready_at });
         true
     }
 
@@ -105,8 +100,8 @@ mod tests {
     #[test]
     fn fifo_order_is_preserved() {
         let mut wb = WriteBuffer::new(4);
-        wb.push(1, 0, 128);
-        wb.push(2, 0, 128);
+        wb.push(1, 0);
+        wb.push(2, 0);
         assert_eq!(wb.pop_ready(0).unwrap().addr, 1);
         assert_eq!(wb.pop_ready(0).unwrap().addr, 2);
         assert!(wb.pop_ready(0).is_none());
@@ -115,7 +110,7 @@ mod tests {
     #[test]
     fn entries_wait_for_encryption() {
         let mut wb = WriteBuffer::new(4);
-        wb.push(1, 50, 128);
+        wb.push(1, 50);
         assert!(wb.pop_ready(49).is_none());
         assert!(wb.pop_ready(50).is_some());
     }
@@ -123,8 +118,8 @@ mod tests {
     #[test]
     fn head_of_line_blocking_models_hardware_fifo() {
         let mut wb = WriteBuffer::new(4);
-        wb.push(1, 100, 128);
-        wb.push(2, 0, 128);
+        wb.push(1, 100);
+        wb.push(2, 0);
         // Entry 2 is ready but behind entry 1.
         assert!(wb.pop_ready(50).is_none());
         assert_eq!(wb.pop_ready(100).unwrap().addr, 1);
@@ -135,7 +130,7 @@ mod tests {
     fn full_buffer_rejects_and_counts_stalls() {
         // Each rejected push is a stall the caller models.
         let mut wb = WriteBuffer::new(2);
-        let stalls = (1..=3).filter(|&addr| !wb.push(addr, 0, 128)).count();
+        let stalls = (1..=3).filter(|&addr| !wb.push(addr, 0)).count();
         assert_eq!(stalls, 1);
         assert!(wb.is_full());
         assert_eq!(wb.len(), 2);

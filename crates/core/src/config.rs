@@ -316,11 +316,9 @@ impl SecureBackendConfig {
     }
 
     /// The per-channel bank configuration this machine implies: the
-    /// default row timings, and a row size derived from the line
-    /// interleave ([`padlock_mem::ROW_LINES`] lines per row).
+    /// default row timings over [`padlock_mem::ROW_BYTES`]-byte rows.
     pub fn bank_config(&self) -> padlock_mem::BankConfig {
-        padlock_mem::BankConfig::banked(self.mem_banks, LINE_BYTES)
-            .with_page_policy(self.page_policy)
+        padlock_mem::BankConfig::banked(self.mem_banks).with_page_policy(self.page_policy)
     }
 
     /// Builder: set the SNC port occupancy per probe.
@@ -450,7 +448,7 @@ mod tests {
             padlock_mem::DEFAULT_ROW_CONFLICT_CYCLES
         );
         // 16 x 128B lines per row.
-        assert_eq!(banks.row_bytes, 2048);
+        assert_eq!(padlock_mem::ROW_BYTES, 2048);
     }
 
     #[test]

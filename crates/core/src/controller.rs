@@ -258,7 +258,6 @@ impl SecureBackend {
             config.mem_latency,
             config.mem_occupancy,
             config.write_buffer_entries,
-            u64::from(LINE_BYTES),
         )
         .with_banks(config.bank_config());
         let snc = match config.mode {
@@ -367,13 +366,8 @@ impl SecureBackend {
         self.pending_spills += 1;
         if self.pending_spills >= SPILL_BATCH {
             self.pending_spills = 0;
-            self.channels.enqueue_write(
-                now,
-                ready_at,
-                line_addr,
-                TrafficClass::SeqWrite,
-                LINE_BYTES,
-            );
+            self.channels
+                .enqueue_write(now, ready_at, line_addr, TrafficClass::SeqWrite);
         }
     }
 
@@ -390,7 +384,6 @@ impl SecureBackend {
                 now + self.crypto_latency(),
                 0,
                 TrafficClass::SeqWrite,
-                LINE_BYTES,
             );
         }
         entries
@@ -461,7 +454,6 @@ impl SecureBackend {
                 ready,
                 pack[0].line_addr,
                 TrafficClass::SeqWrite,
-                LINE_BYTES,
             );
         }
         self.stats.context_flush_entries += entries.len() as u64;
@@ -567,9 +559,9 @@ impl SecureBackend {
                 Path::SeqFetch => TrafficClass::SeqRead,
                 _ => TrafficClass::LineRead,
             };
-            slot.fetched =
-                self.channels
-                    .demand_read(slot.ready, slot.txn.line_addr, class, LINE_BYTES);
+            slot.fetched = self
+                .channels
+                .demand_read(slot.ready, slot.txn.line_addr, class);
         }
     }
 
@@ -625,7 +617,6 @@ impl SecureBackend {
                         seq_ready,
                         slots[i].txn.line_addr,
                         TrafficClass::LineRead,
-                        LINE_BYTES,
                     );
                     let pad_done = crypto.issue_pad(seq_ready);
                     // Install the fetched number; spill the victim.
@@ -655,24 +646,14 @@ impl SecureBackend {
     fn process_writeback(&mut self, now: u64, line_addr: u64) {
         match self.config.mode {
             SecurityMode::Insecure => {
-                self.channels.enqueue_write(
-                    now,
-                    now,
-                    line_addr,
-                    TrafficClass::LineWrite,
-                    LINE_BYTES,
-                );
+                self.channels
+                    .enqueue_write(now, now, line_addr, TrafficClass::LineWrite);
             }
             SecurityMode::Xom => {
                 // Encrypt in the write buffer, then drain.
                 let ready = now + self.crypto_latency();
-                self.channels.enqueue_write(
-                    now,
-                    ready,
-                    line_addr,
-                    TrafficClass::LineWrite,
-                    LINE_BYTES,
-                );
+                self.channels
+                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite);
             }
             SecurityMode::Otp { snc: snc_cfg } => {
                 let first_writeback = self.written.insert(line_addr);
@@ -707,7 +688,6 @@ impl SecureBackend {
                                     now,
                                     line_addr,
                                     TrafficClass::SeqRead,
-                                    LINE_BYTES,
                                 );
                                 ready = seq_fetched + crypto + crypto;
                             }
@@ -721,13 +701,8 @@ impl SecureBackend {
                         }
                     }
                 };
-                self.channels.enqueue_write(
-                    now,
-                    ready,
-                    line_addr,
-                    TrafficClass::LineWrite,
-                    LINE_BYTES,
-                );
+                self.channels
+                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite);
             }
         }
     }
@@ -974,7 +949,6 @@ mod tests {
         assert_eq!(b.controller_stats().get("context_flush_entries"), 5);
         // Five entries pack into one line-sized spill transaction.
         assert_eq!(b.traffic().get("seq_writes"), 1);
-        assert_eq!(b.traffic().get("seq_write_bytes"), u64::from(LINE_BYTES));
     }
 
     #[test]
@@ -1007,10 +981,6 @@ mod tests {
             // entries / SPILL_BATCH packed line transactions.
             assert_eq!(b.controller_stats().get("context_flush_entries"), 1024);
             assert_eq!(b.traffic().get("seq_writes"), (entries / 64) as u64);
-            assert_eq!(
-                b.traffic().get("seq_write_bytes"),
-                (entries / 64) as u64 * u64::from(LINE_BYTES)
-            );
             // And every channel took part.
             let spilled_channels = b
                 .channels()

@@ -69,9 +69,7 @@ pub use controller::SecureBackend;
 pub use engine::MemTxn;
 pub use line_set::LineSet;
 pub use machine::{Machine, MachineConfig, Measurement};
-pub use server::{
-    CompartmentReport, SecureServer, ServerConfig, ServerMeasurement, ServerSlot,
-};
+pub use server::{CompartmentReport, SecureServer, ServerConfig, ServerMeasurement};
 pub use secure_mem::{
     AttackOutcome, IntegrityMode, LineProtection, LineSnapshot, MapRegionError, SecureMemory,
     SecureMemoryError,

@@ -2,19 +2,17 @@
 //! L1/L2 hierarchy and MSHR file — time-multiplexed over **one** shared
 //! [`SecureBackend`] (crypto unit, SNC, DRAM channel fabric).
 //!
-//! The paper evaluates a single protected core, but its §4.3 context-
-//! switch machinery (SNC flush policy 1, interrupt-time register
-//! encryption) only becomes measurable when several compartments
-//! actually contend for the one SNC and the one channel fabric. This
-//! module provides that harness:
+//! The paper evaluates a single protected core, but the cost of its
+//! §4.3 context-switch SNC flush (policy 1) only becomes measurable when
+//! several compartments actually contend for the one SNC and the one
+//! channel fabric. This module provides that timing harness:
 //!
 //! * each core is a **compartment**: its address stream lives in a
 //!   private stripe selected by the top address bits
-//!   ([`COMPARTMENT_ADDR_BITS`]), it is the backend's active requestor
-//!   while it steps ([`SecureBackend::set_active_requestor`], so SNC
-//!   entries it evicts from other compartments are charged to it), and
-//!   its register file is protected by a per-compartment XOM key
-//!   ([`crate::compartment::CompartmentManager`]);
+//!   ([`COMPARTMENT_ADDR_BITS`]), and it is the backend's active
+//!   requestor while it steps ([`SecureBackend::set_active_requestor`],
+//!   so SNC entries it evicts from other compartments are charged to
+//!   it);
 //! * the scheduler steps the unfinished core with the smallest local
 //!   clock (ties to the lowest index), so per-core drain windows
 //!   interleave through the shared controller in deterministic global-
@@ -23,8 +21,11 @@
 //! * an optional round-robin context-switch quantum
 //!   ([`ServerConfig::switch_interval`]) fires
 //!   [`SecureBackend::context_switch_flush`] at every global
-//!   `t = k * interval`, encrypting the outgoing compartment's
-//!   registers into an interrupt frame and resuming the incoming one;
+//!   `t = k * interval`, charging the flush to the round-robin's
+//!   incoming compartment. Register-file encryption at the switch is
+//!   not modelled here, since it would cost no cycles in this timing
+//!   model; the functional [`crate::compartment`] module demonstrates
+//!   it;
 //! * per-compartment fairness counters fall out of delta snapshots of
 //!   the shared fabric's [`padlock_mem::TrafficTotals`], taken exactly
 //!   when ownership changes — so the per-compartment splits reassemble
@@ -35,7 +36,6 @@
 //! the single-core [`crate::Machine`] protocol step for step; the
 //! `server_vs_seed` differential test holds the two bit-identical.
 
-use crate::compartment::{CompartmentManager, InterruptFrame, XomId};
 use crate::controller::SecureBackend;
 use crate::machine::MachineConfig;
 use padlock_cpu::{Core, Hierarchy, LineKind, MemoryBackend, RunSession, RunStats, Workload};
@@ -70,7 +70,7 @@ pub struct ServerConfig {
     /// Number of core pipelines (compartments) sharing the backend.
     pub cores: usize,
     /// Global cycles between round-robin context switches; `None`
-    /// disables switching (no SNC flushes, no register encryption).
+    /// disables switching (no SNC flushes).
     pub switch_interval: Option<u64>,
 }
 
@@ -125,7 +125,7 @@ impl ServerConfig {
 /// so the `expect`s below encode the scheduler invariant, not a
 /// recoverable condition.
 #[derive(Debug, Default)]
-pub struct ServerSlot(Option<Box<SecureBackend>>);
+pub(crate) struct ServerSlot(Option<Box<SecureBackend>>);
 
 impl ServerSlot {
     /// An empty seat (the scheduler has not installed the backend).
@@ -212,8 +212,8 @@ pub struct CompartmentReport {
     /// Its private MSHR file's counters.
     pub mshr: CounterSet,
     /// The shared fabric's traffic generated *while this compartment
-    /// owned the backend* — demand and sequence-number transactions,
-    /// bytes, and row hit/conflict counts. The per-compartment values
+    /// owned the backend* — demand and sequence-number transactions
+    /// and row hit/conflict counts. The per-compartment values
     /// sum exactly to the shared fabric's totals.
     pub traffic: TrafficTotals,
     /// SNC entries this compartment owned that were evicted (installed
@@ -286,9 +286,6 @@ pub struct SecureServer {
     per_comp: Vec<TrafficTotals>,
     /// Fabric totals at the last attribution snapshot.
     last_totals: TrafficTotals,
-    compartments: CompartmentManager,
-    /// Encrypted register frames of preempted compartments.
-    frames: Vec<Option<InterruptFrame>>,
     /// Global cycle of the next scheduled context switch.
     next_switch: u64,
     /// Lifetime switch count (drives the round-robin; never reset).
@@ -299,8 +296,7 @@ pub struct SecureServer {
 
 impl SecureServer {
     /// Builds the server: `cores` private pipelines and hierarchies
-    /// over one shared backend, each core registered as compartment
-    /// `XomId(index + 1)` with a derived key, compartment 0 entered.
+    /// over one shared backend.
     ///
     /// # Panics
     ///
@@ -314,16 +310,8 @@ impl SecureServer {
                 Core::with_hierarchy(config.machine.pipeline.clone(), hierarchy)
             })
             .collect();
-        let mut compartments = CompartmentManager::new();
-        for c in 0..config.cores {
-            compartments.register_compartment(XomId(c as u16 + 1), Self::compartment_key(c));
-        }
-        compartments
-            .enter(XomId(1))
-            .expect("compartment 1 was just registered");
         let next_switch = config.switch_interval.unwrap_or(u64::MAX);
         let per_comp = vec![TrafficTotals::default(); config.cores];
-        let frames = (0..config.cores).map(|_| None).collect();
         let parked = Some(Box::new(SecureBackend::new(
             config.machine.security.clone(),
         )));
@@ -335,34 +323,14 @@ impl SecureServer {
             attr_owner: None,
             per_comp,
             last_totals: TrafficTotals::default(),
-            compartments,
-            frames,
             next_switch,
             switch_seq: 0,
             context_switches: 0,
         }
     }
 
-    /// A deterministic per-compartment XOM key (stand-in for the
-    /// vendor-wrapped `Ks` the loader would install).
-    fn compartment_key(index: usize) -> [u8; 16] {
-        let mut key = [0u8; 16];
-        for (i, byte) in key.iter_mut().enumerate() {
-            *byte = (index as u8)
-                .wrapping_mul(0x3D)
-                .wrapping_add(i as u8)
-                .wrapping_add(0x5A);
-        }
-        key
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     /// The shared backend, wherever it is currently seated.
-    pub fn backend(&self) -> &SecureBackend {
+    fn backend(&self) -> &SecureBackend {
         match self.holder {
             Some(c) => self.cores[c].hierarchy().backend().get(),
             None => self
@@ -380,12 +348,6 @@ impl SecureServer {
                 .as_deref_mut()
                 .expect("the shared backend is parked when no core holds it"),
         }
-    }
-
-    /// The compartment register-file manager (for attack scenarios and
-    /// tests).
-    pub fn compartments(&self) -> &CompartmentManager {
-        &self.compartments
     }
 
     /// Pre-ages the shared backend's written-line sets (see
@@ -435,10 +397,8 @@ impl SecureServer {
     /// Fires the context switch scheduled at global cycle `at`: flushes
     /// the SNC with the incoming compartment as the active requestor
     /// (so every other compartment's flushed entries count as evictions
-    /// by others), attributes the flush traffic to the incoming
-    /// compartment, and performs the §2.3/§4.3 register-file dance —
-    /// interrupt the outgoing compartment into an encrypted frame,
-    /// resume (or first-enter) the incoming one.
+    /// by others) and attributes the flush traffic to the incoming
+    /// compartment.
     fn fire_switch(&mut self, at: u64) {
         self.capture_owner_delta();
         let incoming = ((self.switch_seq + 1) as usize) % self.config.cores;
@@ -449,22 +409,6 @@ impl SecureServer {
         }
         self.attr_owner = Some(incoming);
         self.capture_owner_delta();
-        let frame = self
-            .compartments
-            .interrupt()
-            .expect("the active compartment is always registered");
-        let outgoing = usize::from(frame.owner().0 - 1);
-        self.frames[outgoing] = Some(frame);
-        match self.frames[incoming].take() {
-            Some(frame) => self
-                .compartments
-                .resume(&frame)
-                .expect("a frame stored by the scheduler is fresh"),
-            None => self
-                .compartments
-                .enter(XomId(incoming as u16 + 1))
-                .expect("every compartment was registered at construction"),
-        }
         self.switch_seq += 1;
         self.context_switches += 1;
     }

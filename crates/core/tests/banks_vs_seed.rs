@@ -41,33 +41,32 @@ impl SeedChannel {
 
     fn drain_ready(&mut self, now: u64) {
         while let Some(entry) = self.write_buffer.pop_ready(now) {
-            self.mem
-                .write(entry.ready_at, TrafficClass::LineWrite, entry.bytes);
+            self.mem.write(entry.ready_at, TrafficClass::LineWrite);
         }
     }
 
-    fn demand_read(&mut self, now: u64, class: TrafficClass, bytes: u32) -> u64 {
-        let done = self.mem.read(now, class, bytes);
+    fn demand_read(&mut self, now: u64, class: TrafficClass) -> u64 {
+        let done = self.mem.read(now, class);
         self.drain_ready(now);
         done
     }
 
-    fn demand_write(&mut self, now: u64, class: TrafficClass, bytes: u32) -> u64 {
+    fn demand_write(&mut self, now: u64, class: TrafficClass) -> u64 {
         self.drain_ready(now);
-        self.mem.write(now, class, bytes)
+        self.mem.write(now, class)
     }
 
-    fn enqueue_write(&mut self, now: u64, ready_at: u64, addr: u64, class: TrafficClass, bytes: u32) {
+    fn enqueue_write(&mut self, now: u64, ready_at: u64, addr: u64, class: TrafficClass) {
         if self.write_buffer.is_full() {
             if let Some(head) = self.write_buffer.pop_ready(u64::MAX) {
                 let start = head.ready_at.max(now);
-                self.mem.write(start, TrafficClass::LineWrite, head.bytes);
+                self.mem.write(start, TrafficClass::LineWrite);
             }
         }
         if class != TrafficClass::LineWrite {
-            self.mem.write(now.max(ready_at), class, bytes);
+            self.mem.write(now.max(ready_at), class);
         } else {
-            let pushed = self.write_buffer.push(addr, ready_at, bytes);
+            let pushed = self.write_buffer.push(addr, ready_at);
             debug_assert!(pushed, "buffer cannot be full after force-drain");
         }
     }
@@ -76,7 +75,7 @@ impl SeedChannel {
         let mut drained = 0;
         while let Some(entry) = self.write_buffer.pop_ready(u64::MAX) {
             let start = entry.ready_at.max(now);
-            self.mem.write(start, TrafficClass::LineWrite, entry.bytes);
+            self.mem.write(start, TrafficClass::LineWrite);
             drained += 1;
         }
         drained
@@ -109,19 +108,19 @@ impl SeedChannelSet {
         ((addr / self.interleave_bytes) % self.channels.len() as u64) as usize
     }
 
-    fn demand_read(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
+    fn demand_read(&mut self, now: u64, addr: u64, class: TrafficClass) -> u64 {
         let ch = self.channel_of(addr);
-        self.channels[ch].demand_read(now, class, bytes)
+        self.channels[ch].demand_read(now, class)
     }
 
-    fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
+    fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass) -> u64 {
         let ch = self.channel_of(addr);
-        self.channels[ch].demand_write(now, class, bytes)
+        self.channels[ch].demand_write(now, class)
     }
 
-    fn enqueue_write(&mut self, now: u64, ready_at: u64, addr: u64, class: TrafficClass, bytes: u32) {
+    fn enqueue_write(&mut self, now: u64, ready_at: u64, addr: u64, class: TrafficClass) {
         let ch = self.channel_of(addr);
-        self.channels[ch].enqueue_write(now, ready_at, addr, class, bytes);
+        self.channels[ch].enqueue_write(now, ready_at, addr, class);
     }
 
     fn flush_writes(&mut self, now: u64) -> usize {
@@ -148,7 +147,7 @@ fn counters(set: &CounterSet) -> BTreeMap<String, u64> {
 fn assert_fabric_equivalent(channels: usize, bank_config: BankConfig, seed: u64) {
     assert!(bank_config.is_flat(), "only flat configs collapse to the seed fabric");
     let mut old = SeedChannelSet::new(channels, 100, 8, 8, 128);
-    let mut new = ChannelSet::new(channels, 100, 8, 8, 128).with_banks(bank_config);
+    let mut new = ChannelSet::new(channels, 100, 8, 8).with_banks(bank_config);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut now = 0u64;
     for step in 0..3_000u32 {
@@ -162,8 +161,8 @@ fn assert_fabric_equivalent(channels: usize, bank_config: BankConfig, seed: u64)
                     TrafficClass::LineRead
                 };
                 assert_eq!(
-                    new.demand_read(now, addr, class, 128),
-                    old.demand_read(now, addr, class, 128),
+                    new.demand_read(now, addr, class),
+                    old.demand_read(now, addr, class),
                     "step {step}: read of {addr:#x} at {now} ({channels}ch)"
                 );
             }
@@ -174,15 +173,15 @@ fn assert_fabric_equivalent(channels: usize, bank_config: BankConfig, seed: u64)
                     TrafficClass::LineWrite
                 };
                 assert_eq!(
-                    new.demand_write(now, addr, class, 128),
-                    old.demand_write(now, addr, class, 128),
+                    new.demand_write(now, addr, class),
+                    old.demand_write(now, addr, class),
                     "step {step}: write of {addr:#x} at {now} ({channels}ch)"
                 );
             }
             7 | 8 => {
                 let ready = now + rng.next_u64() % 300;
-                new.enqueue_write(now, ready, addr, TrafficClass::LineWrite, 128);
-                old.enqueue_write(now, ready, addr, TrafficClass::LineWrite, 128);
+                new.enqueue_write(now, ready, addr, TrafficClass::LineWrite);
+                old.enqueue_write(now, ready, addr, TrafficClass::LineWrite);
             }
             _ => {
                 assert_eq!(
@@ -219,7 +218,6 @@ fn bank_knobs_are_inert_on_a_flat_fabric() {
         row_conflict_cycles: 9_999,
         row_closed_cycles: 77,
         page_policy: padlock_mem::PagePolicy::Closed,
-        row_bytes: 64,
     };
     for (i, channels) in [1usize, 2, 4].into_iter().enumerate() {
         assert_fabric_equivalent(channels, weird, 223 + i as u64);

@@ -14,7 +14,7 @@ use padlock_core::{
     SncLookup, SncOrganization, SncPolicy,
 };
 use padlock_cpu::{LineKind, MemoryBackend, MemoryChannel};
-use padlock_mem::{TrafficClass, LINE_BYTES};
+use padlock_mem::TrafficClass;
 use padlock_stats::CounterSet;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -63,13 +63,8 @@ impl SeedBackend {
         self.pending_spills += 1;
         if self.pending_spills >= SPILL_BATCH {
             self.pending_spills = 0;
-            self.channel.enqueue_write(
-                now,
-                ready_at,
-                line_addr,
-                TrafficClass::SeqWrite,
-                LINE_BYTES,
-            );
+            self.channel
+                .enqueue_write(now, ready_at, line_addr, TrafficClass::SeqWrite);
         }
     }
 
@@ -77,7 +72,7 @@ impl SeedBackend {
         self.stats.incr("xom_reads");
         let fetched = self
             .channel
-            .demand_read(now, line_addr, TrafficClass::LineRead, LINE_BYTES);
+            .demand_read(now, line_addr, TrafficClass::LineRead);
         fetched + self.crypto_latency()
     }
 
@@ -85,7 +80,7 @@ impl SeedBackend {
         self.stats.incr("otp_fast_reads");
         let fetched = self
             .channel
-            .demand_read(now, line_addr, TrafficClass::LineRead, LINE_BYTES);
+            .demand_read(now, line_addr, TrafficClass::LineRead);
         let pad_ready = now + self.crypto_latency();
         fetched.max(pad_ready) + 1
     }
@@ -94,7 +89,7 @@ impl SeedBackend {
         match self.config.mode {
             SecurityMode::Insecure => {
                 self.channel
-                    .demand_read(now, line_addr, TrafficClass::LineRead, LINE_BYTES)
+                    .demand_read(now, line_addr, TrafficClass::LineRead)
             }
             SecurityMode::Xom => self.xom_read(now, line_addr),
             SecurityMode::Otp { snc: snc_cfg } => {
@@ -112,18 +107,14 @@ impl SeedBackend {
                         SncPolicy::NoReplacement => self.xom_read(now, line_addr),
                         SncPolicy::Lru => {
                             self.stats.incr("snc_fetch_reads");
-                            let seq_fetched = self.channel.demand_read(
-                                now,
-                                line_addr,
-                                TrafficClass::SeqRead,
-                                LINE_BYTES,
-                            );
+                            let seq_fetched =
+                                self.channel
+                                    .demand_read(now, line_addr, TrafficClass::SeqRead);
                             let seq_ready = seq_fetched + self.crypto_latency();
                             let line_fetched = self.channel.demand_read(
                                 seq_ready,
                                 line_addr,
                                 TrafficClass::LineRead,
-                                LINE_BYTES,
                             );
                             let pad_ready = seq_ready + self.crypto_latency();
                             let snc = self.snc.as_mut().expect("OTP mode has an SNC");
@@ -140,16 +131,15 @@ impl SeedBackend {
     }
 
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
-        let bytes = LINE_BYTES;
         match self.config.mode {
             SecurityMode::Insecure => {
                 self.channel
-                    .enqueue_write(now, now, line_addr, TrafficClass::LineWrite, bytes);
+                    .enqueue_write(now, now, line_addr, TrafficClass::LineWrite);
             }
             SecurityMode::Xom => {
                 let ready = now + self.crypto_latency();
                 self.channel
-                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite, bytes);
+                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite);
             }
             SecurityMode::Otp { snc: snc_cfg } => {
                 let first_writeback = self.written.insert(line_addr);
@@ -173,12 +163,9 @@ impl SeedBackend {
                                 self.stats.incr("first_writebacks");
                             } else {
                                 self.stats.incr("snc_fetch_updates");
-                                let seq_fetched = self.channel.demand_read(
-                                    now,
-                                    line_addr,
-                                    TrafficClass::SeqRead,
-                                    bytes,
-                                );
+                                let seq_fetched =
+                                    self.channel
+                                        .demand_read(now, line_addr, TrafficClass::SeqRead);
                                 ready = seq_fetched + crypto + crypto;
                             }
                             let snc = self.snc.as_mut().expect("OTP mode has an SNC");
@@ -191,7 +178,7 @@ impl SeedBackend {
                     }
                 };
                 self.channel
-                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite, bytes);
+                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite);
             }
         }
     }

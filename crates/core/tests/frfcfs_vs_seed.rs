@@ -35,7 +35,7 @@ use padlock_core::{
 };
 use padlock_cpu::{LineKind, MemoryBackend, StrideWorkload};
 use padlock_mem::{
-    BankConfig, BankSet, ChannelSet, DrainOrder, PagePolicy, TrafficClass, LINE_BYTES, ROW_LINES,
+    BankConfig, BankSet, ChannelSet, DrainOrder, PagePolicy, TrafficClass, ROW_BYTES, ROW_LINES,
 };
 use padlock_stats::CounterSet;
 use rand::rngs::StdRng;
@@ -128,7 +128,7 @@ impl SeedBankSet {
 }
 
 fn assert_bankset_equivalent(banks: usize, closed_cycles: u64, seed: u64) {
-    let config = BankConfig::banked(banks, 128)
+    let config = BankConfig::banked(banks)
         .with_page_policy(PagePolicy::Open)
         .with_closed_cycles(closed_cycles);
     let mut new = BankSet::new(config);
@@ -136,7 +136,7 @@ fn assert_bankset_equivalent(banks: usize, closed_cycles: u64, seed: u64) {
         banks,
         config.row_hit_cycles,
         config.row_conflict_cycles,
-        config.row_bytes,
+        ROW_BYTES,
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut now = 0u64;
@@ -218,7 +218,6 @@ impl SeedEngine {
             config.mem_latency,
             config.mem_occupancy,
             config.write_buffer_entries,
-            u64::from(LINE_BYTES),
         )
         .with_banks(config.bank_config());
         let snc = match config.mode {
@@ -264,13 +263,8 @@ impl SeedEngine {
         self.pending_spills += 1;
         if self.pending_spills >= SPILL_BATCH {
             self.pending_spills = 0;
-            self.channels.enqueue_write(
-                now,
-                ready_at,
-                line_addr,
-                TrafficClass::SeqWrite,
-                LINE_BYTES,
-            );
+            self.channels
+                .enqueue_write(now, ready_at, line_addr, TrafficClass::SeqWrite);
         }
     }
 
@@ -282,7 +276,6 @@ impl SeedEngine {
                 now + self.crypto_latency(),
                 0,
                 TrafficClass::SeqWrite,
-                LINE_BYTES,
             );
         }
     }
@@ -294,7 +287,6 @@ impl SeedEngine {
         crypto: &mut CryptoTimeline,
         ports: &mut SncPorts,
     ) -> SeedSlot {
-        let bytes = LINE_BYTES;
         let mut slot = SeedSlot {
             txn: *txn,
             path: SeedPath::Plain,
@@ -306,14 +298,14 @@ impl SeedEngine {
             SecurityMode::Insecure => {
                 slot.fetched =
                     self.channels
-                        .demand_read(txn.arrival, txn.line_addr, TrafficClass::LineRead, bytes);
+                        .demand_read(txn.arrival, txn.line_addr, TrafficClass::LineRead);
             }
             SecurityMode::Xom => {
                 self.stats.incr("xom_reads");
                 slot.path = SeedPath::Direct;
                 slot.fetched =
                     self.channels
-                        .demand_read(txn.arrival, txn.line_addr, TrafficClass::LineRead, bytes);
+                        .demand_read(txn.arrival, txn.line_addr, TrafficClass::LineRead);
             }
             SecurityMode::Otp { snc: snc_cfg } => {
                 let fast = if kind == LineKind::Instruction {
@@ -332,7 +324,6 @@ impl SeedEngine {
                         txn.arrival,
                         txn.line_addr,
                         TrafficClass::LineRead,
-                        bytes,
                     );
                     slot.crypto_done = crypto.issue_pad(txn.arrival);
                     return slot;
@@ -347,7 +338,6 @@ impl SeedEngine {
                             lookup_at,
                             txn.line_addr,
                             TrafficClass::LineRead,
-                            bytes,
                         );
                         slot.crypto_done = crypto.issue_pad(lookup_at);
                     }
@@ -359,7 +349,6 @@ impl SeedEngine {
                                 lookup_at,
                                 txn.line_addr,
                                 TrafficClass::LineRead,
-                                bytes,
                             );
                         }
                         SncPolicy::Lru => {
@@ -369,7 +358,6 @@ impl SeedEngine {
                                 lookup_at,
                                 txn.line_addr,
                                 TrafficClass::SeqRead,
-                                bytes,
                             );
                         }
                     },
@@ -442,7 +430,6 @@ impl SeedEngine {
                         seq_ready,
                         slots[i].txn.line_addr,
                         TrafficClass::LineRead,
-                        LINE_BYTES,
                     );
                     let pad_done = crypto.issue_pad(seq_ready);
                     let arrival = slots[i].txn.arrival;
@@ -464,16 +451,15 @@ impl SeedEngine {
     }
 
     fn process_writeback(&mut self, now: u64, line_addr: u64) {
-        let bytes = LINE_BYTES;
         match self.config.mode {
             SecurityMode::Insecure => {
                 self.channels
-                    .enqueue_write(now, now, line_addr, TrafficClass::LineWrite, bytes);
+                    .enqueue_write(now, now, line_addr, TrafficClass::LineWrite);
             }
             SecurityMode::Xom => {
                 let ready = now + self.crypto_latency();
                 self.channels
-                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite, bytes);
+                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite);
             }
             SecurityMode::Otp { snc: snc_cfg } => {
                 let first_writeback = self.written.insert(line_addr);
@@ -501,7 +487,6 @@ impl SeedEngine {
                                     now,
                                     line_addr,
                                     TrafficClass::SeqRead,
-                                    bytes,
                                 );
                                 ready = seq_fetched + crypto + crypto;
                             }
@@ -515,7 +500,7 @@ impl SeedEngine {
                     }
                 };
                 self.channels
-                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite, bytes);
+                    .enqueue_write(now, ready, line_addr, TrafficClass::LineWrite);
             }
         }
     }

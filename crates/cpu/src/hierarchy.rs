@@ -551,7 +551,7 @@ impl MemoryBackend for InsecureBackend {
         reqs.iter()
             .map(|&(at, line_addr, _)| {
                 self.channel
-                    .demand_read(at, line_addr, TrafficClass::LineRead, LINE_BYTES)
+                    .demand_read(at, line_addr, TrafficClass::LineRead)
             })
             .collect()
     }
@@ -559,7 +559,7 @@ impl MemoryBackend for InsecureBackend {
     fn line_writeback(&mut self, now: u64, line_addr: u64) {
         // No encryption: data is ready immediately.
         self.channel
-            .enqueue_write(now, now, line_addr, TrafficClass::LineWrite, LINE_BYTES)
+            .enqueue_write(now, now, line_addr, TrafficClass::LineWrite)
     }
 
     fn drain(&mut self, now: u64) {

@@ -20,7 +20,7 @@
 //!
 //! The address map is derived from the same granularity as the channel
 //! fabric's line interleave: [`ROW_LINES`] consecutive lines of the
-//! *global* address space form one row (`row = addr / row_bytes`), and
+//! *global* address space form one row (`row = addr / ROW_BYTES`), and
 //! rows rotate over banks (`bank = row % banks`). Together with the
 //! [`crate::ChannelSet`] line interleave this gives every address
 //! exactly one `(channel, bank, row)` coordinate. Because channels
@@ -40,7 +40,7 @@
 //! ```
 //! use padlock_mem::{BankConfig, BankSet};
 //!
-//! let mut banks = BankSet::new(BankConfig::banked(4, 128));
+//! let mut banks = BankSet::new(BankConfig::banked(4));
 //! // Cold access: row conflict (precharge + activate + CAS).
 //! let first = banks.access(0, 0x1000);
 //! assert!(!first.hit);
@@ -54,6 +54,10 @@
 /// 2KB row buffer, the row size of the SDRAM parts contemporary with
 /// the paper's machine.
 pub const ROW_LINES: u64 = 16;
+
+/// Bytes per DRAM row: [`ROW_LINES`] lines of
+/// [`LINE_BYTES`](crate::LINE_BYTES) each.
+pub const ROW_BYTES: u64 = ROW_LINES * crate::LINE_BYTES as u64;
 
 /// Default row-hit (column access) latency in cycles. Cheaper than the
 /// paper's flat 100-cycle access: an open row skips precharge and
@@ -118,33 +122,22 @@ pub struct BankConfig {
     pub row_closed_cycles: u64,
     /// Whether rows stay open between accesses or auto-precharge.
     pub page_policy: PagePolicy,
-    /// Bytes per row (normally `line_bytes * ROW_LINES`).
-    pub row_bytes: u64,
 }
 
 impl BankConfig {
     /// The flat (bankless) configuration the paper assumes.
     pub fn flat() -> Self {
-        Self {
-            banks: 1,
-            row_hit_cycles: DEFAULT_ROW_HIT_CYCLES,
-            row_conflict_cycles: DEFAULT_ROW_CONFLICT_CYCLES,
-            row_closed_cycles: DEFAULT_ROW_CLOSED_CYCLES,
-            page_policy: PagePolicy::Open,
-            row_bytes: u64::from(crate::LINE_BYTES) * ROW_LINES,
-        }
+        Self::banked(1)
     }
 
-    /// A banked configuration with the default row timings and the row
-    /// size implied by `line_bytes`.
-    pub fn banked(banks: usize, line_bytes: u32) -> Self {
+    /// A configuration of `banks` banks with the default row timings.
+    pub fn banked(banks: usize) -> Self {
         Self {
             banks,
             row_hit_cycles: DEFAULT_ROW_HIT_CYCLES,
             row_conflict_cycles: DEFAULT_ROW_CONFLICT_CYCLES,
             row_closed_cycles: DEFAULT_ROW_CLOSED_CYCLES,
             page_policy: PagePolicy::Open,
-            row_bytes: u64::from(line_bytes) * ROW_LINES,
         }
     }
 
@@ -218,14 +211,12 @@ impl BankSet {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` or `row_bytes` is zero, or if the latencies
-    /// are not ordered `hit <= closed <= conflict` (a hit skips the
-    /// activate a closed-page access pays, which in turn skips the
-    /// precharge a conflict pays — each is a strict subset of the
-    /// next's work).
+    /// Panics if `banks` is zero, or if the latencies are not ordered
+    /// `hit <= closed <= conflict` (a hit skips the activate a
+    /// closed-page access pays, which in turn skips the precharge a
+    /// conflict pays — each is a strict subset of the next's work).
     pub fn new(config: BankConfig) -> Self {
         assert!(config.banks > 0, "a channel needs at least one bank");
-        assert!(config.row_bytes > 0, "row size must be positive");
         assert!(
             config.row_hit_cycles <= config.row_conflict_cycles,
             "a row hit cannot cost more than a conflict"
@@ -247,19 +238,9 @@ impl BankSet {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BankConfig {
-        &self.config
-    }
-
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
-    }
-
     /// The global row index holding `addr`.
     pub fn row_of(&self, addr: u64) -> u64 {
-        addr / self.config.row_bytes
+        addr / ROW_BYTES
     }
 
     /// The bank serving `addr` (rows rotate over banks).
@@ -272,47 +253,46 @@ impl BankSet {
         self.banks.iter().map(|b| b.busy_until).max().unwrap_or(0)
     }
 
-    /// Cycle until which bank `index` is busy.
-    pub fn bank_busy_until(&self, index: usize) -> u64 {
-        self.banks[index].busy_until
-    }
-
     /// The row bank `index` currently holds open (`None` when
     /// precharged — always `None` under [`PagePolicy::Closed`]).
     pub fn open_row(&self, index: usize) -> Option<u64> {
         self.banks[index].open_row
     }
 
-    /// Schedules one access wanted at `ready`: waits for the bank,
-    /// charges the row-hit or row-conflict latency, and leaves the row
-    /// open behind it — or, under [`PagePolicy::Closed`], charges the
-    /// flat activate + column latency and auto-precharges, so no access
-    /// is ever a hit and none ever waits on a precharge.
-    pub fn access(&mut self, ready: u64, addr: u64) -> BankGrant {
+    /// The grant [`BankSet::access`] would make for `addr` wanted at
+    /// `ready`, without taking it: the access waits for its bank and is
+    /// charged the row-hit or row-conflict latency — or, under
+    /// [`PagePolicy::Closed`], the flat activate + column latency, so it
+    /// is never a hit and never waits on a precharge.
+    pub fn grant(&self, ready: u64, addr: u64) -> BankGrant {
         let row = self.row_of(addr);
         let index = (row % self.banks.len() as u64) as usize;
-        let bank = &mut self.banks[index];
+        let bank = self.banks[index];
         let start = ready.max(bank.busy_until);
-        let (hit, latency, leave_open) = match self.config.page_policy {
-            PagePolicy::Open => {
-                let hit = bank.open_row == Some(row);
-                let latency = if hit {
-                    self.config.row_hit_cycles
-                } else {
-                    self.config.row_conflict_cycles
-                };
-                (hit, latency, true)
-            }
-            PagePolicy::Closed => (false, self.config.row_closed_cycles, false),
+        let (hit, latency) = match self.config.page_policy {
+            PagePolicy::Open if bank.open_row == Some(row) => (true, self.config.row_hit_cycles),
+            PagePolicy::Open => (false, self.config.row_conflict_cycles),
+            PagePolicy::Closed => (false, self.config.row_closed_cycles),
         };
-        bank.busy_until = start + latency;
-        bank.open_row = leave_open.then_some(row);
         BankGrant {
             start,
             done: start + latency,
             hit,
             bank: index,
         }
+    }
+
+    /// Schedules one access wanted at `ready`: takes its
+    /// [`BankSet::grant`], keeps the bank busy until the access is done,
+    /// and leaves the row open behind it — or, under
+    /// [`PagePolicy::Closed`], auto-precharges.
+    pub fn access(&mut self, ready: u64, addr: u64) -> BankGrant {
+        let grant = self.grant(ready, addr);
+        let open_row = (self.config.page_policy == PagePolicy::Open).then(|| self.row_of(addr));
+        let bank = &mut self.banks[grant.bank];
+        bank.busy_until = grant.done;
+        bank.open_row = open_row;
+        grant
     }
 }
 
@@ -321,7 +301,7 @@ mod tests {
     use super::*;
 
     fn cfg(banks: usize) -> BankConfig {
-        BankConfig::banked(banks, 128)
+        BankConfig::banked(banks)
     }
 
     #[test]

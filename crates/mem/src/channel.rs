@@ -9,7 +9,7 @@
 //! generalises it into `N` independent channels interleaved by line
 //! address — the multi-controller memory fabric: transactions to
 //! different lines spread across channels and only same-channel traffic
-//! queues.
+//! queues. Every transaction moves one [`LINE_BYTES`] line.
 //!
 //! Every demand path takes the transaction's address: with banks
 //! disabled (`BankConfig::flat()`, the paper default) the address is
@@ -19,8 +19,9 @@
 //! `row_hit_cycles` or `row_conflict_cycles` against that bank's busy
 //! timeline.
 
-use crate::bank::{BankConfig, BankSet, PagePolicy};
-use crate::timing::{MemTimingModel, TrafficClass};
+use crate::bank::{BankConfig, BankSet};
+use crate::timing::{MemTimingModel, TrafficClass, TrafficTotals};
+use crate::LINE_BYTES;
 use padlock_cache::WriteBuffer;
 use padlock_stats::CounterSet;
 
@@ -35,9 +36,9 @@ use padlock_stats::CounterSet;
 /// use padlock_mem::{MemoryChannel, TrafficClass};
 ///
 /// let mut ch = MemoryChannel::new(100, 8, 8);
-/// ch.enqueue_write(0, 50, 0x80, TrafficClass::LineWrite, 128);
+/// ch.enqueue_write(0, 50, 0x80, TrafficClass::LineWrite);
 /// // A read at cycle 60 sees the drained write occupy the channel first.
-/// let done = ch.demand_read(60, 0x100, TrafficClass::LineRead, 128);
+/// let done = ch.demand_read(60, 0x100, TrafficClass::LineRead);
 /// assert!(done >= 160);
 /// ```
 #[derive(Debug, Clone)]
@@ -99,27 +100,27 @@ impl MemoryChannel {
 
     /// Issues one read against the bus (and, when banked, `addr`'s
     /// bank); returns the data-ready cycle.
-    fn issue_read(&mut self, want: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
+    fn issue_read(&mut self, want: u64, addr: u64, class: TrafficClass) -> u64 {
         match &mut self.banks {
-            None => self.mem.read(want, class, bytes),
+            None => self.mem.read(want, class),
             Some(banks) => {
                 let grant = banks.access(want.max(self.mem.busy_until()), addr);
                 self.mem.record_row(grant.hit);
                 self.mem
-                    .read_with_latency(grant.start, class, bytes, grant.done - grant.start)
+                    .read_with_latency(grant.start, class, grant.done - grant.start)
             }
         }
     }
 
     /// Issues one posted write against the bus (and, when banked,
     /// `addr`'s bank); returns the channel-release cycle.
-    fn issue_write(&mut self, want: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
+    fn issue_write(&mut self, want: u64, addr: u64, class: TrafficClass) -> u64 {
         match &mut self.banks {
-            None => self.mem.write(want, class, bytes),
+            None => self.mem.write(want, class),
             Some(banks) => {
                 let grant = banks.access(want.max(self.mem.busy_until()), addr);
                 self.mem.record_row(grant.hit);
-                self.mem.write(grant.start, class, bytes)
+                self.mem.write(grant.start, class)
             }
         }
     }
@@ -128,7 +129,7 @@ impl MemoryChannel {
     /// channel slots at their natural times).
     fn drain_ready(&mut self, now: u64) {
         while let Some(entry) = self.write_buffer.pop_ready(now) {
-            self.issue_write(entry.ready_at, entry.addr, TrafficClass::LineWrite, entry.bytes);
+            self.issue_write(entry.ready_at, entry.addr, TrafficClass::LineWrite);
         }
     }
 
@@ -137,43 +138,36 @@ impl MemoryChannel {
     /// Demand reads have priority: the read claims the channel first,
     /// and ready writebacks drain *behind* it (they only delay later
     /// transactions, the way a read-priority memory scheduler behaves).
-    pub fn demand_read(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
-        let done = self.issue_read(now, addr, class, bytes);
+    pub fn demand_read(&mut self, now: u64, addr: u64, class: TrafficClass) -> u64 {
+        let done = self.issue_read(now, addr, class);
         self.drain_ready(now);
         done
     }
 
     /// Issues a demand (blocking) write of `addr`, e.g. a forced
     /// sequence-number spill; returns the channel-release cycle.
-    pub fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
+    pub fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass) -> u64 {
         self.drain_ready(now);
-        self.issue_write(now, addr, class, bytes)
+        self.issue_write(now, addr, class)
     }
 
     /// Enqueues a buffered writeback whose data (e.g. ciphertext) is
     /// ready at `ready_at`. A full buffer force-drains its head, which is
     /// the stall the paper attributes to bursts of replacements.
-    pub fn enqueue_write(
-        &mut self,
-        now: u64,
-        ready_at: u64,
-        addr: u64,
-        class: TrafficClass,
-        bytes: u32,
-    ) {
+    pub fn enqueue_write(&mut self, now: u64, ready_at: u64, addr: u64, class: TrafficClass) {
         if self.write_buffer.is_full() {
             if let Some(head) = self.write_buffer.pop_ready(u64::MAX) {
                 let start = head.ready_at.max(now);
-                self.issue_write(start, head.addr, TrafficClass::LineWrite, head.bytes);
+                self.issue_write(start, head.addr, TrafficClass::LineWrite);
             }
         }
         // Buffered entries drain as `LineWrite` traffic, so only line
         // writebacks are buffered; any other class goes to the bus now,
         // once its data is ready, under its own class.
         if class != TrafficClass::LineWrite {
-            self.issue_write(now.max(ready_at), addr, class, bytes);
+            self.issue_write(now.max(ready_at), addr, class);
         } else {
-            let pushed = self.write_buffer.push(addr, ready_at, bytes);
+            let pushed = self.write_buffer.push(addr, ready_at);
             debug_assert!(pushed, "buffer cannot be full after force-drain");
         }
     }
@@ -188,7 +182,7 @@ impl MemoryChannel {
         let mut drained = 0;
         while let Some(entry) = self.write_buffer.pop_ready(u64::MAX) {
             let start = entry.ready_at.max(now);
-            self.issue_write(start, entry.addr, TrafficClass::LineWrite, entry.bytes);
+            self.issue_write(start, entry.addr, TrafficClass::LineWrite);
             drained += 1;
         }
         drained
@@ -206,7 +200,7 @@ impl MemoryChannel {
 /// write buffer (and, when configured, its own [`BankSet`]), so
 /// transactions to lines on different channels proceed in parallel and
 /// only same-channel traffic queues. Line `i` (at
-/// `addr / interleave_bytes`) lives on channel `i % N`, the same
+/// `addr / LINE_BYTES`) lives on channel `i % N`, the same
 /// interleaving the shards of `padlock_core`'s `SequenceNumberCache`
 /// use — pairing shard `k` with channel `k` in an `N = N`
 /// configuration makes each (shard, channel) pair an independent
@@ -219,13 +213,13 @@ impl MemoryChannel {
 /// # Examples
 ///
 /// ```
-/// use padlock_mem::{ChannelSet, TrafficClass};
+/// use padlock_mem::{ChannelSet, TrafficClass, LINE_BYTES};
 ///
-/// let mut fabric = ChannelSet::new(4, 100, 8, 8, 128);
+/// let mut fabric = ChannelSet::new(4, 100, 8, 8);
 /// // Four consecutive lines land on four different channels and all
 /// // complete at the uncontended latency.
 /// for line in 0..4u64 {
-///     let done = fabric.demand_read(0, line * 128, TrafficClass::LineRead, 128);
+///     let done = fabric.demand_read(0, line * u64::from(LINE_BYTES), TrafficClass::LineRead);
 ///     assert_eq!(done, 100);
 /// }
 /// assert_eq!(fabric.stats().get("line_reads"), 4);
@@ -233,32 +227,25 @@ impl MemoryChannel {
 #[derive(Debug, Clone)]
 pub struct ChannelSet {
     channels: Vec<MemoryChannel>,
-    interleave_bytes: u64,
-    bank_config: BankConfig,
 }
 
 impl ChannelSet {
-    /// Creates `channels` idle flat channels interleaved every
-    /// `interleave_bytes` (normally the L2 line size).
+    /// Creates `channels` idle flat channels interleaved every line.
     ///
     /// # Panics
     ///
-    /// Panics if `channels` or `interleave_bytes` is zero.
+    /// Panics if `channels` is zero.
     pub fn new(
         channels: usize,
         mem_latency: u64,
         occupancy: u64,
         write_buffer_entries: usize,
-        interleave_bytes: u64,
     ) -> Self {
         assert!(channels > 0, "fabric must have at least one channel");
-        assert!(interleave_bytes > 0, "interleave granularity must be positive");
         Self {
             channels: (0..channels)
                 .map(|_| MemoryChannel::new(mem_latency, occupancy, write_buffer_entries))
                 .collect(),
-            interleave_bytes,
-            bank_config: BankConfig::flat(),
         }
     }
 
@@ -266,7 +253,6 @@ impl ChannelSet {
     /// channel. A flat config (`banks = 1`) is a no-op — the paper's
     /// uniform-latency fabric.
     pub fn with_banks(mut self, config: BankConfig) -> Self {
-        self.bank_config = config;
         self.channels = self
             .channels
             .into_iter()
@@ -280,24 +266,16 @@ impl ChannelSet {
         self.channels.len()
     }
 
-    /// The bank configuration every channel runs (flat by default).
-    pub fn bank_config(&self) -> &BankConfig {
-        &self.bank_config
-    }
-
     /// The channel index serving `addr` (line-interleaved).
     pub fn channel_of(&self, addr: u64) -> usize {
-        ((addr / self.interleave_bytes) % self.channels.len() as u64) as usize
+        ((addr / u64::from(LINE_BYTES)) % self.channels.len() as u64) as usize
     }
 
     /// The full `(channel, bank, row)` coordinate serving `addr`: the
     /// line interleave picks the channel, the row interleave picks the
     /// bank within it, and the row index names the bank's row that
-    /// holds the address — the grouping key the FR-FCFS drain
-    /// scheduler ([`ChannelSet::row_first_order`]) keys a window by.
-    /// With banks disabled every address collapses to
-    /// `(channel, 0, 0)`, so row-first ordering degenerates to arrival
-    /// order per channel.
+    /// holds the address. With banks disabled every address collapses
+    /// to `(channel, 0, 0)`.
     pub fn coordinates_of(&self, addr: u64) -> (usize, usize, u64) {
         let channel = self.channel_of(addr);
         match self.channels[channel].banks() {
@@ -331,10 +309,10 @@ impl ChannelSet {
     /// channel — the cheap `Copy` counterpart of [`ChannelSet::stats`],
     /// taken before and after each scheduling step when shared-fabric
     /// traffic has to be attributed to the compartment that caused it.
-    pub fn totals(&self) -> crate::timing::TrafficTotals {
+    pub fn totals(&self) -> TrafficTotals {
         self.channels
             .iter()
-            .fold(crate::timing::TrafficTotals::default(), |acc, ch| {
+            .fold(TrafficTotals::default(), |acc, ch| {
                 acc.plus(ch.mem().totals())
             })
     }
@@ -359,68 +337,42 @@ impl ChannelSet {
     /// row-mate — the failure mode of a static same-row grouping when
     /// arrivals are spread.
     ///
-    /// The choice is made against a scratch copy of the bus and bank
-    /// timelines (buffered writebacks are ignored — they backfill
-    /// behind demand reads anyway), so the fabric is not mutated; on a
-    /// flat fabric there are no rows to group and the identity order is
-    /// returned, keeping `RowFirst` bit-exact with `Fifo` there.
+    /// The order is predicted on a copy of each channel's bus
+    /// busy-until and [`BankSet`], taken once per window: each candidate
+    /// is ranked by its [`BankSet::grant`], and the chosen request takes
+    /// its [`BankSet::access`] on the copy, so the prediction and the
+    /// issue share one bank model. Buffered writebacks are ignored (they
+    /// backfill behind demand reads anyway) and the fabric is not
+    /// mutated; on a flat fabric there are no rows to group and the
+    /// identity order is returned, keeping `RowFirst` bit-exact with
+    /// `Fifo` there.
     pub fn row_first_order(&self, reqs: &[(u64, u64)]) -> Vec<usize> {
-        if self.bank_config.is_flat() {
-            return (0..reqs.len()).collect();
-        }
-        #[derive(Clone, Copy)]
-        struct ScratchBank {
-            open: Option<u64>,
-            busy: u64,
-        }
-        let mut bus: Vec<u64> = Vec::with_capacity(self.channels.len());
-        let mut occ: Vec<u64> = Vec::with_capacity(self.channels.len());
-        let mut banks: Vec<Vec<ScratchBank>> = Vec::with_capacity(self.channels.len());
+        let mut lanes: Vec<(u64, BankSet)> = Vec::with_capacity(self.channels.len());
         for ch in &self.channels {
-            bus.push(ch.mem().busy_until());
-            occ.push(ch.mem().occupancy());
-            let bs = ch.banks().expect("banked fabric has a bank set");
-            banks.push(
-                (0..bs.num_banks())
-                    .map(|b| ScratchBank {
-                        open: bs.open_row(b),
-                        busy: bs.bank_busy_until(b),
-                    })
-                    .collect(),
-            );
+            match ch.banks() {
+                Some(banks) => lanes.push((ch.mem().busy_until(), banks.clone())),
+                None => return (0..reqs.len()).collect(),
+            }
         }
-        let cfg = self.bank_config;
-        let coords: Vec<(usize, usize, u64)> = reqs
-            .iter()
-            .map(|&(_, addr)| self.coordinates_of(addr))
-            .collect();
         let mut pending: Vec<usize> = (0..reqs.len()).collect();
         let mut order = Vec::with_capacity(reqs.len());
-        while !pending.is_empty() {
-            let mut best_pos = 0;
-            let mut best_key = (u64::MAX, true, usize::MAX);
-            for (pos, &i) in pending.iter().enumerate() {
-                let (ch, bk, row) = coords[i];
-                let bank = banks[ch][bk];
-                let start = reqs[i].0.max(bus[ch]).max(bank.busy);
-                let hit = cfg.page_policy == PagePolicy::Open && bank.open == Some(row);
-                let key = (start, !hit, i);
-                if key < best_key {
-                    best_key = key;
-                    best_pos = pos;
-                }
-            }
-            let i = pending.swap_remove(best_pos);
-            let (ch, bk, row) = coords[i];
-            let (start, hit) = (best_key.0, !best_key.1);
-            let latency = match cfg.page_policy {
-                PagePolicy::Open if hit => cfg.row_hit_cycles,
-                PagePolicy::Open => cfg.row_conflict_cycles,
-                PagePolicy::Closed => cfg.row_closed_cycles,
-            };
-            banks[ch][bk].busy = start + latency;
-            banks[ch][bk].open = (cfg.page_policy == PagePolicy::Open).then_some(row);
-            bus[ch] = start + occ[ch];
+        while let Some((pos, _)) = pending
+            .iter()
+            .enumerate()
+            .map(|(pos, &i)| {
+                let (ready, addr) = reqs[i];
+                let (bus, banks) = &lanes[self.channel_of(addr)];
+                let grant = banks.grant(ready.max(*bus), addr);
+                (pos, (grant.start, !grant.hit, i))
+            })
+            .min_by_key(|&(_, key)| key)
+        {
+            let i = pending.swap_remove(pos);
+            let (ready, addr) = reqs[i];
+            let ch = self.channel_of(addr);
+            let (bus, banks) = &mut lanes[ch];
+            let grant = banks.access(ready.max(*bus), addr);
+            *bus = grant.start + self.channels[ch].mem().occupancy();
             order.push(i);
         }
         order
@@ -428,16 +380,16 @@ impl ChannelSet {
 
     /// Issues a demand read of `addr`'s line on its channel; returns
     /// the completion cycle.
-    pub fn demand_read(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
+    pub fn demand_read(&mut self, now: u64, addr: u64, class: TrafficClass) -> u64 {
         let ch = self.channel_of(addr);
-        self.channels[ch].demand_read(now, addr, class, bytes)
+        self.channels[ch].demand_read(now, addr, class)
     }
 
     /// Issues a demand (blocking) write on `addr`'s channel; returns
     /// the channel-release cycle.
-    pub fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass, bytes: u32) -> u64 {
+    pub fn demand_write(&mut self, now: u64, addr: u64, class: TrafficClass) -> u64 {
         let ch = self.channel_of(addr);
-        self.channels[ch].demand_write(now, addr, class, bytes)
+        self.channels[ch].demand_write(now, addr, class)
     }
 
     /// Issues a demand write on an *explicit* channel, bypassing the
@@ -455,23 +407,15 @@ impl ChannelSet {
         now: u64,
         addr: u64,
         class: TrafficClass,
-        bytes: u32,
     ) -> u64 {
-        self.channels[channel].demand_write(now, addr, class, bytes)
+        self.channels[channel].demand_write(now, addr, class)
     }
 
     /// Enqueues a buffered writeback in `addr`'s channel's write
     /// buffer.
-    pub fn enqueue_write(
-        &mut self,
-        now: u64,
-        ready_at: u64,
-        addr: u64,
-        class: TrafficClass,
-        bytes: u32,
-    ) {
+    pub fn enqueue_write(&mut self, now: u64, ready_at: u64, addr: u64, class: TrafficClass) {
         let ch = self.channel_of(addr);
-        self.channels[ch].enqueue_write(now, ready_at, addr, class, bytes);
+        self.channels[ch].enqueue_write(now, ready_at, addr, class);
     }
 
     /// Force-drains every channel's buffered writes at measurement
@@ -494,30 +438,30 @@ mod tests {
     #[test]
     fn channel_reads_have_priority_over_pending_writes() {
         let mut ch = MemoryChannel::new(100, 8, 8);
-        ch.enqueue_write(0, 90, 0x80, TrafficClass::LineWrite, 128);
+        ch.enqueue_write(0, 90, 0x80, TrafficClass::LineWrite);
         // Read at 92: it claims the channel first (done at 192); the
         // ready write drains behind it and only delays *later* traffic.
-        let done = ch.demand_read(92, 0x100, TrafficClass::LineRead, 128);
+        let done = ch.demand_read(92, 0x100, TrafficClass::LineRead);
         assert_eq!(done, 192);
-        let next = ch.demand_read(92, 0x100, TrafficClass::LineRead, 128);
+        let next = ch.demand_read(92, 0x100, TrafficClass::LineRead);
         assert!(next > 200, "second read queues behind the drained write");
     }
 
     #[test]
     fn channel_full_buffer_force_drains() {
         let mut ch = MemoryChannel::new(100, 8, 2);
-        ch.enqueue_write(0, 1000, 1, TrafficClass::LineWrite, 128);
-        ch.enqueue_write(0, 1000, 2, TrafficClass::LineWrite, 128);
+        ch.enqueue_write(0, 1000, 1, TrafficClass::LineWrite);
+        ch.enqueue_write(0, 1000, 2, TrafficClass::LineWrite);
         // Third write forces the head out even though not ready.
-        ch.enqueue_write(5, 1000, 3, TrafficClass::LineWrite, 128);
+        ch.enqueue_write(5, 1000, 3, TrafficClass::LineWrite);
         assert_eq!(ch.mem().stats().get("line_writes"), 1);
     }
 
     #[test]
     fn flush_writes_drains_everything_counting_traffic() {
         let mut ch = MemoryChannel::new(100, 8, 8);
-        ch.enqueue_write(0, 50, 0x00, TrafficClass::LineWrite, 128);
-        ch.enqueue_write(0, 5_000, 0x80, TrafficClass::LineWrite, 128);
+        ch.enqueue_write(0, 50, 0x00, TrafficClass::LineWrite);
+        ch.enqueue_write(0, 5_000, 0x80, TrafficClass::LineWrite);
         assert_eq!(ch.buffered_writes(), 2);
         assert_eq!(ch.mem().stats().get("line_writes"), 0);
         // Buffered writes have not claimed the bus yet.
@@ -533,15 +477,15 @@ mod tests {
 
     #[test]
     fn one_channel_set_matches_bare_channel() {
-        let mut set = ChannelSet::new(1, 100, 8, 8, 128);
+        let mut set = ChannelSet::new(1, 100, 8, 8);
         let mut bare = MemoryChannel::new(100, 8, 8);
         for line in 0..6u64 {
             let addr = line * 128;
-            set.enqueue_write(line, line + 60, addr, TrafficClass::LineWrite, 128);
-            bare.enqueue_write(line, line + 60, addr, TrafficClass::LineWrite, 128);
+            set.enqueue_write(line, line + 60, addr, TrafficClass::LineWrite);
+            bare.enqueue_write(line, line + 60, addr, TrafficClass::LineWrite);
             assert_eq!(
-                set.demand_read(line * 3, addr, TrafficClass::LineRead, 128),
-                bare.demand_read(line * 3, addr, TrafficClass::LineRead, 128)
+                set.demand_read(line * 3, addr, TrafficClass::LineRead),
+                bare.demand_read(line * 3, addr, TrafficClass::LineRead)
             );
         }
         let set_stats: Vec<(String, u64)> = set
@@ -560,7 +504,7 @@ mod tests {
 
     #[test]
     fn lines_interleave_round_robin() {
-        let set = ChannelSet::new(4, 100, 8, 8, 128);
+        let set = ChannelSet::new(4, 100, 8, 8);
         assert_eq!(set.channel_of(0), 0);
         assert_eq!(set.channel_of(127), 0);
         assert_eq!(set.channel_of(128), 1);
@@ -571,19 +515,19 @@ mod tests {
 
     #[test]
     fn independent_channels_do_not_contend() {
-        let mut set = ChannelSet::new(2, 100, 8, 8, 128);
+        let mut set = ChannelSet::new(2, 100, 8, 8);
         // Same channel: second read queues one occupancy slot behind.
-        assert_eq!(set.demand_read(0, 0, TrafficClass::LineRead, 128), 100);
-        assert_eq!(set.demand_read(0, 2 * 128, TrafficClass::LineRead, 128), 108);
+        assert_eq!(set.demand_read(0, 0, TrafficClass::LineRead), 100);
+        assert_eq!(set.demand_read(0, 2 * 128, TrafficClass::LineRead), 108);
         // Other channel: unaffected by channel 0's queue.
-        assert_eq!(set.demand_read(0, 128, TrafficClass::LineRead, 128), 100);
+        assert_eq!(set.demand_read(0, 128, TrafficClass::LineRead), 100);
     }
 
     #[test]
     fn set_flush_writes_covers_every_channel() {
-        let mut set = ChannelSet::new(2, 100, 8, 8, 128);
-        set.enqueue_write(0, 10_000, 0, TrafficClass::LineWrite, 128);
-        set.enqueue_write(0, 10_000, 128, TrafficClass::LineWrite, 128);
+        let mut set = ChannelSet::new(2, 100, 8, 8);
+        set.enqueue_write(0, 10_000, 0, TrafficClass::LineWrite);
+        set.enqueue_write(0, 10_000, 128, TrafficClass::LineWrite);
         assert_eq!(set.buffered_writes(), 2);
         assert_eq!(set.flush_writes(0), 2);
         assert_eq!(set.stats().get("line_writes"), 2);
@@ -592,7 +536,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one channel")]
     fn zero_channels_rejected() {
-        let _ = ChannelSet::new(0, 100, 8, 8, 128);
+        let _ = ChannelSet::new(0, 100, 8, 8);
     }
 
     // ---- bank-aware paths ----
@@ -600,7 +544,7 @@ mod tests {
     const ROW: u64 = 128 * ROW_LINES; // 2KB
 
     fn banked_channel(banks: usize) -> MemoryChannel {
-        MemoryChannel::new(100, 8, 8).with_banks(BankConfig::banked(banks, 128))
+        MemoryChannel::new(100, 8, 8).with_banks(BankConfig::banked(banks))
     }
 
     #[test]
@@ -610,8 +554,8 @@ mod tests {
         assert!(one_bank.banks().is_none());
         for line in 0..8u64 {
             assert_eq!(
-                flat.demand_read(line, line * 128, TrafficClass::LineRead, 128),
-                one_bank.demand_read(line, line * 128, TrafficClass::LineRead, 128)
+                flat.demand_read(line, line * 128, TrafficClass::LineRead),
+                one_bank.demand_read(line, line * 128, TrafficClass::LineRead)
             );
         }
     }
@@ -620,11 +564,11 @@ mod tests {
     fn open_row_reads_are_hits_and_cheaper() {
         let mut ch = banked_channel(4);
         // Cold: conflict.
-        let first = ch.demand_read(0, 0, TrafficClass::LineRead, 128);
+        let first = ch.demand_read(0, 0, TrafficClass::LineRead);
         assert_eq!(first, DEFAULT_ROW_CONFLICT_CYCLES);
         // Next line of the same row, issued after: row hit streamed
         // behind the bus slot.
-        let second = ch.demand_read(first, 128, TrafficClass::LineRead, 128);
+        let second = ch.demand_read(first, 128, TrafficClass::LineRead);
         assert_eq!(second, first + DEFAULT_ROW_HIT_CYCLES);
         assert_eq!(ch.mem().stats().get("row_hits"), 1);
         assert_eq!(ch.mem().stats().get("row_conflicts"), 1);
@@ -635,22 +579,22 @@ mod tests {
         let mut ch = banked_channel(4);
         // Rows 0 and 1 live in banks 0 and 1: both conflict cold, but
         // their activates overlap — only the 8-cycle bus slot queues.
-        let a = ch.demand_read(0, 0, TrafficClass::LineRead, 128);
-        let b = ch.demand_read(0, ROW, TrafficClass::LineRead, 128);
+        let a = ch.demand_read(0, 0, TrafficClass::LineRead);
+        let b = ch.demand_read(0, ROW, TrafficClass::LineRead);
         assert_eq!(a, DEFAULT_ROW_CONFLICT_CYCLES);
         assert_eq!(b, 8 + DEFAULT_ROW_CONFLICT_CYCLES);
         // Same bank, different row (4 banks: row 4 -> bank 0): waits
         // for bank 0's activate, then conflicts again.
-        let c = ch.demand_read(0, 4 * ROW, TrafficClass::LineRead, 128);
+        let c = ch.demand_read(0, 4 * ROW, TrafficClass::LineRead);
         assert_eq!(c, a + DEFAULT_ROW_CONFLICT_CYCLES);
     }
 
     #[test]
     fn banked_writes_touch_rows_too() {
         let mut ch = banked_channel(2);
-        ch.demand_write(0, 0, TrafficClass::LineWrite, 128);
+        ch.demand_write(0, 0, TrafficClass::LineWrite);
         // The write opened row 0; a read of it hits.
-        let done = ch.demand_read(500, 128, TrafficClass::LineRead, 128);
+        let done = ch.demand_read(500, 128, TrafficClass::LineRead);
         assert_eq!(done, 500 + DEFAULT_ROW_HIT_CYCLES);
         assert_eq!(ch.mem().stats().get("row_hits"), 1);
     }
@@ -658,7 +602,7 @@ mod tests {
     #[test]
     fn banked_buffered_writes_drain_through_their_bank() {
         let mut ch = banked_channel(2);
-        ch.enqueue_write(0, 50, 0x80, TrafficClass::LineWrite, 128);
+        ch.enqueue_write(0, 50, 0x80, TrafficClass::LineWrite);
         assert_eq!(ch.flush_writes(60), 1);
         // The drained write conflicted cold and opened its row.
         assert_eq!(ch.mem().stats().get("row_conflicts"), 1);
@@ -667,8 +611,7 @@ mod tests {
 
     #[test]
     fn set_coordinates_partition_channel_then_bank_then_row() {
-        let set = ChannelSet::new(2, 100, 8, 8, 128).with_banks(BankConfig::banked(4, 128));
-        assert_eq!(set.bank_config().banks, 4);
+        let set = ChannelSet::new(2, 100, 8, 8).with_banks(BankConfig::banked(4));
         // Line interleave picks the channel; row interleave the bank;
         // the row index names the open-row register at stake.
         assert_eq!(set.coordinates_of(0), (0, 0, 0));
@@ -676,14 +619,14 @@ mod tests {
         assert_eq!(set.coordinates_of(ROW), (0, 1, 1));
         assert_eq!(set.coordinates_of(4 * ROW + 128), (1, 0, 4));
         // Flat set: bank and row coordinates pinned to 0.
-        let flat = ChannelSet::new(2, 100, 8, 8, 128);
+        let flat = ChannelSet::new(2, 100, 8, 8);
         assert_eq!(flat.coordinates_of(3 * ROW + 128), (1, 0, 0));
     }
 
     #[test]
     fn demand_write_on_routes_to_the_named_channel() {
-        let mut set = ChannelSet::new(4, 100, 8, 8, 128);
-        set.demand_write_on(2, 0, 0, TrafficClass::SeqWrite, 128);
+        let mut set = ChannelSet::new(4, 100, 8, 8);
+        set.demand_write_on(2, 0, 0, TrafficClass::SeqWrite);
         assert_eq!(set.channels()[2].mem().stats().get("seq_writes"), 1);
         assert_eq!(set.channels()[0].mem().stats().get("seq_writes"), 0);
         assert!(set.busy_until() >= 8);

@@ -1,6 +1,6 @@
 //! Main-memory models for the `padlock` secure-processor simulator.
 //!
-//! Five independent pieces:
+//! Six independent pieces:
 //!
 //! * [`MemTimingModel`] — the flat-latency DRAM + shared-channel occupancy
 //!   model the paper assumes (100-cycle reads), with traffic accounting by
@@ -11,11 +11,13 @@
 //!   knob chooses between open-page rows and closed-page auto-precharge;
 //! * [`DrainOrder`] — the drain-order knob backends thread through
 //!   their configuration; the FR-FCFS algorithm it selects lives on
-//!   the fabric ([`ChannelSet::row_first_order`]), which owns the
-//!   open-row state it consults;
+//!   the fabric ([`ChannelSet::row_first_order`]), which predicts the
+//!   order with the same [`BankSet`] its accesses take;
 //! * [`MemoryChannel`] / [`ChannelSet`] — one write-buffered DRAM channel,
 //!   and the line-address-interleaved multi-channel fabric that lets a
-//!   transaction engine spread independent misses over `N` controllers;
+//!   transaction engine spread independent misses over `N` controllers.
+//!   The fabric speaks in lines: every transaction moves one
+//!   [`LINE_BYTES`] line, so traffic is counted in transactions;
 //! * [`SparseMemory`] — a functional, page-sparse byte store holding real
 //!   (cipher)text for the functional security layer and the tiny-ISA VM;
 //! * [`RegionMap`] — an address-range → attribute map used to mark
@@ -28,7 +30,7 @@
 //! use padlock_mem::{MemTimingModel, TrafficClass};
 //!
 //! let mut mem = MemTimingModel::paper_default();
-//! let done = mem.read(0, TrafficClass::LineRead, 128);
+//! let done = mem.read(0, TrafficClass::LineRead);
 //! assert_eq!(done, 100); // the paper's flat 100-cycle read
 //! ```
 
@@ -43,7 +45,7 @@ mod timing;
 
 pub use bank::{
     BankConfig, BankGrant, BankSet, PagePolicy, DEFAULT_ROW_CLOSED_CYCLES,
-    DEFAULT_ROW_CONFLICT_CYCLES, DEFAULT_ROW_HIT_CYCLES, ROW_LINES,
+    DEFAULT_ROW_CONFLICT_CYCLES, DEFAULT_ROW_HIT_CYCLES, ROW_BYTES, ROW_LINES,
 };
 pub use channel::{ChannelSet, MemoryChannel};
 pub use sched::DrainOrder;
@@ -51,7 +53,9 @@ pub use region::{RegionMap, RegionOverlap};
 pub use sparse::SparseMemory;
 pub use timing::{MemTimingModel, TrafficClass, TrafficTotals};
 
-/// Bytes per L2 line, the paper's 128 (§5): the size of every line
-/// transaction, the granularity channels interleave at, and the span of
-/// memory one sequence number covers.
+/// Bytes per L2 line, the paper's 128 (§5): the fabric's only unit.
+/// Every memory transaction moves one line (a sequence-number spill
+/// packs 64 two-byte entries into one), channels interleave at line
+/// granularity, a DRAM row is [`ROW_LINES`] lines ([`ROW_BYTES`]), and
+/// one sequence number covers one line.
 pub const LINE_BYTES: u32 = 128;

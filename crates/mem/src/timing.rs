@@ -21,6 +21,14 @@ pub enum TrafficClass {
 }
 
 impl TrafficClass {
+    /// Every class, in discriminant order.
+    const ALL: [TrafficClass; 4] = [
+        TrafficClass::LineRead,
+        TrafficClass::LineWrite,
+        TrafficClass::SeqRead,
+        TrafficClass::SeqWrite,
+    ];
+
     /// The event-counter name this class records under (`line_reads`,
     /// `seq_writes`, ...), shared by every timing model so aggregated
     /// and per-channel statistics stay comparable.
@@ -32,17 +40,6 @@ impl TrafficClass {
             TrafficClass::SeqWrite => "seq_writes",
         }
     }
-
-    /// The byte-counter name this class records under
-    /// (`line_read_bytes`, ...).
-    pub fn bytes_counter(self) -> &'static str {
-        match self {
-            TrafficClass::LineRead => "line_read_bytes",
-            TrafficClass::LineWrite => "line_write_bytes",
-            TrafficClass::SeqRead => "seq_read_bytes",
-            TrafficClass::SeqWrite => "seq_write_bytes",
-        }
-    }
 }
 
 impl fmt::Display for TrafficClass {
@@ -51,10 +48,12 @@ impl fmt::Display for TrafficClass {
     }
 }
 
-/// One timing model's fixed-slot traffic totals: one count/byte pair
+/// One timing model's fixed-slot traffic totals: one transaction count
 /// per [`TrafficClass`] (indexed by the class discriminant) plus the
-/// row-buffer outcomes. The model bumps them as plain integer fields on
-/// the hot path and renders them as a [`CounterSet`] only when a caller
+/// row-buffer outcomes. Every transaction moves one
+/// [`LINE_BYTES`](crate::LINE_BYTES) line, so the counts are the whole
+/// of the traffic. The model bumps them as plain integer fields on the
+/// hot path and renders them as a [`CounterSet`] only when a caller
 /// asks.
 ///
 /// Unlike [`MemTimingModel::stats`], which allocates that rendering,
@@ -70,8 +69,6 @@ impl fmt::Display for TrafficClass {
 pub struct TrafficTotals {
     /// Transactions per [`TrafficClass`] discriminant.
     pub counts: [u64; 4],
-    /// Bytes per [`TrafficClass`] discriminant.
-    pub bytes: [u64; 4],
     /// Row-buffer hits (banked channels only).
     pub row_hits: u64,
     /// Row-buffer conflicts (banked channels only).
@@ -90,7 +87,6 @@ impl TrafficTotals {
         let mut out = self;
         for i in 0..out.counts.len() {
             out.counts[i] -= earlier.counts[i];
-            out.bytes[i] -= earlier.bytes[i];
         }
         out.row_hits -= earlier.row_hits;
         out.row_conflicts -= earlier.row_conflicts;
@@ -103,7 +99,6 @@ impl TrafficTotals {
         let mut out = self;
         for i in 0..out.counts.len() {
             out.counts[i] += other.counts[i];
-            out.bytes[i] += other.bytes[i];
         }
         out.row_hits += other.row_hits;
         out.row_conflicts += other.row_conflicts;
@@ -120,47 +115,23 @@ impl TrafficTotals {
         self.counts.iter().sum()
     }
 
-    /// All bytes across classes.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
-    }
-
-    fn record(&mut self, class: TrafficClass, bytes: u32) {
-        self.counts[class as usize] += 1;
-        self.bytes[class as usize] += u64::from(bytes);
-    }
-
     fn to_counters(self, prefix: &str) -> CounterSet {
         // Only touched counters appear, matching the shape the
         // incrementally-built `CounterSet` had before the fixed-slot
         // rewrite (readers use `get`, which defaults absent names to 0).
         let mut set = CounterSet::new(prefix);
-        let classes = [
-            TrafficClass::LineRead,
-            TrafficClass::LineWrite,
-            TrafficClass::SeqRead,
-            TrafficClass::SeqWrite,
-        ];
-        let mut txns = 0;
-        let mut total = 0;
-        for class in classes {
-            let (n, b) = (self.counts[class as usize], self.bytes[class as usize]);
+        let named = TrafficClass::ALL
+            .map(|class| (class.counter(), self.count(class)))
+            .into_iter()
+            .chain([
+                ("transactions", self.transactions()),
+                ("row_hits", self.row_hits),
+                ("row_conflicts", self.row_conflicts),
+            ]);
+        for (name, n) in named {
             if n > 0 {
-                set.add(class.counter(), n);
-                set.add(class.bytes_counter(), b);
+                set.add(name, n);
             }
-            txns += n;
-            total += b;
-        }
-        if txns > 0 {
-            set.add("transactions", txns);
-            set.add("total_bytes", total);
-        }
-        if self.row_hits > 0 {
-            set.add("row_hits", self.row_hits);
-        }
-        if self.row_conflicts > 0 {
-            set.add("row_conflicts", self.row_conflicts);
         }
         set
     }
@@ -172,7 +143,7 @@ impl TrafficTotals {
 /// transaction occupies the shared channel for `occupancy` cycles, so a
 /// burst of writebacks can delay a following demand read (the paper's
 /// §4.1 concern that SNC replacements "compete with other memory requests
-/// that are critical").
+/// that are critical"). Every transaction is one line.
 ///
 /// # Examples
 ///
@@ -181,10 +152,10 @@ impl TrafficTotals {
 ///
 /// let mut mem = MemTimingModel::new(100, 8);
 /// // A write at cycle 0 occupies the channel until cycle 8,
-/// let wdone = mem.write(0, TrafficClass::LineWrite, 128);
+/// let wdone = mem.write(0, TrafficClass::LineWrite);
 /// assert_eq!(wdone, 8);
 /// // ...so a read issued at cycle 0 starts at 8 and completes at 108.
-/// let rdone = mem.read(0, TrafficClass::LineRead, 128);
+/// let rdone = mem.read(0, TrafficClass::LineRead);
 /// assert_eq!(rdone, 108);
 /// ```
 #[derive(Debug, Clone)]
@@ -219,11 +190,6 @@ impl MemTimingModel {
         }
     }
 
-    /// The configured access latency.
-    pub fn access_latency(&self) -> u64 {
-        self.access_latency
-    }
-
     /// The configured per-transaction channel occupancy.
     pub fn occupancy(&self) -> u64 {
         self.occupancy
@@ -234,8 +200,8 @@ impl MemTimingModel {
         self.busy_until
     }
 
-    /// Traffic statistics (`line_reads`, `seq_writes`, `*_bytes`, ...),
-    /// rendered on demand from the fixed-slot fields.
+    /// Traffic statistics (`line_reads`, `seq_writes`, `transactions`,
+    /// ...), rendered on demand from the fixed-slot fields.
     pub fn stats(&self) -> CounterSet {
         self.stats.to_counters("mem")
     }
@@ -252,29 +218,26 @@ impl MemTimingModel {
         self.stats = TrafficTotals::default();
     }
 
-    /// Issues a read at `now`; returns its completion cycle.
-    pub fn read(&mut self, now: u64, class: TrafficClass, bytes: u32) -> u64 {
+    /// Claims the channel's next occupancy slot at or after `now` for
+    /// one `class` transaction; returns the slot's start cycle.
+    fn claim(&mut self, now: u64, class: TrafficClass) -> u64 {
         let start = now.max(self.busy_until);
         self.busy_until = start + self.occupancy;
-        self.record(class, bytes);
-        start + self.access_latency
+        self.stats.counts[class as usize] += 1;
+        start
+    }
+
+    /// Issues a read at `now`; returns its completion cycle.
+    pub fn read(&mut self, now: u64, class: TrafficClass) -> u64 {
+        self.claim(now, class) + self.access_latency
     }
 
     /// Issues a read at `now` whose data arrives `latency` cycles after
     /// it starts, instead of the flat access latency — the entry point
     /// the bank layer uses to charge row-hit or row-conflict timing
     /// while keeping channel-occupancy accounting identical.
-    pub fn read_with_latency(
-        &mut self,
-        now: u64,
-        class: TrafficClass,
-        bytes: u32,
-        latency: u64,
-    ) -> u64 {
-        let start = now.max(self.busy_until);
-        self.busy_until = start + self.occupancy;
-        self.record(class, bytes);
-        start + latency
+    pub fn read_with_latency(&mut self, now: u64, class: TrafficClass, latency: u64) -> u64 {
+        self.claim(now, class) + latency
     }
 
     /// Records a row-buffer outcome (`row_hits` / `row_conflicts`) in
@@ -289,15 +252,9 @@ impl MemTimingModel {
 
     /// Issues a write at `now`; returns the cycle the channel is released
     /// (writes are posted — no one waits for DRAM commit).
-    pub fn write(&mut self, now: u64, class: TrafficClass, bytes: u32) -> u64 {
-        let start = now.max(self.busy_until);
-        self.busy_until = start + self.occupancy;
-        self.record(class, bytes);
+    pub fn write(&mut self, now: u64, class: TrafficClass) -> u64 {
+        self.claim(now, class);
         self.busy_until
-    }
-
-    fn record(&mut self, class: TrafficClass, bytes: u32) {
-        self.stats.record(class, bytes);
     }
 }
 
@@ -314,22 +271,22 @@ mod tests {
     #[test]
     fn uncontended_read_takes_access_latency() {
         let mut m = MemTimingModel::new(100, 8);
-        assert_eq!(m.read(10, TrafficClass::LineRead, 128), 110);
+        assert_eq!(m.read(10, TrafficClass::LineRead), 110);
     }
 
     #[test]
     fn channel_occupancy_queues_transactions() {
         let mut m = MemTimingModel::new(100, 8);
-        assert_eq!(m.read(0, TrafficClass::LineRead, 128), 100);
+        assert_eq!(m.read(0, TrafficClass::LineRead), 100);
         // Second read queues behind the first transfer slot.
-        assert_eq!(m.read(0, TrafficClass::LineRead, 128), 108);
-        assert_eq!(m.read(0, TrafficClass::LineRead, 128), 116);
+        assert_eq!(m.read(0, TrafficClass::LineRead), 108);
+        assert_eq!(m.read(0, TrafficClass::LineRead), 116);
     }
 
     #[test]
     fn writes_are_posted() {
         let mut m = MemTimingModel::new(100, 8);
-        let done = m.write(5, TrafficClass::LineWrite, 128);
+        let done = m.write(5, TrafficClass::LineWrite);
         assert_eq!(done, 13);
         assert_eq!(m.busy_until(), 13);
     }
@@ -337,29 +294,28 @@ mod tests {
     #[test]
     fn zero_occupancy_disables_contention() {
         let mut m = MemTimingModel::new(100, 0);
-        assert_eq!(m.read(0, TrafficClass::LineRead, 128), 100);
-        assert_eq!(m.read(0, TrafficClass::LineRead, 128), 100);
+        assert_eq!(m.read(0, TrafficClass::LineRead), 100);
+        assert_eq!(m.read(0, TrafficClass::LineRead), 100);
     }
 
     #[test]
     fn traffic_classes_are_tracked_separately() {
         let mut m = MemTimingModel::paper_default();
-        m.read(0, TrafficClass::LineRead, 128);
-        m.write(0, TrafficClass::LineWrite, 128);
-        m.read(0, TrafficClass::SeqRead, 128);
-        m.write(0, TrafficClass::SeqWrite, 2);
+        m.read(0, TrafficClass::LineRead);
+        m.write(0, TrafficClass::LineWrite);
+        m.read(0, TrafficClass::SeqRead);
+        m.write(0, TrafficClass::SeqWrite);
         assert_eq!(m.stats().get("line_reads"), 1);
         assert_eq!(m.stats().get("line_writes"), 1);
         assert_eq!(m.stats().get("seq_reads"), 1);
         assert_eq!(m.stats().get("seq_writes"), 1);
-        assert_eq!(m.stats().get("seq_write_bytes"), 2);
         assert_eq!(m.stats().get("transactions"), 4);
     }
 
     #[test]
     fn reset_stats_preserves_channel_state() {
         let mut m = MemTimingModel::new(100, 8);
-        m.read(0, TrafficClass::LineRead, 128);
+        m.read(0, TrafficClass::LineRead);
         let busy = m.busy_until();
         m.reset_stats();
         assert_eq!(m.busy_until(), busy);

@@ -8,11 +8,12 @@
 //!   reachable;
 //! * splitting one transaction stream across channels and banks
 //!   **reassembles** to the monolithic stream's per-class transaction
-//!   and byte counts (banking changes timing, never accounting), and
+//!   counts (banking changes timing, never accounting), and
 //!   on a banked fabric every access is classified as exactly one of
 //!   row hit / row conflict;
 //! * an open-row **hit never charges more** than a conflict, access by
-//!   access.
+//!   access, and [`BankSet::grant`] predicts every
+//!   [`BankSet::access`] exactly.
 
 use padlock_mem::{BankConfig, BankSet, ChannelSet, TrafficClass, ROW_LINES};
 use proptest::prelude::*;
@@ -47,7 +48,7 @@ fn apply(fabric: &mut ChannelSet, now: u64, op: Op) {
             } else {
                 TrafficClass::LineRead
             };
-            fabric.demand_read(now, line * LINE, class, 128);
+            fabric.demand_read(now, line * LINE, class);
         }
         Op::Write(line, seq) => {
             let class = if seq {
@@ -55,16 +56,16 @@ fn apply(fabric: &mut ChannelSet, now: u64, op: Op) {
             } else {
                 TrafficClass::LineWrite
             };
-            fabric.demand_write(now, line * LINE, class, 128);
+            fabric.demand_write(now, line * LINE, class);
         }
         Op::Buffered(line, delay) => {
-            fabric.enqueue_write(now, now + delay, line * LINE, TrafficClass::LineWrite, 128);
+            fabric.enqueue_write(now, now + delay, line * LINE, TrafficClass::LineWrite);
         }
     }
 }
 
 fn banked(channels: usize, banks: usize) -> ChannelSet {
-    ChannelSet::new(channels, 100, 8, 8, LINE).with_banks(BankConfig::banked(banks, LINE as u32))
+    ChannelSet::new(channels, 100, 8, 8).with_banks(BankConfig::banked(banks))
 }
 
 proptest! {
@@ -110,7 +111,7 @@ proptest! {
     }
 
     /// Splitting one stream across channels and banks preserves the
-    /// monolithic stream's per-class transaction and byte counts, and
+    /// monolithic stream's per-class transaction counts, and
     /// on the banked fabric every transaction is classified as exactly
     /// one row hit or row conflict.
     #[test]
@@ -119,7 +120,7 @@ proptest! {
         channels in prop::sample::select(vec![2usize, 3, 4, 8]),
         banks in prop::sample::select(vec![1usize, 2, 4, 8]),
     ) {
-        let mut mono = ChannelSet::new(1, 100, 8, 8, LINE);
+        let mut mono = ChannelSet::new(1, 100, 8, 8);
         let mut split = banked(channels, banks);
         let mut now = 0u64;
         for &op in &ops {
@@ -144,14 +145,8 @@ proptest! {
                 mono_stats.get(class.counter()),
                 "{} diverged", class.counter()
             );
-            prop_assert_eq!(
-                split_stats.get(class.bytes_counter()),
-                mono_stats.get(class.bytes_counter()),
-                "{} diverged", class.bytes_counter()
-            );
         }
         prop_assert_eq!(split_stats.get("transactions"), mono_stats.get("transactions"));
-        prop_assert_eq!(split_stats.get("total_bytes"), mono_stats.get("total_bytes"));
 
         // Row accounting: every banked transaction is exactly one of
         // hit / conflict; a flat fabric records neither.
@@ -183,12 +178,14 @@ proptest! {
         addrs in proptest::collection::vec((0u64..(1 << 22), 0u64..400), 1..200),
     ) {
         let conflict = hit + extra;
-        let config = BankConfig::banked(banks, LINE as u32).with_row_cycles(hit, conflict);
+        let config = BankConfig::banked(banks).with_row_cycles(hit, conflict);
         let mut set = BankSet::new(config);
         let mut now = 0u64;
         for &(addr, gap) in &addrs {
             now += gap;
+            let predicted = set.grant(now, addr);
             let grant = set.access(now, addr);
+            prop_assert_eq!(predicted, grant, "grant and access disagree at {addr:#x}");
             let charged = grant.done - grant.start;
             prop_assert!(
                 charged == hit || charged == conflict,
@@ -203,7 +200,9 @@ proptest! {
             prop_assert_eq!(grant.bank, set.bank_of(addr));
             // An immediate repeat of the same address is always an
             // open-row hit at the cheap latency.
+            let predicted = set.grant(grant.done, addr);
             let again = set.access(grant.done, addr);
+            prop_assert_eq!(predicted, again, "grant and access disagree on the repeat");
             prop_assert!(again.hit);
             prop_assert_eq!(again.done - again.start, hit);
         }

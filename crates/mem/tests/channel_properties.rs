@@ -4,7 +4,7 @@
 //! channels is a **partition** of the address space — every address
 //! maps to exactly one channel, every channel is reachable, and a
 //! transaction stream split across the channels reassembles to exactly
-//! the monolithic stream's per-class transaction and byte counts
+//! the monolithic stream's per-class transaction counts
 //! (nothing is lost, duplicated, or re-classed by the routing).
 
 use padlock_mem::{ChannelSet, TrafficClass};
@@ -39,7 +39,7 @@ fn apply(fabric: &mut ChannelSet, now: u64, op: Op) {
             } else {
                 TrafficClass::LineRead
             };
-            fabric.demand_read(now, line * LINE, class, 128);
+            fabric.demand_read(now, line * LINE, class);
         }
         Op::Write(line, seq) => {
             let class = if seq {
@@ -47,10 +47,10 @@ fn apply(fabric: &mut ChannelSet, now: u64, op: Op) {
             } else {
                 TrafficClass::LineWrite
             };
-            fabric.demand_write(now, line * LINE, class, 128);
+            fabric.demand_write(now, line * LINE, class);
         }
         Op::Buffered(line, delay) => {
-            fabric.enqueue_write(now, now + delay, line * LINE, TrafficClass::LineWrite, 128);
+            fabric.enqueue_write(now, now + delay, line * LINE, TrafficClass::LineWrite);
         }
     }
 }
@@ -66,7 +66,7 @@ proptest! {
         channels in prop::sample::select(vec![1usize, 2, 3, 4, 8]),
         addrs in proptest::collection::vec(0u64..(1 << 24), 1..200),
     ) {
-        let fabric = ChannelSet::new(channels, 100, 8, 8, LINE);
+        let fabric = ChannelSet::new(channels, 100, 8, 8);
         let mut seen = vec![false; channels];
         for &addr in &addrs {
             let ch = fabric.channel_of(addr);
@@ -82,7 +82,7 @@ proptest! {
             seen[ch] = true;
         }
         // Consecutive lines cover every channel.
-        let covering = ChannelSet::new(channels, 100, 8, 8, LINE);
+        let covering = ChannelSet::new(channels, 100, 8, 8);
         for line in 0..channels as u64 {
             seen[covering.channel_of(line * LINE)] = true;
         }
@@ -90,15 +90,15 @@ proptest! {
     }
 
     /// Splitting one transaction stream across N channels preserves the
-    /// monolithic stream's per-class transaction and byte counts: the
+    /// monolithic stream's per-class transaction counts: the
     /// per-channel streams reassemble exactly.
     #[test]
     fn split_streams_reassemble_to_monolithic_counts(
         ops in ops_strategy(),
         channels in prop::sample::select(vec![2usize, 3, 4, 8]),
     ) {
-        let mut mono = ChannelSet::new(1, 100, 8, 8, LINE);
-        let mut split = ChannelSet::new(channels, 100, 8, 8, LINE);
+        let mut mono = ChannelSet::new(1, 100, 8, 8);
+        let mut split = ChannelSet::new(channels, 100, 8, 8);
         let mut now = 0u64;
         for &op in &ops {
             now += 13;
@@ -122,14 +122,8 @@ proptest! {
                 mono_stats.get(class.counter()),
                 "{} diverged", class.counter()
             );
-            prop_assert_eq!(
-                split_stats.get(class.bytes_counter()),
-                mono_stats.get(class.bytes_counter()),
-                "{} diverged", class.bytes_counter()
-            );
         }
         prop_assert_eq!(split_stats.get("transactions"), mono_stats.get("transactions"));
-        prop_assert_eq!(split_stats.get("total_bytes"), mono_stats.get("total_bytes"));
 
         // And the aggregate is exactly the sum of the per-channel
         // streams (each transaction landed on one channel).
@@ -147,16 +141,16 @@ proptest! {
     fn one_channel_fabric_is_timing_identical(
         ops in ops_strategy(),
     ) {
-        let mut a = ChannelSet::new(1, 100, 8, 8, LINE);
-        let mut b = ChannelSet::new(1, 100, 8, 8, LINE);
+        let mut a = ChannelSet::new(1, 100, 8, 8);
+        let mut b = ChannelSet::new(1, 100, 8, 8);
         let mut now = 0u64;
         for &op in &ops {
             now += 29;
             match op {
                 Op::Read(line, _) => {
                     prop_assert_eq!(
-                        a.demand_read(now, line * LINE, TrafficClass::LineRead, 128),
-                        b.demand_read(now, line * LINE, TrafficClass::LineRead, 128)
+                        a.demand_read(now, line * LINE, TrafficClass::LineRead),
+                        b.demand_read(now, line * LINE, TrafficClass::LineRead)
                     );
                 }
                 other => {

@@ -1,7 +1,12 @@
 //! Properties of the FR-FCFS drain-order scheduler.
 //!
-//! Three load-bearing claims:
+//! Four load-bearing claims:
 //!
+//! * each request [`ChannelSet::row_first_order`] issues is the
+//!   **first-ready, then row-hit, then oldest** of the requests still
+//!   waiting, ranked with [`BankSet::grant`] against the live fabric as
+//!   the window replays — the prediction and the issue share one bank
+//!   model, bus occupancy included;
 //! * [`ChannelSet::row_first_order`] is a true **permutation** of the
 //!   window — every request still issues exactly once — that, when
 //!   every request is ready at once, keeps each *bank's* requests
@@ -10,7 +15,7 @@
 //!   degenerates to the identity on a flat fabric (so `RowFirst`
 //!   collapses to `Fifo` there);
 //! * *replaying the reordered window issues exactly the same
-//!   transactions* — per-class counts and bytes match a FIFO replay,
+//!   transactions* — per-class counts match a FIFO replay,
 //!   the row-outcome total is conserved, and the reorder never reports
 //!   fewer row hits than arrival order when every request is ready at
 //!   once;
@@ -24,12 +29,49 @@ use proptest::prelude::*;
 const LINE: u64 = 128;
 
 fn banked(channels: usize, banks: usize, page: PagePolicy) -> ChannelSet {
-    ChannelSet::new(channels, 100, 8, 8, LINE)
-        .with_banks(BankConfig::banked(banks, LINE as u32).with_page_policy(page))
+    ChannelSet::new(channels, 100, 8, 8)
+        .with_banks(BankConfig::banked(banks).with_page_policy(page))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Replaying the scheduler's order on the fabric it was computed
+    /// from, every issued request minimises `(start, !hit, index)` over
+    /// the requests not yet issued, each ranked by the live channel's
+    /// bank grant behind its bus: the order is exactly FR-FCFS against
+    /// the state the issue sees.
+    #[test]
+    fn each_issue_is_first_ready_then_row_hit_then_oldest(
+        reqs in proptest::collection::vec((0u64..=400, 0u64..192), 1..40),
+        channels in prop::sample::select(vec![1usize, 2, 4]),
+        banks in prop::sample::select(vec![2usize, 4]),
+        closed in any::<bool>(),
+    ) {
+        let page = if closed { PagePolicy::Closed } else { PagePolicy::Open };
+        let reqs: Vec<(u64, u64)> = reqs.into_iter().map(|(at, l)| (at, l * LINE)).collect();
+        let mut fabric = banked(channels, banks, page);
+        let order = fabric.row_first_order(&reqs);
+        let mut issued = vec![false; reqs.len()];
+        for &i in &order {
+            let key = |j: usize| {
+                let (ready, addr) = reqs[j];
+                let ch = &fabric.channels()[fabric.channel_of(addr)];
+                let bank_set = ch.banks().expect("banked fabric");
+                let grant = bank_set.grant(ready.max(ch.mem().busy_until()), addr);
+                (grant.start, !grant.hit, j)
+            };
+            let best = (0..reqs.len())
+                .filter(|&j| !issued[j])
+                .map(key)
+                .min()
+                .expect("a request is still waiting");
+            prop_assert_eq!(key(i), best, "request {} issued out of FR-FCFS order", i);
+            issued[i] = true;
+            let (ready, addr) = reqs[i];
+            fabric.demand_read(ready, addr, TrafficClass::LineRead);
+        }
+    }
 
     /// With every request ready at once on an idle fabric, each bank
     /// serves its requests grouped by row, groups anchored oldest-first
@@ -92,7 +134,7 @@ proptest! {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..reqs.len()).collect::<Vec<_>>());
-        let flat = ChannelSet::new(channels, 100, 8, 8, LINE);
+        let flat = ChannelSet::new(channels, 100, 8, 8);
         prop_assert_eq!(
             flat.row_first_order(&reqs),
             (0..reqs.len()).collect::<Vec<_>>(),
@@ -101,7 +143,7 @@ proptest! {
     }
 
     /// Replaying a window in the scheduler's order issues the same
-    /// transactions (counts, bytes, row-outcome total) as arrival
+    /// transactions (counts, row-outcome total) as arrival
     /// order, and — with every request ready at once — never fewer row
     /// hits.
     #[test]
@@ -113,18 +155,17 @@ proptest! {
         let reqs: Vec<(u64, u64)> = lines.iter().map(|&l| (0u64, l * LINE)).collect();
         let mut fifo = banked(channels, banks, PagePolicy::Open);
         for &(at, addr) in &reqs {
-            fifo.demand_read(at, addr, TrafficClass::LineRead, 128);
+            fifo.demand_read(at, addr, TrafficClass::LineRead);
         }
         let mut rowf = banked(channels, banks, PagePolicy::Open);
         let order = rowf.row_first_order(&reqs);
         for &i in &order {
             let (at, addr) = reqs[i];
-            rowf.demand_read(at, addr, TrafficClass::LineRead, 128);
+            rowf.demand_read(at, addr, TrafficClass::LineRead);
         }
         let sf = fifo.stats();
         let sr = rowf.stats();
         prop_assert_eq!(sf.get("line_reads"), sr.get("line_reads"));
-        prop_assert_eq!(sf.get("line_read_bytes"), sr.get("line_read_bytes"));
         prop_assert_eq!(sf.get("transactions"), sr.get("transactions"));
         prop_assert_eq!(
             sf.get("row_hits") + sf.get("row_conflicts"),
@@ -145,14 +186,16 @@ proptest! {
         banks in prop::sample::select(vec![1usize, 2, 4, 8]),
         closed in 60u64..140,
     ) {
-        let config = BankConfig::banked(banks, LINE as u32)
+        let config = BankConfig::banked(banks)
             .with_page_policy(PagePolicy::Closed)
             .with_closed_cycles(closed);
         let mut set = BankSet::new(config);
         let mut now = 0u64;
         for &(addr, gap) in &accesses {
             now += gap;
+            let predicted = set.grant(now, addr);
             let grant = set.access(now, addr);
+            prop_assert_eq!(predicted, grant, "grant and access disagree at {addr:#x}");
             prop_assert!(!grant.hit, "closed-page access hit at {addr:#x}");
             prop_assert_eq!(grant.done - grant.start, closed);
             prop_assert_eq!(set.open_row(grant.bank), None, "row left open");

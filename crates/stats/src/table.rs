@@ -1,4 +1,4 @@
-//! Plain-text / markdown / CSV table rendering.
+//! Plain-text / CSV table rendering.
 //!
 //! The experiment harness prints each figure of the paper as a table with
 //! one row per benchmark plus an `avg` row, in the same order the paper
@@ -27,8 +27,7 @@ pub enum Align {
 /// let mut t = Table::new(vec!["bench".into(), "XOM".into()]);
 /// t.set_align(1, Align::Right);
 /// t.push_row(vec!["mcf".into(), "34.76".into()]);
-/// let md = t.render_markdown();
-/// assert!(md.starts_with("| bench |"));
+/// assert_eq!(t.render_csv(), "bench,XOM\nmcf,34.76\n");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -128,27 +127,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as GitHub-flavoured markdown.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str("| ");
-        out.push_str(&self.header.join(" | "));
-        out.push_str(" |\n|");
-        for a in &self.align {
-            out.push_str(match a {
-                Align::Left => "---|",
-                Align::Right => "---:|",
-            });
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str("| ");
-            out.push_str(&row.join(" | "));
-            out.push_str(" |\n");
-        }
-        out
-    }
-
     /// Renders the table as CSV (RFC-4180-style quoting for cells containing
     /// commas, quotes, or newlines).
     pub fn render_csv(&self) -> String {
@@ -203,13 +181,6 @@ mod tests {
         // Right-aligned number column: "1.08" is padded on the left.
         assert!(lines[2].ends_with("    1.08"), "got {:?}", lines[2]);
         assert!(lines[3].ends_with("34.76"));
-    }
-
-    #[test]
-    fn markdown_rendering_marks_alignment() {
-        let md = sample().render_markdown();
-        assert!(md.contains("|---|---:|"));
-        assert!(md.contains("| mcf | 34.76 |"));
     }
 
     #[test]

@@ -77,16 +77,6 @@ impl TracePlayer {
             cursor: 0,
         }
     }
-
-    /// Number of ops in one pass of the trace.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 impl Workload for TracePlayer {
@@ -128,8 +118,6 @@ mod tests {
         assert_eq!(p.next_op(), ops[0]);
         assert_eq!(p.next_op(), ops[1]);
         assert_eq!(p.next_op(), ops[0]);
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
     }
 
     #[test]
