@@ -395,11 +395,6 @@ impl SecureBackend {
         self.pending_spills
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SecureBackendConfig {
-        &self.config
-    }
-
     /// The SNC, when the mode has one.
     pub fn snc(&self) -> Option<&SequenceNumberCache> {
         self.snc.as_ref()

@@ -27,28 +27,38 @@
 //!   the list of its in-ROB consumers. When a producer's completion
 //!   cycle becomes known (at issue, or when an L2 miss resolves), its
 //!   consumers' outstanding-dependence counts are decremented and each
-//!   newly unblocked consumer is filed either into a *ready bitmap*
-//!   (one per port class, memory vs. non-memory ops) or onto the
-//!   wheel's list for the cycle its last producer completes; each step
-//!   first advances the wheel to `now`, moving the slots whose cycle
-//!   has come into the bitmaps. Issue then walks the two bitmaps
-//!   together oldest-first, reproducing the seed scan's order
-//!   exactly: the overall issue-width cap stops the walk, while the
-//!   memory-port cap drops the memory bitmap from the walk but lets
-//!   younger non-memory ops through. The walk never looks back: an op
-//!   made ready by an issue is that op's consumer, so it is younger.
+//!   newly unblocked consumer is filed either into the *ready set* or
+//!   into the wheel's bitmap for the cycle its last producer completes;
+//!   each step first advances the wheel to `now`, ORing the positions
+//!   whose cycle has come into the ready set. Issue is then one pass
+//!   over the ready set from the head, oldest first, reproducing the
+//!   seed scan's order exactly: the issue-width cap ends the pass, and
+//!   once the memory ports are used up a second bitmap, the memory
+//!   ops' positions written at dispatch, is masked out of the words
+//!   still to walk, so younger non-memory ops still issue. One pass is
+//!   exact because an issue never makes another op ready in the same
+//!   cycle: every completion it schedules is at least `now + 1`, so its
+//!   consumers wait on the wheel, and a drain that a load triggers is
+//!   collected by the next step.
 //!
 //! The ROB is a ring of `rob_size.next_power_of_two()` slots, and the
 //! op with sequence number `seq` sits at position `seq & mask` from
 //! dispatch to commit. At most `rob_size` ops are in flight, so live
 //! positions never collide and walking the ring from the head slot
-//! (the oldest op's) visits ops in program order. Each ready bitmap
-//! holds one bit per ring position; the oldest ready op is the first
-//! set bit from the head position on, found a 64-bit word at a time
-//! with `trailing_zeros`, and each bitmap counts its set bits so an
-//! empty class answers without a scan. A slot keeps its consumer
-//! vector across reuse, so dispatch stops allocating once every ring
-//! position has held a producer.
+//! (the oldest op's) visits ops in program order. Every scheduler set
+//! is keyed on these positions: the ready set, the memory mask and the
+//! wheel's buckets hold one bit per position, so readiness is a bit
+//! operation from dispatch to issue. The issue pass takes the ready
+//! set's bits a 64-bit word at a time with `trailing_zeros`, and the
+//! set counts its members so an empty set answers without a scan. A
+//! producer's consumer list is linked through its consumers' slots,
+//! one link per source operand, so dispatch never allocates.
+//!
+//! The per-event helpers (`take_issue`, `RunSession::{complete,
+//! file_ready}` and the wheel's pushes and `advance`) are
+//! `#[inline(always)]`: [`Core::step_run`] is generic, so the crates
+//! that drive a core compile it, and with plain `#[inline]` the
+//! compiler kept the helpers out of line there, which measured slower.
 //!
 //! Readiness cycles never need their own wake-ups: a consumer's
 //! `ready_at` equals some producer's completion cycle, which is already
@@ -155,6 +165,8 @@ impl RunStats {
 
 const NO_DEP: u64 = u64::MAX;
 const NOT_ISSUED: u64 = u64::MAX;
+/// The end of a consumer list.
+const NO_LINK: usize = usize::MAX;
 /// Completion sentinel for a load waiting on an in-flight L2 miss; the
 /// real cycle arrives when the hierarchy drains its MSHR file.
 const PENDING: u64 = u64::MAX - 1;
@@ -179,12 +191,15 @@ struct Slot {
     /// Producers whose completion cycle is still unknown (un-issued, or
     /// parked on an in-flight miss).
     unresolved: u8,
-    /// Memory op (load/store): subject to the memory-port cap.
-    is_mem: bool,
-    /// Absolute sequence numbers of in-ROB consumers to notify when
-    /// this slot's completion cycle becomes known. Empty whenever the
-    /// ring position is free; its buffer is reused by the next op.
-    consumers: Vec<u64>,
+    /// Head of the list of in-ROB consumers to notify when this slot's
+    /// completion cycle becomes known, [`NO_LINK`] when empty (always,
+    /// once the ring position is free). A link names one source operand
+    /// of a consumer, `2 * position + operand`, and the list runs on
+    /// through the consumers' own `next` links.
+    consumers: usize,
+    /// Per source operand waiting on a producer: the next link in that
+    /// producer's consumer list.
+    next: [usize; 2],
 }
 
 impl Slot {
@@ -195,8 +210,8 @@ impl Slot {
             complete_at: NOT_ISSUED,
             ready_at: 0,
             unresolved: 0,
-            is_mem: false,
-            consumers: Vec::new(),
+            consumers: NO_LINK,
+            next: [NO_LINK; 2],
         }
     }
 }
@@ -207,6 +222,19 @@ impl Slot {
 struct ReadyBits {
     words: Vec<u64>,
     count: usize,
+}
+
+/// The ring positions one cycle's issue pass takes, oldest first.
+#[derive(Debug, Default)]
+struct Picks {
+    pos: [usize; PIPELINE_WIDTH as usize],
+    len: usize,
+}
+
+impl Picks {
+    fn as_slice(&self) -> &[usize] {
+        &self.pos[..self.len]
+    }
 }
 
 impl ReadyBits {
@@ -227,42 +255,58 @@ impl ReadyBits {
         self.count += 1;
     }
 
-    fn remove(&mut self, pos: usize) {
-        self.words[pos / 64] &= !(1 << (pos % 64));
-        self.count -= 1;
-    }
-
-    /// The first position set here or in `with`, walking a ring of
-    /// `ring` positions (a power of two) from `start` for at most
-    /// `span` positions and wrapping past the end. Walking from the ROB
-    /// head over the occupied span finds the oldest member.
-    fn first_from(
-        &self,
-        with: Option<&ReadyBits>,
+    /// One cycle's issue pass: removes and returns, oldest first, the
+    /// members a [`PIPELINE_WIDTH`]-wide core with `mem_ports` memory
+    /// ports issues. It walks a ring of `ring` positions (a power of
+    /// two) once, from `start` for at most `span` positions, wrapping
+    /// past the end, and takes set bits a word at a time with
+    /// `trailing_zeros`. `mem` marks the memory ops' positions: once
+    /// `mem_ports` of them are taken it is masked out of the words
+    /// still to walk, so younger non-memory ops still issue.
+    #[inline(always)]
+    fn take_issue(
+        &mut self,
+        mem: &[u64],
         ring: usize,
         start: usize,
         span: usize,
-    ) -> Option<usize> {
-        let with = with.filter(|w| w.count > 0);
-        if self.count == 0 && with.is_none() {
-            return None;
-        }
+        mem_ports: u32,
+    ) -> Picks {
+        let mut picks = Picks::default();
+        let mut mem_left = mem_ports;
         let (mut pos, mut left) = (start, span);
-        while left > 0 {
-            let bit = pos % 64;
+        while left > 0 && self.count > 0 {
+            let (w, bit) = (pos / 64, pos % 64);
             let take = left.min(64 - bit).min(ring - pos);
-            let mut word = self.words[pos / 64] | with.map_or(0, |w| w.words[pos / 64]);
-            word >>= bit;
+            let mems = mem[w] >> bit;
+            let mut word = self.words[w] >> bit;
             if take < 64 {
                 word &= (1 << take) - 1;
             }
-            if word != 0 {
-                return Some(pos + word.trailing_zeros() as usize);
+            if mem_left == 0 {
+                word &= !mems;
+            }
+            while word != 0 {
+                let at = word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.words[w] &= !(1 << (bit + at));
+                self.count -= 1;
+                picks.pos[picks.len] = pos + at;
+                picks.len += 1;
+                if picks.len == picks.pos.len() {
+                    return picks;
+                }
+                if mems >> at & 1 != 0 {
+                    mem_left -= 1;
+                    if mem_left == 0 {
+                        word &= !mems;
+                    }
+                }
             }
             left -= take;
             pos = (pos + take) & (ring - 1);
         }
-        None
+        picks
     }
 }
 
@@ -376,10 +420,9 @@ impl<B: MemoryBackend> Core<B> {
             committed: 0,
             pending_loads: Vec::new(),
             resolved_buf: Vec::new(),
-            calendar: TimingWheel::new(self.now),
-            due_buf: Vec::new(),
-            ready_mem: ReadyBits::new(ring),
-            ready_alu: ReadyBits::new(ring),
+            calendar: TimingWheel::new(self.now, ring),
+            ready: ReadyBits::new(ring),
+            mem: vec![0; ring.div_ceil(64)],
             fetch_ready_at: 0,
             redirect_pending: false,
             fetch_resume_at: 0,
@@ -401,13 +444,8 @@ impl<B: MemoryBackend> Core<B> {
 
         // ---- Advance the calendar ----
         // Completions at or before `now` are past; slots whose
-        // readiness cycle has arrived join the ready bitmaps.
-        s.calendar.advance(now, &mut s.due_buf);
-        for i in 0..s.due_buf.len() {
-            let seq = s.due_buf[i];
-            s.mark_ready(seq);
-        }
-        s.due_buf.clear();
+        // readiness cycle has arrived join the ready set.
+        s.ready.count += s.calendar.advance(now, &mut s.ready.words);
 
         // ---- Collect resolved fills ----
         // A hierarchy drain (MSHR-file exhaustion inside an access, a
@@ -422,7 +460,8 @@ impl<B: MemoryBackend> Core<B> {
             };
             let (_, seq) = s.pending_loads.swap_remove(k);
             if seq >= s.base {
-                s.complete(now, seq, done);
+                let pos = s.pos(seq);
+                s.complete(now, pos, done);
             }
         }
         s.resolved_buf.clear();
@@ -450,7 +489,7 @@ impl<B: MemoryBackend> Core<B> {
                 break;
             }
             debug_assert!(
-                head.consumers.is_empty(),
+                head.consumers == NO_LINK,
                 "committed slot with unnotified consumers"
             );
             s.base += 1;
@@ -462,41 +501,24 @@ impl<B: MemoryBackend> Core<B> {
             }
         }
 
-        // ---- Issue (oldest first, from the ready bitmaps) ----
-        // Walk both bitmaps from the head in program order: the
-        // issue-width cap ends the walk, the memory-port cap skips
-        // memory ops while younger non-memory ops still issue —
-        // exactly the seed scan's behaviour.
+        // ---- Issue: one pass over the ready set, oldest first ----
+        // Taking every pick before issuing any is exact because an
+        // issue never makes another op ready this cycle (module doc).
         let ring = s.rob.len();
         let head = s.pos(s.base);
         let occupied = (s.dispatched - s.base) as usize;
-        let mut from = 0;
-        let mut issues = 0;
-        let mut mem_issues = 0;
-        while issues < PIPELINE_WIDTH {
-            let with_mem = (mem_issues < self.config.mem_ports).then_some(&s.ready_mem);
-            let Some(pos) =
-                s.ready_alu
-                    .first_from(with_mem, ring, (head + from) & (ring - 1), occupied - from)
-            else {
-                break;
-            };
-            let dist = pos.wrapping_sub(head) & (ring - 1);
-            from = dist + 1;
-            let seq = s.base + dist as u64;
-            let Slot { kind, is_mem, .. } = s.rob[pos];
-            if is_mem {
-                s.ready_mem.remove(pos);
-            } else {
-                s.ready_alu.remove(pos);
-            }
-            let complete_at = match kind {
+        let picks = s
+            .ready
+            .take_issue(&s.mem, ring, head, occupied, self.config.mem_ports);
+        for &pos in picks.as_slice() {
+            let complete_at = match s.rob[pos].kind {
                 SlotKind::Fixed(lat) => now + lat,
                 SlotKind::Load(addr) => match self.hierarchy.data_access_nb(now, addr, false) {
                     Access::Ready(done) => done,
                     Access::Pending(token) => {
                         // The miss sits in the MSHR file; the slot
                         // completes when a drain resolves it.
+                        let seq = s.base + (pos.wrapping_sub(head) & (ring - 1)) as u64;
                         s.pending_loads.push((token, seq));
                         PENDING
                     }
@@ -519,11 +541,8 @@ impl<B: MemoryBackend> Core<B> {
             if complete_at == PENDING {
                 s.rob[pos].complete_at = PENDING;
             } else {
-                s.complete(now, seq, complete_at);
-            }
-            issues += 1;
-            if is_mem {
-                mem_issues += 1;
+                debug_assert!(complete_at > now, "an issue completed within its own cycle");
+                s.complete(now, pos, complete_at);
             }
             progress = true;
         }
@@ -593,9 +612,10 @@ impl<B: MemoryBackend> Core<B> {
             // into ready_at; unknown ones get this slot as a
             // consumer to notify later.
             let is_mem = matches!(kind, SlotKind::Load(_) | SlotKind::Store(_));
+            let pos = s.pos(seq);
             let mut unresolved = 0u8;
             let mut ready_at = 0u64;
-            for dep in [to_abs(op.dep1), to_abs(op.dep2)] {
+            for (operand, dep) in [to_abs(op.dep1), to_abs(op.dep2)].into_iter().enumerate() {
                 if dep == NO_DEP || dep < s.base {
                     continue;
                 }
@@ -603,20 +623,22 @@ impl<B: MemoryBackend> Core<B> {
                 if p.issued && p.complete_at != PENDING {
                     ready_at = ready_at.max(p.complete_at);
                 } else {
-                    p.consumers.push(seq);
+                    let next = std::mem::replace(&mut p.consumers, 2 * pos + operand);
+                    s.rob[pos].next[operand] = next;
                     unresolved += 1;
                 }
             }
-            let slot = s.slot_mut(seq);
-            debug_assert!(slot.consumers.is_empty(), "ring slot reused while live");
+            let slot = &mut s.rob[pos];
+            debug_assert!(slot.consumers == NO_LINK, "ring slot reused while live");
             slot.kind = kind;
             slot.issued = false;
             slot.complete_at = NOT_ISSUED;
             slot.ready_at = ready_at;
             slot.unresolved = unresolved;
-            slot.is_mem = is_mem;
+            let (w, bit) = (pos / 64, pos % 64);
+            s.mem[w] = s.mem[w] & !(1 << bit) | u64::from(is_mem) << bit;
             if unresolved == 0 {
-                s.file_ready(now, seq);
+                s.file_ready(now, pos);
             }
             s.dispatched += 1;
             fetched += 1;
@@ -714,12 +736,12 @@ pub struct RunSession {
     // no-progress time jump), and slots unblocked but not ready until a
     // future cycle.
     calendar: TimingWheel,
-    // Slots the calendar hands out as ready at the current cycle.
-    due_buf: Vec<u64>,
-    // Ready tracking: ring positions of slots whose producers are all
-    // known-complete, split by port class.
-    ready_mem: ReadyBits,
-    ready_alu: ReadyBits,
+    // Ring positions of the slots that may issue now: dispatched, not
+    // issued, every producer known-complete by this cycle.
+    ready: ReadyBits,
+    // Ring positions holding memory ops (loads and stores), one bit
+    // each, written at dispatch: the memory-port cap's mask.
+    mem: Vec<u64>,
     // Front-end state.
     fetch_ready_at: u64, // I-miss stall
     redirect_pending: bool, // mispredict: blocked until resolve
@@ -748,51 +770,42 @@ impl RunSession {
         &mut self.rob[pos]
     }
 
-    /// Adds slot `seq` to its port class's ready bitmap.
-    fn mark_ready(&mut self, seq: u64) {
-        let pos = self.pos(seq);
-        if self.rob[pos].is_mem {
-            self.ready_mem.insert(pos);
-        } else {
-            self.ready_alu.insert(pos);
-        }
-    }
-
-    /// Files slot `seq`, whose producers are all known-complete: into a
-    /// ready bitmap if its `ready_at` has arrived, else into the
-    /// calendar.
-    fn file_ready(&mut self, now: u64, seq: u64) {
-        let ready_at = self.slot(seq).ready_at;
+    /// Files the slot at ring position `pos`, whose producers are all
+    /// known-complete: into the ready set if its `ready_at` has arrived,
+    /// else into the calendar.
+    #[inline(always)]
+    fn file_ready(&mut self, now: u64, pos: usize) {
+        let ready_at = self.rob[pos].ready_at;
         if ready_at <= now {
-            self.mark_ready(seq);
+            self.ready.insert(pos);
         } else {
-            self.calendar.push_ready(ready_at, seq);
+            self.calendar.push_ready(ready_at, pos);
         }
     }
 
-    /// Records that slot `seq` completes at `done`: enters the cycle in
-    /// the completion calendar, then notifies the slot's registered
-    /// consumers, decrementing their outstanding-dependence counts and
-    /// filing each newly unblocked one.
-    fn complete(&mut self, now: u64, seq: u64, done: u64) {
-        let pos = self.pos(seq);
+    /// Records that the slot at ring position `pos` completes at `done`:
+    /// enters the cycle in the completion calendar, then notifies the
+    /// slot's registered consumers, decrementing their
+    /// outstanding-dependence counts and filing each newly unblocked one.
+    #[inline(always)]
+    fn complete(&mut self, now: u64, pos: usize, done: u64) {
         self.rob[pos].complete_at = done;
         if done > now {
             self.calendar.push_done(done);
         }
-        let mut consumers = std::mem::take(&mut self.rob[pos].consumers);
-        for &c in &consumers {
+        let mut link = std::mem::replace(&mut self.rob[pos].consumers, NO_LINK);
+        while link != NO_LINK {
             // Consumers are strictly younger than their producer and
             // cannot commit before it, so they are still in the ROB.
-            let s = self.slot_mut(c);
+            let c = link / 2;
+            let s = &mut self.rob[c];
+            link = s.next[link % 2];
             s.ready_at = s.ready_at.max(done);
             s.unresolved -= 1;
             if s.unresolved == 0 {
                 self.file_ready(now, c);
             }
         }
-        consumers.clear();
-        self.rob[pos].consumers = consumers;
     }
 }
 
@@ -993,8 +1006,9 @@ mod tests {
     }
 
     #[test]
-    fn ready_bitmap_search_matches_a_naive_ring_scan() {
-        for ring in [1usize, 2, 16, 64, 128, 2048] {
+    fn issue_pass_matches_a_naive_oldest_first_scan() {
+        let width = PIPELINE_WIDTH as usize;
+        for ring in [1usize, 2, 16, 64, 128, 2048, 8192] {
             let mask = ring - 1;
             // Members at both ends of the ring (either side of the wrap
             // point), either side of every 64-bit word boundary, a
@@ -1008,37 +1022,64 @@ mod tests {
                 (0..ring).filter(|p| (p * 37 + 11) % 7 == 0).collect(),
                 (0..ring).collect(),
             ];
+            // Every start; on the largest ring, the starts around each
+            // word boundary, the wrap point among them.
+            let starts: Vec<usize> = if ring <= 2048 {
+                (0..ring).collect()
+            } else {
+                (0..ring)
+                    .step_by(64)
+                    .flat_map(|b| [(b + mask) & mask, b, b + 1])
+                    .collect()
+            };
             for mut members in patterns {
                 members.dedup();
-                // Alternate members between the two bitmaps so the
-                // union search sees both.
-                let mut alu = ReadyBits::new(ring);
-                let mut mem = ReadyBits::new(ring);
-                let mut in_alu = vec![false; ring];
-                let mut in_any = vec![false; ring];
-                for (i, &p) in members.iter().enumerate() {
-                    if i % 2 == 0 {
-                        alu.insert(p);
-                        in_alu[p] = true;
-                    } else {
-                        mem.insert(p);
+                // Split the members between memory and non-memory ops:
+                // alternating, and three memory ops to one other, so
+                // the port cap binds before the width cap.
+                for mem_share in [2usize, 4] {
+                    let mut words = vec![0u64; ring.div_ceil(64)];
+                    let mut mem = vec![0u64; ring.div_ceil(64)];
+                    let mut is_mem = vec![false; ring];
+                    let mut member = vec![false; ring];
+                    for (i, &p) in members.iter().enumerate() {
+                        words[p / 64] |= 1 << (p % 64);
+                        member[p] = true;
+                        if i % mem_share != 0 {
+                            mem[p / 64] |= 1 << (p % 64);
+                            is_mem[p] = true;
+                        }
                     }
-                    in_any[p] = true;
-                }
-                for start in 0..ring {
-                    for span in [ring, ring / 2 + 1, 1, 0] {
-                        let naive =
-                            |hit: &[bool]| (0..span).map(|d| (start + d) & mask).find(|&p| hit[p]);
-                        assert_eq!(
-                            alu.first_from(None, ring, start, span),
-                            naive(&in_alu),
-                            "ring {ring} start {start} span {span} members {members:?}"
-                        );
-                        assert_eq!(
-                            alu.first_from(Some(&mem), ring, start, span),
-                            naive(&in_any),
-                            "union: ring {ring} start {start} span {span} members {members:?}"
-                        );
+                    let mut ready = ReadyBits {
+                        words: words.clone(),
+                        count: members.len(),
+                    };
+                    for &start in &starts {
+                        for span in [ring, ring / 2 + 1, 1, 0] {
+                            for mem_ports in [1u32, 2, 4] {
+                                let mut want = Vec::new();
+                                let mut mems = 0;
+                                let mut d = 0;
+                                while d < span && want.len() < width {
+                                    let p = (start + d) & mask;
+                                    d += 1;
+                                    if !member[p] || (is_mem[p] && mems == mem_ports) {
+                                        continue;
+                                    }
+                                    mems += u32::from(is_mem[p]);
+                                    want.push(p);
+                                }
+                                let picks = ready.take_issue(&mem, ring, start, span, mem_ports);
+                                let case = (ring, start, span, mem_ports, mem_share, &members);
+                                assert_eq!(picks.as_slice(), want, "{case:?}");
+                                // The picks, and only they, left the set.
+                                assert_eq!(ready.count, members.len() - want.len(), "{case:?}");
+                                for &p in &want {
+                                    ready.insert(p);
+                                }
+                                assert_eq!(ready.words, words, "{case:?}");
+                            }
+                        }
                     }
                 }
             }

@@ -4,15 +4,20 @@
 //! The calendar holds two kinds of future events: *completions*, the
 //! cycles at which an issued op finishes (wake-ups for the no-progress
 //! time jump, which only needs the earliest one), and *readiness*
-//! entries, a slot that may issue from a given cycle on. Nearly every
-//! event lands a few cycles after the current one, so the wheel keeps
-//! events fewer than [`SPAN`] cycles out in the bucket named by the low
-//! six bits of their cycle: a completion is one bit of a mask, and a
-//! readiness entry is a sequence number on that bucket's list. Only
-//! events [`SPAN`] or more cycles out (L2-miss completions and their
-//! consumers) go to a heap, and move onto the wheel as the clock
-//! approaches them. Every operation costs O(1) per event, independent
-//! of the ROB size.
+//! entries, the ROB ring position of an op that may issue from a given
+//! cycle on. Nearly every event lands a few cycles after the current
+//! one, so the wheel keeps events fewer than [`SPAN`] cycles out in the
+//! bucket named by the low six bits of their cycle: a completion is one
+//! bit of a mask, and a readiness entry is one bit of that bucket's
+//! bitmap over ring positions. Only events [`SPAN`] or more cycles out
+//! (L2-miss completions and their consumers) go to a heap, and move onto
+//! the wheel as the clock approaches them.
+//!
+//! Coming due is a bit operation: each bucket also keeps a summary with
+//! one bit per non-empty word of its bitmap, and advancing past a bucket
+//! ORs just those words into the caller's ready set. A push costs O(1)
+//! and an advance costs the non-empty words it moves, plus one summary
+//! word per 4096 ring positions for each bucket that holds an entry.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,12 +33,14 @@ fn bucket(cycle: u64) -> u32 {
     (cycle % SPAN) as u32
 }
 
-/// A timing wheel of completion cycles and readiness entries.
+/// A timing wheel of completion cycles and readiness entries over a ROB
+/// ring of a fixed number of positions.
 ///
 /// The wheel sits at a cycle, `now`, and holds events after it. Each
 /// call names the cycle the caller has reached; [`TimingWheel::advance`]
 /// moves the wheel there (it never moves back), dropping completions
-/// and handing out readiness entries that have come due.
+/// and setting the ring positions whose readiness has come due in the
+/// caller's ready set, a bitmap of one bit per position.
 #[derive(Debug)]
 pub(crate) struct TimingWheel {
     /// The cycle the wheel has been advanced to. Every wheel entry
@@ -42,41 +49,59 @@ pub(crate) struct TimingWheel {
     now: u64,
     /// Bit `b`: a completion falls on the window cycle of bucket `b`.
     done: u64,
-    /// Bit `b`: bucket `b`'s readiness list is non-empty.
+    /// Bit `b`: bucket `b` holds a readiness entry.
     ready: u64,
-    /// Per bucket, the sequence numbers of the slots that become ready
-    /// on its cycle. Each list keeps its buffer across turns.
-    lists: [Vec<u64>; SPAN as usize],
+    /// Words in one bucket's position bitmap.
+    words: usize,
+    /// Words in one bucket's summary.
+    summary_words: usize,
+    /// Bucket `b`'s position bitmap is `positions[b * words..][..words]`:
+    /// bit `p % 64` of word `p / 64` marks ring position `p` ready on the
+    /// bucket's cycle.
+    positions: Vec<u64>,
+    /// Bucket `b`'s summary is `summaries[b * summary_words..]`: bit
+    /// `i % 64` of word `i / 64` marks word `i` of its bitmap non-empty.
+    summaries: Vec<u64>,
+    /// Readiness entries per bucket, so that `advance` tells the caller
+    /// how many positions it set without counting bits.
+    filed: [usize; SPAN as usize],
     /// Completions at least [`SPAN`] cycles after `now`.
     far_done: BinaryHeap<Reverse<u64>>,
-    /// Readiness entries, `(cycle, seq)`, at least [`SPAN`] cycles
+    /// Readiness entries, `(cycle, position)`, at least [`SPAN`] cycles
     /// after `now`.
-    far_ready: BinaryHeap<Reverse<(u64, u64)>>,
+    far_ready: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl TimingWheel {
-    /// An empty wheel at cycle `now`.
-    pub(crate) fn new(now: u64) -> Self {
+    /// An empty wheel at cycle `now` over a ring of `ring` positions.
+    pub(crate) fn new(now: u64, ring: usize) -> Self {
+        let words = ring.div_ceil(64);
+        let summary_words = words.div_ceil(64);
         Self {
             now,
             done: 0,
             ready: 0,
-            lists: std::array::from_fn(|_| Vec::new()),
+            words,
+            summary_words,
+            positions: vec![0; words * SPAN as usize],
+            summaries: vec![0; summary_words * SPAN as usize],
+            filed: [0; SPAN as usize],
             far_done: BinaryHeap::new(),
             far_ready: BinaryHeap::new(),
         }
     }
 
     /// Moves the wheel to cycle `now`, dropping every completion at or
-    /// before it and appending to `due` the sequence number of every
-    /// slot whose readiness cycle is at or before it (in no particular
-    /// order). Far events that come within [`SPAN`] cycles move onto
-    /// the wheel.
-    pub(crate) fn advance(&mut self, now: u64, due: &mut Vec<u64>) {
+    /// before it and setting in `ready` (one bit per ring position) every
+    /// position whose readiness cycle is at or before it. Returns how
+    /// many positions it set. Far events that come within [`SPAN`]
+    /// cycles move onto the wheel.
+    #[inline(always)]
+    pub(crate) fn advance(&mut self, now: u64, ready: &mut [u64]) -> usize {
         debug_assert!(now >= self.now, "the wheel never moves back");
         let gap = now - self.now;
         if gap == 0 {
-            return;
+            return 0;
         }
         // The buckets of cycles `self.now + 1 ..= now`; a gap of a full
         // turn or more passes every wheel entry.
@@ -88,10 +113,22 @@ impl TimingWheel {
         self.done &= !passed;
         let mut hit = self.ready & passed;
         self.ready &= !passed;
+        let mut added = 0;
         while hit != 0 {
-            let list = &mut self.lists[hit.trailing_zeros() as usize];
-            due.append(list);
+            let b = hit.trailing_zeros() as usize;
             hit &= hit - 1;
+            let positions = &mut self.positions[b * self.words..][..self.words];
+            let summary = &mut self.summaries[b * self.summary_words..][..self.summary_words];
+            for (s, sum) in summary.iter_mut().enumerate() {
+                let mut nonempty = std::mem::take(sum);
+                while nonempty != 0 {
+                    let w = s * 64 + nonempty.trailing_zeros() as usize;
+                    nonempty &= nonempty - 1;
+                    debug_assert_eq!(ready[w] & positions[w], 0, "slot filed twice");
+                    ready[w] |= std::mem::take(&mut positions[w]);
+                }
+            }
+            added += std::mem::take(&mut self.filed[b]);
         }
         self.now = now;
         let horizon = now + SPAN;
@@ -104,21 +141,25 @@ impl TimingWheel {
                 self.done |= 1 << bucket(cycle);
             }
         }
-        while let Some(&Reverse((cycle, seq))) = self.far_ready.peek() {
+        while let Some(&Reverse((cycle, pos))) = self.far_ready.peek() {
             if cycle >= horizon {
                 break;
             }
             self.far_ready.pop();
             if cycle > now {
-                self.file(cycle, seq);
+                self.file(cycle, pos);
             } else {
-                due.push(seq);
+                debug_assert_eq!(ready[pos / 64] >> (pos % 64) & 1, 0, "slot filed twice");
+                ready[pos / 64] |= 1 << (pos % 64);
+                added += 1;
             }
         }
+        added
     }
 
     /// Enters a completion at `cycle`, which must lie after the wheel's
     /// cycle.
+    #[inline(always)]
     pub(crate) fn push_done(&mut self, cycle: u64) {
         debug_assert!(cycle > self.now, "completion not in the future");
         if cycle - self.now < SPAN {
@@ -128,21 +169,28 @@ impl TimingWheel {
         }
     }
 
-    /// Files slot `seq` to become ready at `cycle`, which must lie
-    /// after the wheel's cycle.
-    pub(crate) fn push_ready(&mut self, cycle: u64, seq: u64) {
+    /// Files ring position `pos` to become ready at `cycle`, which must
+    /// lie after the wheel's cycle.
+    #[inline(always)]
+    pub(crate) fn push_ready(&mut self, cycle: u64, pos: usize) {
         debug_assert!(cycle > self.now, "readiness not in the future");
         if cycle - self.now < SPAN {
-            self.file(cycle, seq);
+            self.file(cycle, pos);
         } else {
-            self.far_ready.push(Reverse((cycle, seq)));
+            self.far_ready.push(Reverse((cycle, pos)));
         }
     }
 
-    /// Puts a readiness entry for a window cycle on its bucket's list.
-    fn file(&mut self, cycle: u64, seq: u64) {
-        let b = bucket(cycle);
-        self.lists[b as usize].push(seq);
+    /// Sets a window cycle's readiness entry in its bucket's bitmap and
+    /// summary.
+    fn file(&mut self, cycle: u64, pos: usize) {
+        let b = bucket(cycle) as usize;
+        let w = pos / 64;
+        let word = &mut self.positions[b * self.words + w];
+        debug_assert_eq!(*word >> (pos % 64) & 1, 0, "slot filed twice");
+        *word |= 1 << (pos % 64);
+        self.summaries[b * self.summary_words + w / 64] |= 1 << (w % 64);
+        self.filed[b] += 1;
         self.ready |= 1 << b;
     }
 
@@ -167,12 +215,12 @@ mod tests {
     use proptest::prelude::*;
 
     /// The calendar the wheel replaces: one min-heap of completion
-    /// cycles and one of `(ready cycle, seq)`, with stale completions
-    /// popped lazily.
+    /// cycles and one of `(ready cycle, position)`, with stale
+    /// completions popped lazily.
     struct HeapModel {
         now: u64,
         done: BinaryHeap<Reverse<u64>>,
-        ready: BinaryHeap<Reverse<(u64, u64)>>,
+        ready: BinaryHeap<Reverse<(u64, usize)>>,
     }
 
     impl HeapModel {
@@ -184,14 +232,14 @@ mod tests {
             }
         }
 
-        fn advance(&mut self, now: u64, due: &mut Vec<u64>) {
+        fn advance(&mut self, now: u64, due: &mut Vec<usize>) {
             self.now = now;
-            while let Some(&Reverse((cycle, seq))) = self.ready.peek() {
+            while let Some(&Reverse((cycle, pos))) = self.ready.peek() {
                 if cycle > now {
                     break;
                 }
                 self.ready.pop();
-                due.push(seq);
+                due.push(pos);
             }
         }
 
@@ -201,6 +249,52 @@ mod tests {
             }
             self.done.peek().map(|&Reverse(t)| t)
         }
+    }
+
+    /// Ring positions for readiness entries, unique among the entries
+    /// still held, as a ROB's are: an odd stride scatters them over
+    /// every word of the ring, and a position is handed out again only
+    /// after its entry has come due.
+    struct Positions {
+        ring: usize,
+        next: usize,
+        live: Vec<bool>,
+    }
+
+    impl Positions {
+        fn new(ring: usize) -> Self {
+            Self {
+                ring,
+                next: 0,
+                live: vec![false; ring],
+            }
+        }
+
+        /// A free position, or `None` when every one is held.
+        fn take(&mut self) -> Option<usize> {
+            for _ in 0..self.ring {
+                let pos = self.next.wrapping_mul(0x9E37_79B9) & (self.ring - 1);
+                self.next += 1;
+                if !self.live[pos] {
+                    self.live[pos] = true;
+                    return Some(pos);
+                }
+            }
+            None
+        }
+    }
+
+    /// Empties a position bitmap, returning its members in order.
+    fn drain(ready: &mut [u64]) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (w, word) in ready.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
     }
 
     /// One step of a random calendar session.
@@ -269,7 +363,7 @@ mod tests {
         ]
     }
 
-    fn sorted(mut v: Vec<u64>) -> Vec<u64> {
+    fn sorted(mut v: Vec<usize>) -> Vec<usize> {
         v.sort_unstable();
         v
     }
@@ -279,53 +373,70 @@ mod tests {
 
         /// Random push, advance and next-event sequences give the wheel
         /// and the two-heap model the same next completion after every
-        /// call and the same promoted slots on every advance.
+        /// call, and every advance sets exactly the ring positions the
+        /// model hands out, on the paper's 16-position ring, a
+        /// one-summary-word ring of 2048 and a two-summary-word ring of
+        /// 8192.
         #[test]
         fn wheel_matches_the_binary_heap_reference_model(
             at in start(),
             ops in proptest::collection::vec(op(), 1..400),
         ) {
-            let mut wheel = TimingWheel::new(at);
-            let mut model = HeapModel::new(at);
-            let mut now = at;
-            let mut seq = 0u64;
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            for op in ops {
-                let to = match op {
-                    Op::Done(d) => {
-                        wheel.push_done(now + d);
-                        model.done.push(Reverse(now + d));
-                        now
+            for ring in [16usize, 2048, 8192] {
+                let mut wheel = TimingWheel::new(at, ring);
+                let mut model = HeapModel::new(at);
+                let mut positions = Positions::new(ring);
+                let mut ready = vec![0u64; ring.div_ceil(64)];
+                let mut want = Vec::new();
+                let mut now = at;
+                for &op in &ops {
+                    let to = match op {
+                        Op::Done(d) => {
+                            wheel.push_done(now + d);
+                            model.done.push(Reverse(now + d));
+                            now
+                        }
+                        Op::Ready(d) => {
+                            if let Some(pos) = positions.take() {
+                                wheel.push_ready(now + d, pos);
+                                model.ready.push(Reverse((now + d, pos)));
+                            }
+                            now
+                        }
+                        Op::Step(d) => now + d,
+                        Op::Jump => model.next_done().unwrap_or(now + 1),
+                    };
+                    let added = wheel.advance(to, &mut ready);
+                    model.advance(to, &mut want);
+                    now = to;
+                    let got = drain(&mut ready);
+                    let due = sorted(std::mem::take(&mut want));
+                    for &pos in &due {
+                        positions.live[pos] = false;
                     }
-                    Op::Ready(d) => {
-                        seq += 1;
-                        wheel.push_ready(now + d, seq);
-                        model.ready.push(Reverse((now + d, seq)));
-                        now
-                    }
-                    Op::Step(d) => now + d,
-                    Op::Jump => model.next_done().unwrap_or(now + 1),
-                };
-                wheel.advance(to, &mut got);
-                model.advance(to, &mut want);
-                now = to;
-                prop_assert_eq!(
-                    sorted(std::mem::take(&mut got)),
-                    sorted(std::mem::take(&mut want)),
-                    "promoted slots at cycle {} after {:?}", now, op
-                );
-                prop_assert_eq!(
-                    wheel.next_done(),
-                    model.next_done(),
-                    "next completion at cycle {} after {:?}", now, op
-                );
+                    prop_assert_eq!(
+                        added, got.len(),
+                        "ring {}: count at cycle {} after {:?}", ring, now, op
+                    );
+                    prop_assert_eq!(
+                        got, due,
+                        "ring {}: promoted slots at cycle {} after {:?}", ring, now, op
+                    );
+                    prop_assert_eq!(
+                        wheel.next_done(),
+                        model.next_done(),
+                        "ring {}: next completion at cycle {} after {:?}", ring, now, op
+                    );
+                }
+                // Drain: every entry still held comes due exactly once.
+                let end = now + 20_000;
+                let added = wheel.advance(end, &mut ready);
+                model.advance(end, &mut want);
+                let got = drain(&mut ready);
+                prop_assert_eq!(added, got.len());
+                prop_assert_eq!(got, sorted(want));
+                prop_assert_eq!(wheel.next_done(), model.next_done());
             }
-            // Drain: every entry still held comes due exactly once.
-            let end = now + 20_000;
-            wheel.advance(end, &mut got);
-            model.advance(end, &mut want);
-            prop_assert_eq!(sorted(got), sorted(want));
-            prop_assert_eq!(wheel.next_done(), model.next_done());
         }
     }
 }

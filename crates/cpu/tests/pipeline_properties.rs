@@ -120,4 +120,21 @@ proptest! {
         prop_assert_eq!(stats.instructions, n);
         prop_assert_eq!(stats.forced_steps, 0);
     }
+
+    /// A 5000-entry ROB sits on a ring of 8192 positions, 128 words, so
+    /// each calendar bucket's summary spans two words; a run long
+    /// enough to wrap the ring twice still commits exactly `n` ops and
+    /// never forces a time step.
+    #[test]
+    fn a_rob_past_4096_positions_commits_exactly_without_forced_steps(
+        ops in proptest::collection::vec(op_strategy(), 1..64),
+        mem_ports in 1u32..=3,
+    ) {
+        let config = PipelineConfig { rob_size: 5000, mem_ports };
+        let mut c = Core::new(config, InsecureBackend::new(100, 8));
+        let n = 20_000u64;
+        let stats = c.run(&mut Arbitrary { ops, i: 0 }, n);
+        prop_assert_eq!(stats.instructions, n);
+        prop_assert_eq!(stats.forced_steps, 0);
+    }
 }

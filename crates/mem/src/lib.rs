@@ -29,7 +29,7 @@
 //! ```
 //! use padlock_mem::{MemTimingModel, TrafficClass};
 //!
-//! let mut mem = MemTimingModel::paper_default();
+//! let mut mem = MemTimingModel::new(100, 8);
 //! let done = mem.read(0, TrafficClass::LineRead);
 //! assert_eq!(done, 100); // the paper's flat 100-cycle read
 //! ```

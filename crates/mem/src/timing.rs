@@ -167,13 +167,6 @@ pub struct MemTimingModel {
 }
 
 impl MemTimingModel {
-    /// The paper's configuration: 100-cycle access latency. Channel
-    /// occupancy of 8 cycles per transaction keeps writeback bursts
-    /// mildly visible without distorting the flat read latency.
-    pub fn paper_default() -> Self {
-        Self::new(100, 8)
-    }
-
     /// Creates a model with the given access latency and per-transaction
     /// channel occupancy.
     ///
@@ -258,12 +251,6 @@ impl MemTimingModel {
     }
 }
 
-impl Default for MemTimingModel {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +287,7 @@ mod tests {
 
     #[test]
     fn traffic_classes_are_tracked_separately() {
-        let mut m = MemTimingModel::paper_default();
+        let mut m = MemTimingModel::new(100, 8);
         m.read(0, TrafficClass::LineRead);
         m.write(0, TrafficClass::LineWrite);
         m.read(0, TrafficClass::SeqRead);
