@@ -1,6 +1,6 @@
 //! The paper's published per-benchmark numbers, transcribed from the
-//! figures of §5, used only for side-by-side comparison columns and for
-//! `EXPERIMENTS.md` — never as simulation inputs.
+//! figures of §5. They feed the side-by-side comparison columns and
+//! simbench's `paper_error_pp` metric, never the simulation.
 
 /// Benchmark order shared by every figure (the paper's row order).
 pub const ORDER: [&str; 11] = [

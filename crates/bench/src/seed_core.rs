@@ -22,16 +22,17 @@
 //! The only deliberate deviation: the seed loop's silent release-mode
 //! `now + 1` fallback is reported through the same `forced_steps`
 //! counter the new core exposes (it stays 0 in both, and the
-//! differential asserts so).
+//! differential asserts so). The hierarchy calls use the current
+//! [`Hierarchy`] API, in which a load that waits parks under its ROB
+//! sequence number; they make the same accesses and drains.
 
 use padlock_core::{MachineConfig, Measurement, SecureBackend};
 use padlock_cpu::{
-    Access, AccessToken, BimodalPredictor, Hierarchy, MemoryBackend, MicroOp, OpClass,
-    PipelineConfig, RunStats, Workload, BPRED_ENTRIES, L1_LATENCY, L1_LINE_BYTES,
-    MISPREDICT_PENALTY, PIPELINE_WIDTH,
+    BimodalPredictor, Hierarchy, MemoryBackend, MicroOp, OpClass, PipelineConfig, RunStats,
+    Workload, BPRED_ENTRIES, L1_LATENCY, L1_LINE_BYTES, MISPREDICT_PENALTY, PIPELINE_WIDTH,
 };
 use padlock_stats::CounterSet;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 const NO_DEP: u64 = u64::MAX;
 const NOT_ISSUED: u64 = u64::MAX;
@@ -116,10 +117,9 @@ impl<B: MemoryBackend> SeedCore<B> {
         let mut dispatched: u64 = 0;
         let mut committed: u64 = 0;
 
-        // Loads waiting on in-flight L2 misses: MSHR token -> absolute
-        // ROB sequence number of the load's slot.
-        let mut pending_loads: BTreeMap<AccessToken, u64> = BTreeMap::new();
-        let mut resolved_buf: Vec<(AccessToken, u64)> = Vec::new();
+        // Resolved loads waiting on in-flight L2 misses: absolute ROB
+        // sequence number of the load's slot and its completion cycle.
+        let mut resolved_buf: Vec<(u64, u64)> = Vec::new();
 
         // Front-end state.
         let mut fetch_ready_at: u64 = 0; // I-miss stall
@@ -135,10 +135,7 @@ impl<B: MemoryBackend> SeedCore<B> {
 
             // ---- Collect resolved fills ----
             self.hierarchy.take_resolutions(&mut resolved_buf);
-            for (token, done) in resolved_buf.drain(..) {
-                let Some(seq) = pending_loads.remove(&token) else {
-                    continue; // fire-and-forget store fill
-                };
+            for (seq, done) in resolved_buf.drain(..) {
                 if seq >= base {
                     let idx = (seq - base) as usize;
                     rob[idx].complete_at = done;
@@ -204,15 +201,12 @@ impl<B: MemoryBackend> SeedCore<B> {
                 }
                 let complete_at = match slot.kind {
                     SlotKind::Fixed(lat) => now + lat,
-                    SlotKind::Load(addr) => match self.hierarchy.data_access_nb(now, addr, false) {
-                        Access::Ready(done) => done,
-                        Access::Pending(token) => {
-                            pending_loads.insert(token, base + i as u64);
-                            PENDING
-                        }
-                    },
+                    SlotKind::Load(addr) => self
+                        .hierarchy
+                        .load(now, addr, base + i as u64)
+                        .unwrap_or(PENDING),
                     SlotKind::Store(addr) => {
-                        let _ = self.hierarchy.data_access_nb(now, addr, true);
+                        let _ = self.hierarchy.store(now, addr);
                         now + 1
                     }
                     SlotKind::BranchRedirect => {

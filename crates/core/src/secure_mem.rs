@@ -104,8 +104,11 @@ pub struct LineSnapshot {
 pub enum AttackOutcome {
     /// Integrity verification rejected the line.
     Detected,
-    /// Verification passed but decryption produced garbage — the program
-    /// would compute nonsense and (per the XOM model) eventually trap.
+    /// Verification passed but the read returned the wrong plaintext.
+    /// Random ciphertext bytes decrypt to noise, but a one-time pad is a
+    /// stream cipher: a targeted bit flip on a one-time-pad line flips
+    /// the same plaintext bits, so without integrity the attacker
+    /// chooses what the program reads.
     GarbagePlaintext,
     /// The read returned the expected plaintext: the attack succeeded.
     Undetected,

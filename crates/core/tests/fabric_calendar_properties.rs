@@ -8,8 +8,7 @@
 
 use padlock_core::{SecureBackend, SecureBackendConfig, SecurityMode};
 use padlock_cpu::{
-    Access, AccessToken, Core, Hierarchy, HierarchyConfig, MicroOp, OpClass, PipelineConfig,
-    Workload,
+    Core, Hierarchy, HierarchyConfig, MemoryBackend, MicroOp, OpClass, PipelineConfig, Workload,
 };
 use padlock_mem::DrainOrder;
 use proptest::prelude::*;
@@ -34,15 +33,21 @@ fn fabric_hierarchy(mshrs: usize, channels: usize, frfcfs: bool) -> Hierarchy<Se
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A stream of distinct-line misses through the MSHR file: the
-    /// allocation that fills the file drains it and comes back ready,
-    /// every other miss parks, and the parked misses' resolutions,
-    /// accumulated across every drain, arrive in issue order — never
-    /// before the access that caused them — however the fabric
-    /// reorders a window's fetches.
+    /// A stream of loads and stores through the MSHR file, with
+    /// same-line re-accesses that merge into an in-flight fill and
+    /// drains forced at random points: the allocation that fills the
+    /// file drains it and comes back ready, every load that returns
+    /// `None` parks, and the resolutions, accumulated across every
+    /// drain, name exactly the parked loads — each once, in issue
+    /// order, never before its access — and never a store, however
+    /// the fabric reorders a window's fetches. Every allocated MSHR
+    /// reaches memory once.
     #[test]
     fn resolutions_arrive_in_issue_order_across_drains(
-        gaps in proptest::collection::vec((0u64..220, 1u64..40), 1..120),
+        accesses in proptest::collection::vec(
+            (0u64..220, prop_oneof![Just(0u64), 1u64..40, 1u64..40], 0u64..16, 0u8..4, 0u8..8),
+            1..120,
+        ),
         mshrs in 2usize..9,
         channels in 1usize..3,
         frfcfs in any::<bool>(),
@@ -50,26 +55,49 @@ proptest! {
         let mut batched = fabric_hierarchy(mshrs, channels, frfcfs);
 
         let mut now = 0u64;
-        let mut idx = 0u64; // strictly increasing: every access a fresh line
-        let mut waiting: Vec<(u64, AccessToken)> = Vec::new();
-        let mut resolved: Vec<(AccessToken, u64)> = Vec::new();
-        for &(dt, stride) in &gaps {
+        // A stride of 0 (a third of accesses) re-accesses the previous
+        // line, at any of its 8-byte words: it merges while the line is
+        // in flight and hits once it has filled.
+        let mut idx = 0u64;
+        let mut parked: Vec<(u64, u64)> = Vec::new(); // (seq, access cycle)
+        let mut resolved: Vec<(u64, u64)> = Vec::new();
+        for (seq, &(dt, stride, word, kind, drain)) in (0u64..).zip(&accesses) {
             now += dt;
             idx += stride;
-            let addr = 0x10_0000 + idx * LINE;
-            match batched.data_access_nb(now, addr, false) {
-                Access::Ready(done) => prop_assert!(done >= now, "ready before its access"),
-                Access::Pending(token) => waiting.push((now, token)),
+            if drain == 0 {
+                batched.drain_pending();
+                prop_assert_eq!(batched.pending_misses(), 0);
+            }
+            let addr = 0x10_0000 + idx * LINE + word * 8;
+            if kind == 0 {
+                // A store: `seq` stays unused, so a resolution naming
+                // it would be a store's.
+                if let Some(done) = batched.store(now, addr) {
+                    prop_assert!(done >= now, "store ready before its access");
+                }
+            } else {
+                match batched.load(now, addr, seq) {
+                    Some(done) => prop_assert!(done >= now, "load ready before its access"),
+                    None => parked.push((seq, now)),
+                }
             }
         }
         batched.drain_pending();
         prop_assert_eq!(batched.pending_misses(), 0);
+        let earliest = batched.next_completion();
         batched.take_resolutions(&mut resolved);
-        prop_assert_eq!(resolved.len(), waiting.len());
-        for (&(at, expected_token), &(token, done)) in waiting.iter().zip(&resolved) {
-            prop_assert_eq!(expected_token, token, "batched drain reordered resolutions");
-            prop_assert!(done >= at, "resolution {} before its access at {}", done, at);
+        prop_assert_eq!(earliest, resolved.iter().map(|&(_, done)| done).min());
+        let seqs: Vec<u64> = resolved.iter().map(|&(seq, _)| seq).collect();
+        let want: Vec<u64> = parked.iter().map(|&(seq, _)| seq).collect();
+        prop_assert_eq!(seqs, want, "resolutions are not exactly the parked loads in issue order");
+        for (&(seq, at), &(_, done)) in parked.iter().zip(&resolved) {
+            prop_assert!(done >= at, "load {} resolved at {} before its access at {}", seq, done, at);
         }
+        prop_assert_eq!(batched.next_completion(), None);
+        prop_assert_eq!(
+            batched.backend().traffic().get("line_reads"),
+            batched.mshr_stats().get("allocations")
+        );
     }
 }
 

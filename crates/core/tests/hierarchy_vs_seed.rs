@@ -145,7 +145,12 @@ fn assert_equivalent(mode: SecurityMode, occupancy: u64, slow_crypto: bool, seed
             kind => {
                 let addr = 0x10_0000 + (rng.next_u64() % 4_096) * 128 + (rng.next_u64() % 16) * 8;
                 let is_store = kind >= 7;
-                let a = new.data_access(now, addr, is_store);
+                let a = if is_store {
+                    new.store(now, addr)
+                } else {
+                    new.load(now, addr, u64::from(step))
+                };
+                let a = a.expect("one MSHR resolves every access at once");
                 let b = old.data_access(now, addr, is_store);
                 assert_eq!(
                     a, b,

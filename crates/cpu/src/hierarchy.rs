@@ -9,22 +9,27 @@
 //! # Non-blocking misses
 //!
 //! The hierarchy is organised around an **L2 MSHR file** of
-//! `l2_mshrs` miss-status-holding registers. A load that misses L2
-//! allocates an MSHR and returns [`Access::Pending`]; a second access
-//! to a line already in flight (an L1/L2 hit on the line allocated at
-//! miss time, or a re-miss after the in-flight line was evicted)
-//! **merges** into the existing entry instead of issuing a duplicate
-//! fill. A miss never reaches the backend on its own: pending misses
-//! are handed to it together, in one
+//! `l2_mshrs` miss-status-holding registers. An access that misses L2
+//! allocates an MSHR; a second access to a line already in flight (an
+//! L1/L2 hit on the line allocated at miss time, or a re-miss after the
+//! in-flight line was evicted) **merges** into the existing entry
+//! instead of issuing a duplicate fill. An access that waits on an
+//! in-flight fill returns `None`. A load then parks under the sequence
+//! number its caller gave it ([`Hierarchy::load`]), and a later drain
+//! hands back its `(seq, cycle)` pair; a store parks nothing
+//! ([`Hierarchy::store`]), since its fill completes in the background.
+//! A miss never reaches the backend on its own: pending misses are
+//! handed to it together, in one
 //! [`MemoryBackend::line_read_batch_at`] call that preserves each
 //! miss's own arrival cycle, when
 //!
-//! * the allocation fills the file,
+//! * the allocation fills the file (that access reads its own fill
+//!   cycle from the drain),
 //! * the caller forces a drain ([`Hierarchy::drain_pending`], the
-//!   pipeline's stall-on-use when the ROB head waits on a pending load),
+//!   pipeline's stall-on-use when the ROB head waits on a parked load),
 //!   or
-//! * a blocking caller needs a result now ([`Hierarchy::resolve`], an
-//!   instruction fetch).
+//! * an instruction fetch waits on an in-flight fill: the fetch blocks,
+//!   so it drains the file and reads its own fill cycle.
 //!
 //! Every drain empties the whole file, so entries only ever leave it
 //! together and waiters key on their entry's index in the file.
@@ -183,23 +188,6 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Identifies one outstanding (pending) hierarchy access until it is
-/// resolved by an MSHR drain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AccessToken(u64);
-
-/// Outcome of a non-blocking hierarchy access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
-    /// The access completed (hit, or a miss the hierarchy resolved
-    /// synchronously); the data is available at the given cycle.
-    Ready(u64),
-    /// The access waits on an in-flight L2 miss; its completion cycle
-    /// arrives with [`Hierarchy::take_resolutions`] after a drain (or
-    /// via [`Hierarchy::resolve`] for a blocking caller).
-    Pending(AccessToken),
-}
-
 /// One in-flight L2 miss (an MSHR file entry).
 #[derive(Debug, Clone, Copy)]
 struct MshrEntry {
@@ -210,16 +198,29 @@ struct MshrEntry {
     issue_at: u64,
 }
 
-/// One pending access waiting on an MSHR: the primary miss itself, or a
-/// secondary access merged into it.
+/// An access waiting on an in-flight fill: the primary miss itself, or
+/// a secondary access merged into it.
+#[derive(Debug, Clone, Copy)]
+struct Wait {
+    /// Index of the file entry whose fill the access waits on.
+    mshr: usize,
+    /// The access's own pipeline-side ready cycle.
+    floor: u64,
+}
+
+impl Wait {
+    /// The access's completion cycle once a drain has produced `fills`:
+    /// `max(floor, fill done)`.
+    fn done(self, fills: &[u64]) -> u64 {
+        fills[self.mshr].max(self.floor)
+    }
+}
+
+/// A parked load: the caller's name for it and the fill it waits on.
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
-    token: AccessToken,
-    /// Index of the file entry whose fill this access waits on.
-    mshr: usize,
-    /// The access's own pipeline-side ready cycle; completion is
-    /// `max(floor, fill done)`.
-    floor: u64,
+    seq: u64,
+    wait: Wait,
 }
 
 /// The on-chip cache hierarchy over a pluggable memory backend.
@@ -231,9 +232,10 @@ struct Waiter {
 ///
 /// let mut h = Hierarchy::new(HierarchyConfig::paper_default(),
 ///                            InsecureBackend::new(100, 8));
-/// let cold = h.data_access(0, 0x4000, false);
+/// // One MSHR: every miss fills the file and drains at once.
+/// let cold = h.load(0, 0x4000, 0).unwrap();
 /// assert!(cold > 100); // cold miss goes to memory
-/// let warm = h.data_access(cold, 0x4000, false);
+/// let warm = h.load(cold, 0x4000, 1).unwrap();
 /// assert_eq!(warm, cold + 1); // L1 hit
 /// ```
 #[derive(Debug)]
@@ -247,9 +249,10 @@ pub struct Hierarchy<B> {
     /// The request batch a drain hands the backend, kept across drains
     /// so draining does not allocate it.
     drain_reqs: Vec<(u64, u64, LineKind)>,
+    /// The last drain's fill cycles, one per file entry it issued.
+    fills: Vec<u64>,
     waiters: Vec<Waiter>,
-    resolutions: Vec<(AccessToken, u64)>,
-    next_token: u64,
+    resolutions: Vec<(u64, u64)>,
     mshr_stats: CounterSet,
 }
 
@@ -272,9 +275,9 @@ impl<B: MemoryBackend> Hierarchy<B> {
             backend,
             mshrs: Vec::new(),
             drain_reqs: Vec::new(),
+            fills: Vec::new(),
             waiters: Vec::new(),
             resolutions: Vec::new(),
-            next_token: 0,
             mshr_stats: CounterSet::new("mshr"),
         }
     }
@@ -320,21 +323,9 @@ impl<B: MemoryBackend> Hierarchy<B> {
         self.backend.reset_stats();
     }
 
-    fn new_token(&mut self) -> AccessToken {
-        self.next_token += 1;
-        AccessToken(self.next_token)
-    }
-
     /// The MSHR index holding `line_addr`'s in-flight fill, if any.
     fn mshr_of(&self, line_addr: u64) -> Option<usize> {
         self.mshrs.iter().position(|m| m.line_addr == line_addr)
-    }
-
-    /// Registers a pending access (primary or merged) on MSHR `mshr`.
-    fn wait_on(&mut self, mshr: usize, floor: u64) -> AccessToken {
-        let token = self.new_token();
-        self.waiters.push(Waiter { token, mshr, floor });
-        token
     }
 
     /// L2 misses currently held in the MSHR file, waiting for a drain.
@@ -355,8 +346,8 @@ impl<B: MemoryBackend> Hierarchy<B> {
     }
 
     /// Issues every pending miss to the backend in one batch (each at
-    /// its own arrival cycle), resolves all waiters, and empties the
-    /// file. The completion cycles are collected via
+    /// its own arrival cycle), resolves every parked load, and empties
+    /// the file. The completion cycles are collected via
     /// [`Hierarchy::take_resolutions`].
     pub fn drain_pending(&mut self) {
         if self.mshrs.is_empty() {
@@ -365,39 +356,18 @@ impl<B: MemoryBackend> Hierarchy<B> {
         self.drain_reqs.clear();
         self.drain_reqs
             .extend(self.mshrs.iter().map(|m| (m.issue_at, m.line_addr, m.kind)));
-        let dones = self.backend.line_read_batch_at(&self.drain_reqs);
+        self.fills = self.backend.line_read_batch_at(&self.drain_reqs);
         for w in self.waiters.drain(..) {
-            self.resolutions.push((w.token, dones[w.mshr].max(w.floor)));
+            self.resolutions.push((w.seq, w.wait.done(&self.fills)));
         }
         self.mshrs.clear();
     }
 
     /// Moves every resolution produced by drains since the last call
-    /// into `out` as `(token, completion cycle)` pairs.
-    pub fn take_resolutions(&mut self, out: &mut Vec<(AccessToken, u64)>) {
+    /// into `out` as `(seq, completion cycle)` pairs, one per parked
+    /// load, in the order the loads were issued.
+    pub fn take_resolutions(&mut self, out: &mut Vec<(u64, u64)>) {
         out.append(&mut self.resolutions);
-    }
-
-    /// Blocks on one pending access: drains the MSHR file if the token
-    /// is still unresolved and returns its completion cycle. Other
-    /// resolutions produced by the drain stay queued for
-    /// [`Hierarchy::take_resolutions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a token that was already consumed.
-    pub fn resolve(&mut self, token: AccessToken) -> u64 {
-        if let Some(done) = self.take_resolution_of(token) {
-            return done;
-        }
-        self.drain_pending();
-        self.take_resolution_of(token)
-            .expect("pending token must resolve on drain")
-    }
-
-    fn take_resolution_of(&mut self, token: AccessToken) -> Option<u64> {
-        let idx = self.resolutions.iter().position(|&(t, _)| t == token)?;
-        Some(self.resolutions.swap_remove(idx).1)
     }
 
     /// An instruction fetch of the line containing `pc`; returns the
@@ -413,36 +383,39 @@ impl<B: MemoryBackend> Hierarchy<B> {
             return t;
         }
         // L1I victims are never dirty; ignore them.
-        match self.fill_from_l2(t, pc, LineKind::Instruction) {
-            Access::Ready(done) => done,
-            Access::Pending(token) => self.resolve(token),
+        self.fill_from_l2(t, pc, LineKind::Instruction)
+            .unwrap_or_else(|wait| {
+                self.drain_pending();
+                wait.done(&self.fills)
+            })
+    }
+
+    /// A load at `addr` issued at `now`. Returns the cycle its data is
+    /// available, or `None` when it waits on an in-flight L2 miss (its
+    /// own, or an earlier one it merged into): the load then parks
+    /// under `seq`, which must be unique among the caller's parked
+    /// loads, until a drain resolves it.
+    pub fn load(&mut self, now: u64, addr: u64, seq: u64) -> Option<u64> {
+        match self.l1d_access(now, addr, AccessKind::Read) {
+            Ok(done) => Some(done),
+            Err(wait) => {
+                self.waiters.push(Waiter { seq, wait });
+                None
+            }
         }
     }
 
-    /// A blocking data access (load or store) at `addr`; returns the
-    /// cycle the data is available (loads) or accepted (stores).
-    ///
-    /// Equivalent to [`Hierarchy::data_access_nb`] followed by an
-    /// immediate [`Hierarchy::resolve`]; with `l2_mshrs = 1` the two
-    /// are identical.
-    pub fn data_access(&mut self, now: u64, addr: u64, is_store: bool) -> u64 {
-        match self.data_access_nb(now, addr, is_store) {
-            Access::Ready(done) => done,
-            Access::Pending(token) => self.resolve(token),
-        }
+    /// A store at `addr` issued at `now`. Returns the cycle it is
+    /// accepted, or `None` when it waits on an in-flight L2 miss. A
+    /// store parks nothing: its fill completes in the background and
+    /// leaves the file with the next drain.
+    pub fn store(&mut self, now: u64, addr: u64) -> Option<u64> {
+        self.l1d_access(now, addr, AccessKind::Write).ok()
     }
 
-    /// A non-blocking data access (load or store) at `addr`.
-    ///
-    /// Returns [`Access::Ready`] for hits and synchronously resolved
-    /// misses, or [`Access::Pending`] when the access waits on an
-    /// in-flight L2 miss (its own, or an earlier one it merged into).
-    pub fn data_access_nb(&mut self, now: u64, addr: u64, is_store: bool) -> Access {
-        let kind = if is_store {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
+    /// The L1D access loads and stores share: the cycle the data is
+    /// available, or the in-flight fill the access waits on.
+    fn l1d_access(&mut self, now: u64, addr: u64, kind: AccessKind) -> Result<u64, Wait> {
         let t = now + L1_LATENCY;
         let outcome = self.l1d.access(addr, kind);
         if let Some(victim) = &outcome.victim {
@@ -454,18 +427,17 @@ impl<B: MemoryBackend> Hierarchy<B> {
             // An L1 hit on a line whose L2 fill is still in flight must
             // wait for the fill (the line was allocated when the miss
             // was recorded).
-            if let Some(m) = self.mshr_of(self.config.l2.line_addr(addr)) {
+            if let Some(mshr) = self.mshr_of(self.config.l2.line_addr(addr)) {
                 self.mshr_stats.incr("merges");
-                let token = self.wait_on(m, t);
-                return Access::Pending(token);
+                return Err(Wait { mshr, floor: t });
             }
-            return Access::Ready(t);
+            return Ok(t);
         }
         self.fill_from_l2(t, addr, LineKind::Data)
     }
 
     /// An L1 miss looks in L2; on L2 miss an MSHR tracks the fill.
-    fn fill_from_l2(&mut self, t: u64, addr: u64, kind: LineKind) -> Access {
+    fn fill_from_l2(&mut self, t: u64, addr: u64, kind: LineKind) -> Result<u64, Wait> {
         let t2 = t + L2_LATENCY;
         let line_addr = self.config.l2.line_addr(addr);
         let outcome = self.l2.access(addr, AccessKind::Read);
@@ -474,39 +446,38 @@ impl<B: MemoryBackend> Hierarchy<B> {
                 self.backend.line_writeback(t2, victim.addr);
             }
         }
-        if let Some(m) = self.mshr_of(line_addr) {
+        if let Some(mshr) = self.mshr_of(line_addr) {
             // The line is already in flight: an L2 hit on the line
             // allocated at miss time, or a re-miss after it was evicted
             // mid-flight. Either way the access merges into the
             // existing MSHR instead of issuing a duplicate fill.
             self.mshr_stats.incr("merges");
-            let token = self.wait_on(m, t2);
-            return Access::Pending(token);
+            return Err(Wait { mshr, floor: t2 });
         }
         if outcome.hit {
-            return Access::Ready(t2);
+            return Ok(t2);
         }
         // Allocate an MSHR. An allocation that fills the file drains
         // it synchronously below, so the file always has a free
         // register on entry.
         self.mshr_stats.incr("allocations");
+        let wait = Wait {
+            mshr: self.mshrs.len(),
+            floor: t2,
+        };
         self.mshrs.push(MshrEntry {
             line_addr,
             kind,
             issue_at: t2,
         });
-        let token = self.wait_on(self.mshrs.len() - 1, t2);
         if self.mshrs.len() == self.config.l2_mshrs {
             // File full on this allocation: drain now. With one MSHR
             // this happens on every miss — the blocking seed machine.
             self.mshr_stats.incr("full_drains");
             self.drain_pending();
-            let done = self
-                .take_resolution_of(token)
-                .expect("own miss resolves in this drain");
-            return Access::Ready(done);
+            return Ok(wait.done(&self.fills));
         }
-        Access::Pending(token)
+        Err(wait)
     }
 
     /// A dirty L1D victim merges into L2 (allocating silently if the line
@@ -600,29 +571,29 @@ mod tests {
     #[test]
     fn l1_hit_costs_l1_latency() {
         let mut h = hierarchy();
-        h.data_access(0, 0x4000, false);
-        let t = h.data_access(1000, 0x4000, false);
-        assert_eq!(t, 1001);
+        h.load(0, 0x4000, 0);
+        let t = h.load(1000, 0x4000, 1);
+        assert_eq!(t, Some(1001));
     }
 
     #[test]
     fn l2_hit_costs_l1_plus_l2() {
         let mut h = hierarchy();
-        h.data_access(0, 0x4000, false); // fills both
+        h.load(0, 0x4000, 0); // fills both
         // Evict from tiny L1 by touching conflicting addresses, keeping L2.
         // L1D: 32KB 4-way 32B lines -> 256 sets; stride 8KB maps same set.
         for i in 1..=4 {
-            h.data_access(100, 0x4000 + i * 8 * 1024, false);
+            h.load(100, 0x4000 + i * 8 * 1024, i);
         }
-        let t = h.data_access(1000, 0x4000, false);
-        assert_eq!(t, 1000 + 1 + 6, "expected L2 hit");
+        let t = h.load(1000, 0x4000, 5);
+        assert_eq!(t, Some(1000 + 1 + 6), "expected L2 hit");
     }
 
     #[test]
     fn l2_miss_reaches_memory() {
         let mut h = hierarchy();
-        let t = h.data_access(0, 0x4000, false);
-        assert_eq!(t, 1 + 6 + 100);
+        let t = h.load(0, 0x4000, 0);
+        assert_eq!(t, Some(1 + 6 + 100));
         assert_eq!(h.backend().traffic().get("line_reads"), 1);
     }
 
@@ -642,15 +613,15 @@ mod tests {
         let mut h = hierarchy();
         // Dirty one line in L2 via a store, then stream enough lines
         // through the same L2 set to evict it.
-        h.data_access(0, 0x0, true);
+        h.store(0, 0x0);
         // Flush it from L1D first so L1 does not shield the L2 state. The
         // L1D victim write allocates into L2 marking dirty.
         for i in 1..=4u64 {
-            h.data_access(10, i * 8 * 1024, true);
+            h.store(10, i * 8 * 1024);
         }
         // L2: 512 sets x 128B lines -> same-set stride = 64KB.
         for i in 1..=4u64 {
-            h.data_access(100, i * 64 * 1024, false);
+            h.load(100, i * 64 * 1024, i);
         }
         assert!(
             h.backend().traffic().get("line_writes") >= 1,
@@ -662,21 +633,21 @@ mod tests {
     #[test]
     fn store_misses_allocate_like_loads() {
         let mut h = hierarchy();
-        let t = h.data_access(0, 0x9000, true);
-        assert_eq!(t, 107);
+        let t = h.store(0, 0x9000);
+        assert_eq!(t, Some(107));
         assert_eq!(h.backend().traffic().get("line_reads"), 1);
         // Subsequent load hits in L1.
-        assert_eq!(h.data_access(200, 0x9008, false), 201);
+        assert_eq!(h.load(200, 0x9008, 0), Some(201));
     }
 
     #[test]
     fn reset_stats_clears_counts_keeps_contents() {
         let mut h = hierarchy();
-        h.data_access(0, 0x4000, false);
+        h.load(0, 0x4000, 0);
         h.reset_stats();
         assert_eq!(h.l1d_stats().get("misses"), 0);
         assert_eq!(h.backend().traffic().get("line_reads"), 0);
-        assert_eq!(h.data_access(500, 0x4000, false), 501); // still cached
+        assert_eq!(h.load(500, 0x4000, 1), Some(501)); // still cached
     }
 
     #[test]
@@ -692,10 +663,11 @@ mod tests {
     #[test]
     fn single_mshr_misses_resolve_synchronously() {
         let mut h = hierarchy();
-        match h.data_access_nb(0, 0x4000, false) {
-            Access::Ready(done) => assert_eq!(done, 107),
-            Access::Pending(_) => panic!("one-MSHR misses must block"),
-        }
+        assert_eq!(
+            h.load(0, 0x4000, 0),
+            Some(107),
+            "one-MSHR misses must block"
+        );
         assert_eq!(h.pending_misses(), 0);
         assert_eq!(h.mshr_stats().get("full_drains"), 1);
     }
@@ -703,60 +675,63 @@ mod tests {
     #[test]
     fn deep_mshr_file_keeps_misses_in_flight_until_drained() {
         let mut h = hierarchy_mshrs(4);
-        let mut tokens = Vec::new();
         for i in 0..3u64 {
-            match h.data_access_nb(i, 0x10_0000 + i * 128, false) {
-                Access::Pending(tok) => tokens.push(tok),
-                Access::Ready(_) => panic!("miss {i} should stay in flight"),
-            }
+            assert_eq!(
+                h.load(i, 0x10_0000 + i * 128, i),
+                None,
+                "miss {i} should stay in flight"
+            );
         }
         assert_eq!(h.pending_misses(), 3);
         assert_eq!(h.backend().traffic().get("line_reads"), 0, "not yet issued");
         h.drain_pending();
         let mut resolved = Vec::new();
         h.take_resolutions(&mut resolved);
-        assert_eq!(resolved.len(), 3);
         assert_eq!(h.backend().traffic().get("line_reads"), 3);
-        for tok in &tokens {
-            assert!(resolved.iter().any(|(t, done)| t == tok && *done >= 107));
-        }
+        let seqs: Vec<u64> = resolved.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert!(resolved.iter().all(|&(_, done)| done >= 107));
     }
 
     #[test]
     fn filling_the_mshr_file_forces_a_batch_drain() {
         let mut h = hierarchy_mshrs(2);
-        let first = h.data_access_nb(0, 0x10_0000, false);
-        assert!(matches!(first, Access::Pending(_)));
+        assert_eq!(h.load(0, 0x10_0000, 0), None);
         // Second miss fills the 2-entry file: both issue as one batch
         // and the second returns ready.
-        match h.data_access_nb(5, 0x10_0080, false) {
-            Access::Ready(done) => assert!(done >= 112),
-            Access::Pending(_) => panic!("filling the file must drain"),
-        }
+        let done = h
+            .load(5, 0x10_0080, 1)
+            .expect("filling the file must drain");
+        assert!(done >= 112);
         assert_eq!(h.pending_misses(), 0);
         assert_eq!(h.backend().traffic().get("line_reads"), 2);
         // The first miss's resolution is waiting for collection.
         let mut resolved = Vec::new();
         h.take_resolutions(&mut resolved);
         assert_eq!(resolved.len(), 1);
+        assert_eq!(resolved[0].0, 0);
     }
 
     #[test]
     fn secondary_miss_to_inflight_line_merges() {
         let mut h = hierarchy_mshrs(4);
-        let a = h.data_access_nb(0, 0x10_0000, false);
+        assert_eq!(h.load(0, 0x10_0000, 0), None);
         // Same 128B L2 line, different 32B L1 line: L2 "hits" on the
         // line allocated at miss time but must wait for the in-flight
         // fill.
-        let b = h.data_access_nb(1, 0x10_0040, false);
-        assert!(matches!(a, Access::Pending(_)));
-        let Access::Pending(tok_b) = b else {
-            panic!("merged access must be pending");
-        };
+        assert_eq!(
+            h.load(1, 0x10_0040, 1),
+            None,
+            "merged access must be pending"
+        );
         assert_eq!(h.pending_misses(), 1, "one line, one MSHR");
         assert_eq!(h.mshr_stats().get("merges"), 1);
-        let done_b = h.resolve(tok_b);
-        assert!(done_b >= 107);
+        h.drain_pending();
+        let mut resolved = Vec::new();
+        h.take_resolutions(&mut resolved);
+        assert_eq!(resolved.len(), 2);
+        assert_eq!(resolved[1].0, 1);
+        assert!(resolved[1].1 >= 107);
         // Only one fill reached memory.
         assert_eq!(h.backend().traffic().get("line_reads"), 1);
     }
@@ -764,44 +739,46 @@ mod tests {
     #[test]
     fn l1_hit_on_inflight_line_waits_for_the_fill() {
         let mut h = hierarchy_mshrs(4);
-        let Access::Pending(tok_a) = h.data_access_nb(0, 0x10_0000, false) else {
-            panic!("cold miss pends");
-        };
+        assert_eq!(h.load(0, 0x10_0000, 0), None, "cold miss pends");
         // Same L1 line: hits L1 but the fill is still in flight.
-        let Access::Pending(tok_b) = h.data_access_nb(2, 0x10_0008, false) else {
-            panic!("hit-under-miss must wait for the fill");
-        };
-        let done_a = h.resolve(tok_a);
-        let done_b = h.resolve(tok_b);
-        assert_eq!(done_a, 107);
-        assert_eq!(done_b, done_a, "merged hit completes with the fill");
+        assert_eq!(
+            h.load(2, 0x10_0008, 1),
+            None,
+            "hit-under-miss must wait for the fill"
+        );
+        h.drain_pending();
+        let mut resolved = Vec::new();
+        h.take_resolutions(&mut resolved);
+        // The merged hit completes with the fill.
+        assert_eq!(resolved, [(0, 107), (1, 107)]);
     }
 
     #[test]
-    fn blocking_wrapper_resolves_pending_accesses() {
-        let mut deep = hierarchy_mshrs(8);
-        let mut blocking = hierarchy();
-        // Uncontended (zero-occupancy reference uses latency 100, 0):
-        // completions agree because each miss is charged from its own
-        // arrival regardless of when the batch drains.
-        let mut one = Hierarchy::new(
+    fn deep_file_resolves_every_miss_at_the_one_mshr_cycle() {
+        // Uncontended (zero occupancy): an 8-MSHR file resolves each
+        // miss at the cycle the one-MSHR file returns at once, because
+        // each miss is charged from its own arrival regardless of when
+        // the batch drains.
+        let mut deep = Hierarchy::new(
             HierarchyConfig::paper_default().with_l2_mshrs(8),
             InsecureBackend::new(100, 0),
         );
-        let mut two = Hierarchy::new(
-            HierarchyConfig::paper_default(),
-            InsecureBackend::new(100, 0),
-        );
+        let mut blocking = hierarchy();
+        let (mut parked, mut resolved) = (Vec::new(), Vec::new());
         for i in 0..20u64 {
             let addr = 0x20_0000 + i * 256;
-            assert_eq!(
-                one.data_access(i * 3, addr, false),
-                two.data_access(i * 3, addr, false)
-            );
+            let want = blocking
+                .load(i * 3, addr, i)
+                .expect("one MSHR resolves every miss at once");
+            match deep.load(i * 3, addr, i) {
+                Some(done) => assert_eq!(done, want, "miss {i}"),
+                None => parked.push((i, want)),
+            }
         }
-        // And the deep file still answers through the blocking API.
-        assert_eq!(deep.data_access(0, 0x4000, false), 107);
-        assert_eq!(blocking.data_access(0, 0x4000, false), 107);
+        assert!(!parked.is_empty());
+        deep.drain_pending();
+        deep.take_resolutions(&mut resolved);
+        assert_eq!(resolved, parked);
     }
 
     #[test]

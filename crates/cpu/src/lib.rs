@@ -44,8 +44,8 @@ mod wheel;
 
 pub use bpred::BimodalPredictor;
 pub use hierarchy::{
-    l1_config, Access, AccessToken, Hierarchy, HierarchyConfig, InsecureBackend, LineKind,
-    MemoryBackend, MemoryChannel, L1_LATENCY, L1_LINE_BYTES, L2_LATENCY,
+    l1_config, Hierarchy, HierarchyConfig, InsecureBackend, LineKind, MemoryBackend,
+    MemoryChannel, L1_LATENCY, L1_LINE_BYTES, L2_LATENCY,
 };
 pub use op::{MicroOp, OffsetWorkload, OpClass, StrideWorkload, Workload};
 pub use pipeline::{

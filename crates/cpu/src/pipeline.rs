@@ -67,12 +67,15 @@
 //!
 //! Loads that miss past the L2 park with a [`PENDING`] completion until
 //! the MSHR file drains them (see
-//! [`Hierarchy`](crate::hierarchy::Hierarchy) for the drain triggers);
-//! a parked load at the ROB head forces a drain exactly as the seed
-//! loop did, so the backend observes the identical window composition.
+//! [`Hierarchy`](crate::hierarchy::Hierarchy) for the drain triggers).
+//! A load parks in the file under its sequence number, and the drain
+//! hands back `(seq, cycle)`, so the collect phase completes the slot
+//! at `seq`'s ring position directly. A parked load at the ROB head
+//! forces a drain exactly as the seed loop did, so the backend observes
+//! the identical window composition.
 
 use crate::bpred::BimodalPredictor;
-use crate::hierarchy::{Access, AccessToken, Hierarchy, MemoryBackend, L1_LATENCY, L1_LINE_BYTES};
+use crate::hierarchy::{Hierarchy, MemoryBackend, L1_LATENCY, L1_LINE_BYTES};
 use crate::op::{OpClass, Workload};
 use crate::wheel::TimingWheel;
 
@@ -418,7 +421,6 @@ impl<B: MemoryBackend> Core<B> {
             base: 0,
             dispatched: 0,
             committed: 0,
-            pending_loads: Vec::new(),
             resolved_buf: Vec::new(),
             calendar: TimingWheel::new(self.now, ring),
             ready: ReadyBits::new(ring),
@@ -450,19 +452,17 @@ impl<B: MemoryBackend> Core<B> {
         // ---- Collect resolved fills ----
         // A hierarchy drain (MSHR-file exhaustion inside an access, a
         // blocking instruction fetch, or the forced stall-on-use drain
-        // below) resolves pending loads to their real completion
-        // cycles.
+        // below) resolves parked loads, named by their sequence
+        // numbers, to their real completion cycles.
         self.hierarchy.take_resolutions(&mut s.resolved_buf);
         for i in 0..s.resolved_buf.len() {
-            let (token, done) = s.resolved_buf[i];
-            let Some(k) = s.pending_loads.iter().position(|&(t, _)| t == token) else {
-                continue; // fire-and-forget store fill
-            };
-            let (_, seq) = s.pending_loads.swap_remove(k);
-            if seq >= s.base {
-                let pos = s.pos(seq);
-                s.complete(now, pos, done);
-            }
+            let (seq, done) = s.resolved_buf[i];
+            debug_assert!(
+                (s.base..s.dispatched).contains(&seq) && s.slot(seq).complete_at == PENDING,
+                "resolution for op {seq}, which is not a parked load"
+            );
+            let pos = s.pos(seq);
+            s.complete(now, pos, done);
         }
         s.resolved_buf.clear();
 
@@ -513,21 +513,18 @@ impl<B: MemoryBackend> Core<B> {
         for &pos in picks.as_slice() {
             let complete_at = match s.rob[pos].kind {
                 SlotKind::Fixed(lat) => now + lat,
-                SlotKind::Load(addr) => match self.hierarchy.data_access_nb(now, addr, false) {
-                    Access::Ready(done) => done,
-                    Access::Pending(token) => {
-                        // The miss sits in the MSHR file; the slot
-                        // completes when a drain resolves it.
-                        let seq = s.base + (pos.wrapping_sub(head) & (ring - 1)) as u64;
-                        s.pending_loads.push((token, seq));
-                        PENDING
-                    }
-                },
+                SlotKind::Load(addr) => {
+                    // A load that waits on the MSHR file parks under
+                    // its sequence number; the slot completes when a
+                    // drain resolves it.
+                    let seq = s.base + (pos.wrapping_sub(head) & (ring - 1)) as u64;
+                    self.hierarchy.load(now, addr, seq).unwrap_or(PENDING)
+                }
                 SlotKind::Store(addr) => {
                     // The store retires via the store buffer; the line
                     // fill proceeds in the background (a pending fill
                     // stays in the MSHR file until a later drain).
-                    let _ = self.hierarchy.data_access_nb(now, addr, true);
+                    let _ = self.hierarchy.store(now, addr);
                     now + 1
                 }
                 SlotKind::BranchRedirect => {
@@ -726,11 +723,10 @@ pub struct RunSession {
     base: u64, // sequence number of the oldest op in the ROB
     dispatched: u64,
     committed: u64,
-    // Loads waiting on in-flight L2 misses: MSHR token and the absolute
-    // sequence number of the load's slot. Never longer than the MSHR
-    // file's waiter list.
-    pending_loads: Vec<(AccessToken, u64)>,
-    resolved_buf: Vec<(AccessToken, u64)>,
+    // Resolutions collected from the hierarchy each step: the sequence
+    // number of a parked load and its completion cycle. Kept across
+    // steps so collecting does not allocate.
+    resolved_buf: Vec<(u64, u64)>,
     // Event calendar, kept at the clock: future completion cycles of
     // issued ops and resolved misses (the earliest drives the
     // no-progress time jump), and slots unblocked but not ready until a

@@ -30,7 +30,7 @@ fn fresh(integrity: IntegrityMode) -> SecureMemory {
 fn label(outcome: AttackOutcome) -> &'static str {
     match outcome {
         AttackOutcome::Detected => "DETECTED",
-        AttackOutcome::GarbagePlaintext => "garbage (program traps)",
+        AttackOutcome::GarbagePlaintext => "wrong plaintext",
         AttackOutcome::Undetected => "UNDETECTED !!",
     }
 }
@@ -118,6 +118,11 @@ fn main() {
          A's stale line after a context switch to compartment B fails\n\
          even without integrity, because each compartment's pads are\n\
          derived from its own vendor key (§2.3) — A's ciphertext under\n\
-         B's key stream is noise."
+         B's key stream is noise.\n\n\
+         \"wrong plaintext\" means the read passed and returned bytes the\n\
+         program never wrote. Random ciphertext decrypts to noise, but a\n\
+         one-time pad is a stream cipher: flipping chosen ciphertext bits\n\
+         of a one-time-pad line flips the same plaintext bits, so without\n\
+         integrity a targeted flip makes the plaintext attacker-chosen."
     );
 }

@@ -49,6 +49,47 @@ fn attack_matrix_matches_the_papers_claims() {
 }
 
 #[test]
+fn targeted_flip_without_integrity_yields_attacker_chosen_plaintext() {
+    // A one-time pad is a stream cipher: XOR-ing a ciphertext byte with
+    // `known ^ wanted` turns the plaintext byte from `known` into
+    // `wanted` and touches no other byte. Only a MAC stops this.
+    let secret = vec![0x11u8; 128];
+    for cipher in [CipherKind::Des, CipherKind::Aes128] {
+        for integrity in [IntegrityMode::None, IntegrityMode::Mac, IntegrityMode::MacTree] {
+            let mut m =
+                SecureMemory::new(cipher, &[0x77u8; 16], SeedScheme::PaperAdditive, integrity);
+            m.add_region("data", 0x1_0000, 0x4_0000, LineProtection::OtpDynamic)
+                .unwrap();
+            m.write_line(0x1_0000, &secret).unwrap();
+            let mut ct = m.raw_ciphertext(0x1_0000, 128);
+            ct[0] ^= 0x11 ^ 0x99;
+            m.attack_spoof(0x1_0000, &ct);
+            let case = (cipher, integrity);
+            match integrity {
+                IntegrityMode::None => {
+                    let plain = m.read_line(0x1_0000).unwrap();
+                    assert_eq!(plain[0], 0x99, "{case:?}: the attacker's byte");
+                    assert_eq!(plain[1..], secret[1..], "{case:?}: the other bytes");
+                    // The probe only compares against the expected
+                    // plaintext, so it cannot tell a chosen byte from
+                    // garbage.
+                    assert_eq!(
+                        m.probe_attack(0x1_0000, &secret),
+                        AttackOutcome::GarbagePlaintext,
+                        "{case:?}"
+                    );
+                }
+                _ => assert_eq!(
+                    m.probe_attack(0x1_0000, &secret),
+                    AttackOutcome::Detected,
+                    "{case:?}"
+                ),
+            }
+        }
+    }
+}
+
+#[test]
 fn ciphertext_repetition_is_hidden_across_space_and_time() {
     // The paper's §3.4 motivation: repeated values must not produce
     // repeated ciphertext, either at different addresses or across
