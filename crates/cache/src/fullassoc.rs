@@ -7,18 +7,27 @@
 //! this implementation pairs a hashed key index with an intrusive doubly
 //! linked list over a slab of nodes. Recency, eviction and flush order
 //! live entirely in the list, so the index's layout never shows.
+//!
+//! The slab is reserved to the full capacity when the cache is built and
+//! never reallocates: live nodes fill it densely from index 0, an insert
+//! into a full cache rewrites the evicted LRU node in place, and a flush
+//! empties it while keeping the reservation. A node is 24 bytes for the
+//! SNC's 16-bit payloads (an 8-byte key and two `u32` links), so the
+//! paper's 32K-entry SNC reserves 768 KB of slab at construction.
 
 use crate::line_hash::BuildLineHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap; // lint: sorted the key index is point-queried, never iterated
 
-const NIL: usize = usize::MAX;
+/// The link that ends the recency list.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct Node<T> {
     key: u64,
     payload: T,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
 }
 
 /// A key-addressed, fixed-capacity, fully associative LRU cache.
@@ -45,30 +54,35 @@ pub struct FullAssocCache<T> {
     // walk the intrusive list. Keys are simulated line addresses, so the
     // fixed `LineHasher` needs no collision resistance, and its lack of
     // a seed keeps the layout and Debug output the same run to run.
-    map: HashMap<u64, usize, BuildLineHasher>, // lint: sorted never iterated (see above)
-    /// Slab of nodes; `None` marks a slot on the free list.
-    nodes: Vec<Option<Node<T>>>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    map: HashMap<u64, u32, BuildLineHasher>, // lint: sorted never iterated (see above)
+    /// The live nodes, `nodes.len()` of them, reserved to `capacity`.
+    nodes: Vec<Node<T>>,
+    head: u32, // most recently used
+    tail: u32, // least recently used
 }
 
 impl<T> FullAssocCache<T> {
-    /// Creates an empty cache holding at most `capacity` entries.
+    /// Creates an empty cache holding at most `capacity` entries, with
+    /// its node slab and key index both reserved to that capacity.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit a `u32` link.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        assert!(
+            u32::try_from(capacity).is_ok_and(|c| c < NIL),
+            "capacity {capacity} does not fit a u32 link"
+        );
         Self {
             capacity,
             // Sized once, so filling the cache never rehashes or holds
-            // an old and a new table at the same time.
+            // an old and a new table at the same time. One spare key:
+            // an insert into a full cache adds its key before it
+            // removes the victim's.
             // lint: sorted never iterated (see the field)
-            map: HashMap::with_capacity_and_hasher(capacity, BuildLineHasher::default()),
-            nodes: Vec::new(),
-            free: Vec::new(),
+            map: HashMap::with_capacity_and_hasher(capacity + 1, BuildLineHasher::default()),
+            nodes: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
         }
@@ -81,58 +95,44 @@ impl<T> FullAssocCache<T> {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.nodes.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Whether the cache is at capacity.
     pub fn is_full(&self) -> bool {
-        self.map.len() == self.capacity
+        self.nodes.len() == self.capacity
     }
 
-    fn node(&self, idx: usize) -> &Node<T> {
-        self.nodes[idx].as_ref().expect("live node")
-    }
-
-    fn node_mut(&mut self, idx: usize) -> &mut Node<T> {
-        self.nodes[idx].as_mut().expect("live node")
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = {
-            let n = self.node(idx);
-            (n.prev, n.next)
-        };
+    fn detach(&mut self, idx: u32) {
+        let Node { prev, next, .. } = self.nodes[idx as usize];
         if prev != NIL {
-            self.node_mut(prev).next = next;
+            self.nodes[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.node_mut(next).prev = prev;
+            self.nodes[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
     }
 
-    fn push_front(&mut self, idx: usize) {
+    fn push_front(&mut self, idx: u32) {
         let old_head = self.head;
-        {
-            let n = self.node_mut(idx);
-            n.prev = NIL;
-            n.next = old_head;
-        }
+        let n = &mut self.nodes[idx as usize];
+        n.prev = NIL;
+        n.next = old_head;
         if old_head != NIL {
-            self.node_mut(old_head).prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
+            self.nodes[old_head as usize].prev = idx;
+        } else {
             self.tail = idx;
         }
+        self.head = idx;
     }
 
     /// Looks up `key`, refreshing its recency.
@@ -140,7 +140,7 @@ impl<T> FullAssocCache<T> {
         let idx = self.map.get(&key).copied()?;
         self.detach(idx);
         self.push_front(idx);
-        Some(&mut self.node_mut(idx).payload)
+        Some(&mut self.nodes[idx as usize].payload)
     }
 
     /// Whether `key` is resident (no recency side effects).
@@ -150,58 +150,62 @@ impl<T> FullAssocCache<T> {
 
     /// Inserts or updates `key`, returning the evicted LRU entry when the
     /// cache was full and `key` was absent.
+    ///
+    /// The key index is probed once. A new key takes the next slab slot
+    /// while the cache has room, and the LRU node's slot, rewritten in
+    /// place, once it is full.
     pub fn insert(&mut self, key: u64, payload: T) -> Option<(u64, T)> {
-        if let Some(&idx) = self.map.get(&key) {
-            self.node_mut(idx).payload = payload;
-            self.detach(idx);
-            self.push_front(idx);
-            return None;
-        }
-        let mut evicted = None;
-        if self.map.len() == self.capacity {
-            evicted = self.evict_lru();
-        }
-        let node = Node {
-            key,
-            payload,
-            prev: NIL,
-            next: NIL,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Some(node);
-                i
+        let idx = match self.map.entry(key) {
+            Entry::Occupied(e) => {
+                let idx = *e.get();
+                self.nodes[idx as usize].payload = payload;
+                self.detach(idx);
+                self.push_front(idx);
+                return None;
             }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
+            Entry::Vacant(e) if self.nodes.len() < self.capacity => {
+                let idx = self.nodes.len() as u32;
+                e.insert(idx);
+                self.nodes.push(Node {
+                    key,
+                    payload,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.push_front(idx);
+                return None;
             }
+            Entry::Vacant(e) => *e.insert(self.tail),
         };
-        self.map.insert(key, idx);
-        self.push_front(idx);
-        evicted
-    }
-
-    /// Evicts the least recently used entry, if any.
-    fn evict_lru(&mut self) -> Option<(u64, T)> {
-        if self.tail == NIL {
-            return None;
-        }
-        let idx = self.tail;
         self.detach(idx);
-        let node = self.nodes[idx].take().expect("live node");
-        self.map.remove(&node.key);
-        self.free.push(idx);
-        Some((node.key, node.payload))
+        let node = &mut self.nodes[idx as usize];
+        let victim = (
+            std::mem::replace(&mut node.key, key),
+            std::mem::replace(&mut node.payload, payload),
+        );
+        self.map.remove(&victim.0);
+        self.push_front(idx);
+        Some(victim)
     }
 
     /// Evicts everything, returning entries in LRU-to-MRU order
-    /// (models the context-switch SNC flush of the paper's §4.3).
-    pub fn flush(&mut self) -> Vec<(u64, T)> {
+    /// (models the context-switch SNC flush of the paper's §4.3). The
+    /// slab keeps its reservation.
+    pub fn flush(&mut self) -> Vec<(u64, T)>
+    where
+        T: Copy,
+    {
         let mut out = Vec::with_capacity(self.len());
-        while let Some(entry) = self.evict_lru() {
-            out.push(entry);
+        let mut idx = self.tail;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            out.push((n.key, n.payload));
+            idx = n.prev;
         }
+        self.nodes.clear();
+        self.map.clear();
+        self.head = NIL;
+        self.tail = NIL;
         out
     }
 }
@@ -260,13 +264,50 @@ mod tests {
     fn remove_frees_slots_for_reuse() {
         let mut c = FullAssocCache::new(2);
         c.insert(1, "x");
-        assert_eq!(c.evict_lru(), Some((1, "x")));
+        assert_eq!(c.flush(), vec![(1, "x")]);
         assert!(c.is_empty());
-        assert_eq!(c.evict_lru(), None);
+        assert_eq!(c.flush(), vec![]);
         c.insert(2, "y");
         c.insert(3, "z");
         assert_eq!(c.len(), 2);
-        assert_eq!(c.nodes.len(), 2, "the freed slot was reused");
+        assert_eq!(c.nodes.len(), 2, "the flushed slot was reused");
+        // An eviction hands its slot straight to the new key.
+        assert_eq!(c.insert(4, "w"), Some((2, "y")));
+        assert_eq!(c.nodes.len(), 2, "the evicted slot was reused");
+        assert_eq!(c.get(4), Some(&mut "w"));
+    }
+
+    #[test]
+    fn the_slab_is_reserved_once_and_never_moves() {
+        // 8-byte key, 16-bit payload and two `u32` links.
+        assert_eq!(std::mem::size_of::<Node<u16>>(), 24);
+        let mut c = FullAssocCache::<u16>::new(1000);
+        let reserved = c.nodes.capacity();
+        assert!(reserved >= 1000);
+        let line = |k: u64| 0x7000_0000 + k * 128;
+        for round in 0..3u64 {
+            let base = round * 10_000;
+            for k in 0..1000 {
+                assert_eq!(c.insert(line(base + k), k as u16), None);
+            }
+            assert!(c.is_full());
+            assert_eq!(c.nodes.capacity(), reserved, "round {round} fill");
+            // Churn: every new key evicts, and every other step re-inserts
+            // a resident key, which refreshes it without evicting.
+            for k in 1000..5000 {
+                assert!(c.insert(line(base + k), k as u16).is_some());
+                if k % 2 == 0 {
+                    assert_eq!(c.insert(line(base + k - 300), 7), None);
+                }
+                assert_eq!(c.len(), 1000);
+                assert_eq!(c.nodes.capacity(), reserved, "round {round} churn {k}");
+            }
+            let flushed = c.flush();
+            assert_eq!(flushed.len(), 1000);
+            assert_eq!(flushed.last().map(|e| e.0), Some(line(base + 4999)));
+            assert!(c.is_empty());
+            assert_eq!(c.nodes.capacity(), reserved, "round {round} flush");
+        }
     }
 
     #[test]

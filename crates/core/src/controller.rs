@@ -328,8 +328,9 @@ impl SecureBackend {
     /// since the last `C` distinct installs into a `C`-entry LRU fix its
     /// contents and order, while a set-associative one keeps one install
     /// per line (the ways its survivors land in, and so its flush order,
-    /// depend on the whole history). Under no-replacement every line
-    /// keeps its own `try_install`: a full SNC rejects it in O(1).
+    /// depend on the whole history). Under no-replacement the SNC ages
+    /// through [`SequenceNumberCache::age_no_replacement`], which stops
+    /// looking lines up once it has filled every free entry.
     pub fn pre_age<A, B>(&mut self, ancient: A, active: B)
     where
         A: IntoIterator<Item = u64>,
@@ -344,10 +345,7 @@ impl SecureBackend {
                 // claims slots first; the ancient churn then fills the
                 // rest.
                 SncPolicy::NoReplacement => {
-                    for line in active.into_iter().chain(ancient) {
-                        self.written.insert(line);
-                        snc.try_install(line, 1);
-                    }
+                    snc.age_no_replacement(&mut self.written, active.into_iter().chain(ancient));
                 }
                 // Under LRU recency is what matters: ancient first,
                 // active last.

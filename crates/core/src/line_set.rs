@@ -7,6 +7,12 @@
 //! written region costs one table entry per 64 lines rather than one
 //! per line, so the hundreds of thousands of lines that pre-aging marks
 //! stay small enough to remain cache-resident.
+//!
+//! The chunk that inserts are filling is held beside the table, its
+//! word updated in place, and its table entry written back only when an
+//! insert moves to another chunk. So a run of consecutive lines, which
+//! is what pre-aging marks, touches the table twice per 64 lines: once
+//! to store the finished word and once to load the next.
 
 use padlock_cache::BuildLineHasher;
 use padlock_mem::LINE_BYTES;
@@ -16,7 +22,7 @@ use std::collections::HashMap; // lint: sorted the chunk map below is point-quer
 const CHUNK_LINES: u64 = 64;
 
 /// A set of [`LINE_BYTES`]-aligned addresses: a map from 64-line chunk
-/// index to that chunk's occupancy word.
+/// index to that chunk's occupancy word, plus the chunk being filled.
 ///
 /// Keys must be line-aligned; two addresses inside one line would
 /// otherwise share a bit (checked in debug builds).
@@ -36,6 +42,9 @@ const CHUNK_LINES: u64 = 64;
 pub struct LineSet {
     // lint: sorted a membership set: point-queried, never iterated
     chunks: HashMap<u64, u64, BuildLineHasher>,
+    /// The chunk the last insert touched and its word, which is current;
+    /// that chunk's entry in `chunks`, if any, may lag behind it.
+    open: (u64, u64),
 }
 
 impl LineSet {
@@ -52,17 +61,34 @@ impl LineSet {
     #[inline]
     pub fn insert(&mut self, addr: u64) -> bool {
         let (chunk, bit) = Self::locate(addr);
-        let word = self.chunks.entry(chunk).or_insert(0);
+        if chunk != self.open.0 {
+            self.open_chunk(chunk);
+        }
+        let word = &mut self.open.1;
         let absent = *word & bit == 0;
         *word |= bit;
         absent
+    }
+
+    /// Writes the open chunk's word back and opens `chunk`.
+    fn open_chunk(&mut self, chunk: u64) {
+        let (done, word) = self.open;
+        if word != 0 {
+            self.chunks.insert(done, word);
+        }
+        self.open = (chunk, *self.chunks.entry(chunk).or_insert(0));
     }
 
     /// Whether `addr` is in the set.
     #[inline]
     pub fn contains(&self, addr: u64) -> bool {
         let (chunk, bit) = Self::locate(addr);
-        self.chunks.get(&chunk).is_some_and(|word| word & bit != 0)
+        let word = if chunk == self.open.0 {
+            self.open.1
+        } else {
+            self.chunks.get(&chunk).copied().unwrap_or(0)
+        };
+        word & bit != 0
     }
 }
 

@@ -72,6 +72,14 @@ impl Storage {
         }
     }
 
+    /// Entries not yet occupied.
+    fn free(&self) -> usize {
+        match self {
+            Storage::Full(c) => c.capacity() - c.len(),
+            Storage::SetAssoc(c) => c.config().num_lines() - c.occupancy(),
+        }
+    }
+
     /// Whether an install of `line_addr` would not evict (a free slot
     /// exists in the relevant set / anywhere).
     fn has_room_for(&self, line_addr: u64) -> bool {
@@ -79,6 +87,23 @@ impl Storage {
             Storage::Full(c) => !c.is_full(),
             Storage::SetAssoc(c) => c.set_occupancy(line_addr) < c.config().ways(),
         }
+    }
+
+    /// A no-replacement install: `None` when it would evict, else
+    /// whether `line_addr` took a free entry (rather than refreshing
+    /// its own).
+    fn try_insert(&mut self, line_addr: u64, seq: u16) -> Option<bool> {
+        if !self.has_room_for(line_addr) {
+            return None;
+        }
+        let resident = |s: &Self| match s {
+            Storage::Full(c) => c.len(),
+            Storage::SetAssoc(c) => c.set_occupancy(line_addr),
+        };
+        let before = resident(self);
+        let evicted = self.insert(line_addr, seq);
+        debug_assert!(evicted.is_none(), "no-replacement install must not evict");
+        Some(resident(self) > before)
     }
 
     /// The resident sequence number, refreshing its recency.
@@ -238,6 +263,27 @@ impl SequenceNumberCache {
         &mut self.shards[shard]
     }
 
+    /// `line_addr`'s shard, given `last`, the previously routed line and
+    /// its shard, which it then replaces. Consecutive lines take
+    /// consecutive shards, so a line directly after `last` is routed
+    /// without dividing by the shard count. Start from `(0, 0)`: line 0
+    /// is in shard 0.
+    #[inline]
+    fn route(&self, last: &mut (u64, usize), line_addr: u64) -> usize {
+        let (prev, prev_shard) = *last;
+        let shard = if line_addr.checked_sub(prev) == Some(u64::from(LINE_BYTES)) {
+            if prev_shard + 1 == self.shards.len() {
+                0
+            } else {
+                prev_shard + 1
+            }
+        } else {
+            self.shard_of(line_addr)
+        };
+        *last = (line_addr, shard);
+        shard
+    }
+
     /// Event counters summed over every shard: `query_hits`,
     /// `query_misses`, `update_hits`, `update_misses`, `installs`,
     /// `spills`, `overflows`, `install_rejects` — a snapshot rendered
@@ -259,6 +305,7 @@ impl SequenceNumberCache {
     /// Whether a no-replacement install of `line_addr` would succeed
     /// (a free slot exists in its shard's relevant set / anywhere in
     /// its shard).
+    #[cfg(test)]
     fn has_room_for(&self, line_addr: u64) -> bool {
         self.shards[self.shard_of(line_addr)].has_room_for(line_addr)
     }
@@ -311,8 +358,15 @@ impl SequenceNumberCache {
     /// the caller charges encryption + a memory write. Under
     /// no-replacement use [`SequenceNumberCache::try_install`] instead.
     pub fn install(&mut self, line_addr: u64, seq: u16) -> Option<EvictedSeq> {
+        self.install_into(self.shard_of(line_addr), line_addr, seq)
+    }
+
+    /// [`SequenceNumberCache::install`] into `shard`, which must be
+    /// `line_addr`'s.
+    fn install_into(&mut self, shard: usize, line_addr: u64, seq: u16) -> Option<EvictedSeq> {
+        debug_assert_eq!(shard, self.shard_of(line_addr));
         self.stats.installs += 1;
-        let evicted = self.shard_mut(line_addr).insert(line_addr, seq);
+        let evicted = self.shards[shard].insert(line_addr, seq);
         if evicted.is_some() {
             self.stats.spills += 1;
         }
@@ -334,6 +388,11 @@ impl SequenceNumberCache {
     /// line already in `written` may repeat a ring entry, so its
     /// shard's ring is installed first, then the line.
     ///
+    /// Each ring is reserved to the shard's capacity before the first
+    /// line, so it never reallocates. A line that directly follows the
+    /// previous one takes the next shard, so a run of consecutive lines
+    /// is routed without dividing by the shard count.
+    ///
     /// Set-associative shards take one install per line: replaying only
     /// the survivors could seat them in other ways, and the way order is
     /// the flush order that [`SequenceNumberCache::flush`] returns.
@@ -348,9 +407,13 @@ impl SequenceNumberCache {
                 return;
             }
         };
-        let mut rings = vec![VecDeque::new(); self.shards.len()];
+        let mut rings: Vec<VecDeque<u64>> = (0..self.shards.len())
+            .map(|_| VecDeque::with_capacity(capacity))
+            .collect();
+        let mut last = (0, 0);
         for line in lines {
-            let ring = &mut rings[self.shard_of(line)];
+            let shard = self.route(&mut last, line);
+            let ring = &mut rings[shard];
             if written.insert(line) {
                 if ring.len() == capacity {
                     ring.pop_front();
@@ -358,26 +421,63 @@ impl SequenceNumberCache {
                 ring.push_back(line);
             } else {
                 for pending in ring.drain(..) {
-                    self.install(pending, 1);
+                    self.install_into(shard, pending, 1);
                 }
-                self.install(line, 1);
+                self.install_into(shard, line, 1);
             }
         }
-        for line in rings.into_iter().flatten() {
-            self.install(line, 1);
+        for (shard, ring) in rings.into_iter().enumerate() {
+            for line in ring {
+                self.install_into(shard, line, 1);
+            }
+        }
+    }
+
+    /// Ages a no-replacement SNC with `lines`, in order: marks each line
+    /// in `written` and offers its sequence number 1 to its shard,
+    /// leaving contents, recency and event counters exactly as one
+    /// [`SequenceNumberCache::try_install`] per line would.
+    ///
+    /// The free entries are counted once, before the first line, and
+    /// each install that fills one takes it from the count. Once none is
+    /// left every shard is full, so the remaining lines are only marked
+    /// written and counted as rejected, without a lookup. Lines are
+    /// routed to shards as in [`SequenceNumberCache::age_lru`].
+    pub fn age_no_replacement(
+        &mut self,
+        written: &mut LineSet,
+        lines: impl IntoIterator<Item = u64>,
+    ) {
+        let mut free: usize = self.shards.iter().map(Storage::free).sum();
+        let mut last = (0, 0);
+        for line in lines {
+            written.insert(line);
+            if free == 0 {
+                self.stats.install_rejects += 1;
+            } else if self.try_install_into(self.route(&mut last, line), line, 1) == Some(true) {
+                free -= 1;
+            }
         }
     }
 
     /// No-replacement install: succeeds only when the owning shard has a
     /// free slot.
     pub fn try_install(&mut self, line_addr: u64, seq: u16) -> bool {
-        if !self.has_room_for(line_addr) {
-            self.stats.install_rejects += 1;
-            return false;
+        self.try_install_into(self.shard_of(line_addr), line_addr, seq)
+            .is_some()
+    }
+
+    /// [`SequenceNumberCache::try_install`] into `shard`, which must be
+    /// `line_addr`'s: `None` when rejected, else whether the install
+    /// filled a free entry.
+    fn try_install_into(&mut self, shard: usize, line_addr: u64, seq: u16) -> Option<bool> {
+        debug_assert_eq!(shard, self.shard_of(line_addr));
+        let filled = self.shards[shard].try_insert(line_addr, seq);
+        match filled {
+            Some(_) => self.stats.installs += 1,
+            None => self.stats.install_rejects += 1,
         }
-        let evicted = self.install(line_addr, seq);
-        debug_assert!(evicted.is_none(), "no-replacement install must not evict");
-        true
+        filled
     }
 
     /// Whether `line_addr` currently has an entry (no side effects).

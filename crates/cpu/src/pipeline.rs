@@ -235,6 +235,7 @@ struct Picks {
 }
 
 impl Picks {
+    #[inline]
     fn as_slice(&self) -> &[usize] {
         &self.pos[..self.len]
     }

@@ -82,7 +82,10 @@ impl TracePlayer {
 impl Workload for TracePlayer {
     fn next_op(&mut self) -> MicroOp {
         let op = self.ops[self.cursor];
-        self.cursor = (self.cursor + 1) % self.ops.len();
+        self.cursor += 1;
+        if self.cursor == self.ops.len() {
+            self.cursor = 0;
+        }
         op
     }
 
